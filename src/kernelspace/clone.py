@@ -15,7 +15,7 @@ indistinguishable from the original to every primitive operation.
 from __future__ import annotations
 
 from .spaces import Space
-from .terms import Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var
+from .terms import Closure, Record, SpaceRef, Var
 from .vm import CatchMarker, Thread
 
 
@@ -27,19 +27,14 @@ def clone_space(vm, s, caller_space):
     def collect(sp):
         old_spaces.append(sp)
         for c in sp.children:
-            if c.alive():
-                collect(c)
+            collect(c)
 
     collect(s)
 
     space_map = {}           # old Space -> new Space
-    sid_map = {}             # old sid -> new sid
     for old in old_spaces:
         parent = space_map.get(old.parent, old.parent)
-        new = Space(parent, sid=vm.alloc_sid())
-        space_map[old] = new
-        sid_map[old.sid] = new.sid
-        vm.spaces[new.sid] = new
+        space_map[old] = Space(parent, sid=vm.alloc_sid())
 
     vmap = {}                # old vid -> new vid
     for old in old_spaces:
@@ -86,17 +81,20 @@ def clone_space(vm, s, caller_space):
             memo[i] = out
             return out
         if tt is SpaceRef:
-            ns = sid_map.get(t.sid)
+            ns = space_map.get(t.space)
             return t if ns is None else SpaceRef(ns)
         return t             # ints, atoms, names, cells, ports, builtins
 
-    # overlays: re-keyed entries, registered for ancestor revalidation
+    # overlays: re-keyed entries; those on variables homed above the new
+    # space are registered for ancestor revalidation
+    homes = store.homes
     for old in old_spaces:
         new = space_map[old]
         for vid, value in old.bindings.items():
             nvid = vmap.get(vid, vid)
             new.bindings[nvid] = cp(value)
-            store.entry_spaces.setdefault(nvid, []).append(new)
+            if homes[nvid] is not new:
+                store.entry_spaces.setdefault(nvid, {})[new] = None
         new.root_var = cp(old.root_var) if old.root_var is not None else None
 
     # by-need triggers on subtree variables

@@ -162,9 +162,7 @@ def _wake_and_revalidate(vm, sp, vid, nd):
         if ws:
             for p in ws:
                 _enqueue(vm, p)
-        for c in cur.children:
-            if c.alive():
-                stack.append(c)
+        stack.extend(cur.children)
 
 
 def _bind_value(vm, sp, vid, value):
@@ -267,9 +265,7 @@ def _on_alias(vm, src, dst, space):
             cur.fd_watchers.setdefault(dst, {}).update(ws)
             for p in ws:
                 _enqueue(vm, p)
-        for c in cur.children:
-            if c.alive():
-                stack.append(c)
+        stack.extend(cur.children)
     if vs is not None:
         final = lookup(space, dst)
         if final is not None and final.is_singleton() and \

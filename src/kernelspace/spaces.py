@@ -10,17 +10,25 @@ homed in a proper ancestor of the space.
 
 The seven primitive operations (new_space, choose, ask, commit, clone,
 inject, merge) are exposed both as host functions here and as language
-builtins wired up in stdlib.py.  Asking is split in two: `ask` registers an
-answer variable that is bound when the space becomes stable, and
-`status_now` classifies an already quiescent space for host-side engines and
-tests.
+builtins wired up in stdlib.py.  `ask` registers an answer variable that is
+bound when the space becomes stable.
+
+Lifecycle: a space is created by new_space or clone, runs until it is stable,
+and ends failed or merged, or stays alive for as long as the VM runs.  A space
+that fails takes its subtree with it; a space that merges hands its
+variables, threads, live children and fd state to its parent.  Either way
+the dead space is detached from its parent's `children` (which therefore
+holds live spaces only) and emptied: overlay, domains, watchers,
+propagators, own variables and threads.  What remains is a small record
+(sid, parent, flags) that a SpaceRef may still hold, so Ask on it still
+answers `failed` and the other operations still raise.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
-from .store import FAILED, OK, is_ancestor
-from .terms import Builtin, Closure, Name, Record, SpaceRef, Var, record_get
+from .store import FAILED, is_ancestor
+from .terms import Record, SpaceRef, Var
 
 STATUS_FAILED = "failed"
 STATUS_SUCCEEDED = "succeeded"
@@ -30,19 +38,14 @@ STATUS_SUSPENDED = "suspended"         # not stable; never given to ask waiters
 
 
 class Space:
-    _ids = 0
-
-    def __init__(self, parent, root_var=None, sid=None):
-        if sid is None:
-            Space._ids += 1
-            sid = Space._ids
-        self.sid = sid
+    def __init__(self, parent, sid=0):
+        self.sid = sid                # a label for traces and the space log
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
-        self.children = []
+        self.children = {}            # live child spaces (ordered set)
         self.bindings = {}
         self.own_vars = []            # vids homed here, for clone and merge
-        self.root_var = root_var
+        self.root_var = None
         self.threads = {}             # live threads homed here (ordered set)
         self.runnable = 0             # runnable threads in the whole subtree
         self.pending_choose = None    # (thread, n) when a Choose is blocked
@@ -55,7 +58,7 @@ class Space:
         self.propagators = {}         # ordered set
         self.fd_queued = 0            # propagator runs waiting in the agenda
         if parent is not None:
-            parent.children.append(self)
+            parent.children[self] = None
 
     def alive(self):
         return not self.failed and not self.merged
@@ -65,32 +68,16 @@ class Space:
 
 
 def _check_child(caller_space, s, op):
-    if s.parent is not caller_space:
+    parent = s.parent
+    while parent.merged:             # a merge handed s to the merger's parent
+        parent = parent.parent
+    if parent is not caller_space:
         raise UsageError(f"{op}: space is not a child of the calling space")
 
 
-def _mark_dead(sp):
-    """Flag every space under sp (inclusive) as failed and discarded."""
-    sp.failed = True
-    sp.discarded = True
-    sp.pending_choose = None
-    sp.propagators.clear()
-    sp.fd_watchers.clear()
-    for c in sp.children:
-        if not c.failed:
-            _mark_dead(c)
-
-
-def _kill_threads(vm, sp):
-    for t in list(sp.threads):
-        vm.kill_thread(t)
-    sp.threads.clear()
-    for c in sp.children:
-        _kill_threads(vm, c)
-
-
 def fail_space(vm, sp):
-    """Fail sp: flag its subtree, answer its ask waiters, discard threads.
+    """Fail sp: flag and empty its subtree, answer its ask waiters, then
+    kill the subtree's threads.
 
     The answer must be told before any subtree thread dies: killing first
     would briefly drop an ancestor's runnable count to zero and let a
@@ -101,9 +88,26 @@ def fail_space(vm, sp):
         return
     if sp.parent is None:
         raise UsageError("the top-level space cannot fail")
-    _mark_dead(sp)
+    del sp.parent.children[sp]
+    dead, stack = [], [sp]
+    while stack:                     # preorder, children in creation order
+        d = stack.pop()
+        dead.append(d)
+        stack.extend(reversed(d.children))
+        d.failed = d.discarded = True
+        d.pending_choose = None
+        d.children = {}
+        d.propagators.clear()
+        d.fd_domains.clear()
+        d.fd_watchers.clear()
+        vm.store.release(d)
+    for d in dead[1:]:
+        d.ask_waiters = []           # every asker below sp is dead too
     _answer_waiters(vm, sp, STATUS_FAILED)
-    _kill_threads(vm, sp)
+    for d in dead:
+        for t in list(d.threads):
+            vm.kill_thread(t)
+        d.threads.clear()
 
 
 def _answer_waiters(vm, sp, status):
@@ -143,9 +147,7 @@ def classify(vm, sp):
                 home = homes[t.wait_vid]
                 if home is not sp and is_ancestor(home, sp):
                     return STATUS_SUSPENDED
-        for c in cur.children:
-            if c.alive():
-                stack.append(c)
+        stack.extend(cur.children)
     if sp.pending_choose is not None:
         return STATUS_ALTERNATIVES
     return STATUS_SUCCEEDED
@@ -171,9 +173,8 @@ def new_space(vm, proc_term, caller_space):
     sp = Space(caller_space, sid=vm.alloc_sid())
     root = vm.store.new_var(sp)
     sp.root_var = root
-    vm.spaces[sp.sid] = sp
     vm.spawn_call(proc_term, [root], sp)
-    return SpaceRef(sp.sid)
+    return SpaceRef(sp)
 
 
 def choose(vm, thread, n):
@@ -206,13 +207,6 @@ def ask(vm, s, ans_var, caller_space):
     maybe_answer(vm, s)
 
 
-def status_now(vm, s):
-    """Classify s immediately; host-side probe used by engines and tests."""
-    if s.runnable != 0:
-        return "running"
-    return classify(vm, s)
-
-
 def commit(vm, s, i, caller_space):
     """Pick alternative i of a distributable space; wakes its choice thread."""
     _check_child(caller_space, s, "commit")
@@ -240,8 +234,7 @@ def clone(vm, s, caller_space):
     if s.runnable != 0 or classify(vm, s) is STATUS_SUSPENDED:
         raise UsageError("clone on a space that is not stable")
     from .clone import clone_space
-    c = clone_space(vm, s, caller_space)
-    return SpaceRef(c.sid)
+    return SpaceRef(clone_space(vm, s, caller_space))
 
 
 def inject(vm, s, proc_term, caller_space):
@@ -285,14 +278,15 @@ def merge(vm, s, caller_space):
     # live child spaces are re-parented; depth fields go stale by one but
     # relative order along any ancestor chain is preserved, which is all the
     # alias heuristic needs
+    del parent.children[s]
     for c in s.children:
         c.parent = parent
-        parent.children.append(c)
-    s.children = []
+        parent.children[c] = None
+    s.children = {}
     s.merged = True
     s.discarded = True
     entries = list(s.bindings.items())
-    s.bindings.clear()
+    store.release(s)
     # move fd state into the parent
     if s.fd_domains or s.fd_watchers or s.propagators:
         from . import fd

@@ -6,6 +6,14 @@ overlay chain up to the root; the first entry wins.  A space may bind only
 variables homed in itself or an ancestor, so an entry is visible exactly in
 the binding space and its descendants.
 
+A binding made in an ancestor must be pushed into descendant overlays that
+speculated about the same variable.  `entry_spaces` indexes those overlays:
+it lists a space under a variable only when the variable is homed in a
+proper ancestor of the space, because no other binding can reach the entry
+(a space's own variables are invisible above it).  When a space fails or
+merges, `release` drops its index entries, and its own variables lose their
+home (the `homes` slot becomes None), waiters and by-need trigger.
+
 Unification is an incremental tell: bindings created before an inconsistency
 is discovered are kept, and their suspensions are woken.  A visited pair set
 makes unification terminate on cyclic structures (rational trees), and the
@@ -54,10 +62,10 @@ def is_ancestor(a, b) -> bool:
 
 class Store:
     def __init__(self):
-        self.homes = []            # vid -> home space
+        self.homes = []            # vid -> home space, None once it failed
         self.susp = {}             # vid -> list of waiters, sparse
         self.triggers = {}         # vid -> trigger token, removed when fired
-        self.entry_spaces = {}     # vid -> list of non-root spaces with an entry
+        self.entry_spaces = {}     # vid -> spaces below its home with an entry
         self.wake_fn = None
         self.fail_space_fn = None
         # fd hooks, installed by the fd module when domains are in play
@@ -101,16 +109,6 @@ class Store:
                 seen.add(vid)
         return t
 
-    def lookup_entry(self, vid, space):
-        """The visible binding of vid and the space holding it, or (None, None)."""
-        sp = space
-        while sp is not None:
-            val = sp.bindings.get(vid)
-            if val is not None:
-                return val, sp
-            sp = sp.parent
-        return None, None
-
     def is_det(self, t, space) -> bool:
         return type(self.deref(t, space)) is not Var
 
@@ -144,8 +142,8 @@ class Store:
             if self.fd_bind_fn(vid, value, space) is FAILED:
                 return FAILED
         space.bindings[vid] = value
-        if space.parent is not None:
-            self.entry_spaces.setdefault(vid, []).append(space)
+        if self.homes[vid] is not space:
+            self.entry_spaces.setdefault(vid, {})[space] = None
         self._wake(vid)
         # a new ancestor binding must be pushed into descendant overlays that
         # speculated about the same variable
@@ -159,6 +157,23 @@ class Store:
                     if r is FAILED and self.fail_space_fn is not None:
                         self.fail_space_fn(sp)
         return OK
+
+    def release(self, space):
+        """Forget a failed or merged space: its overlay and index entries,
+        and its remaining own variables' homes, waiters and triggers."""
+        index = self.entry_spaces
+        for vid in space.bindings:
+            entries = index.get(vid)
+            if entries is not None:
+                entries.pop(space, None)
+                if not entries:
+                    del index[vid]
+        space.bindings.clear()
+        for vid in space.own_vars:
+            self.homes[vid] = None
+            self.susp.pop(vid, None)
+            self.triggers.pop(vid, None)
+        space.own_vars = []
 
     def _alias(self, u, v, space, fire):
         """Bind one unbound var to another; returns OK/FAILED or Need."""
@@ -244,18 +259,11 @@ class Store:
             elif ta is Name:
                 if a.nid != b.nid:
                     return FAILED
-            elif ta is CellRef:
-                if a.cid != b.cid:
-                    return FAILED
-            elif ta is PortRef:
-                if a.pid != b.pid:
-                    return FAILED
             elif ta is SpaceRef:
-                if a.sid != b.sid:
+                if a.space is not b.space:
                     return FAILED
-            elif ta is Builtin:
-                if a is not b:
-                    return FAILED
+            elif ta is CellRef or ta is PortRef or ta is Builtin:
+                return FAILED          # a is not b: each is equal to itself
             else:
                 raise UsageError(f"not a term: {a!r}")
         return OK

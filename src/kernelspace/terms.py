@@ -109,33 +109,39 @@ class Name:
 
 
 class CellRef:
-    __slots__ = ("cid",)
+    """A cell; holds the current content.  Equal only to itself."""
 
-    def __init__(self, cid: int):
-        self.cid = cid
+    __slots__ = ("content",)
+
+    def __init__(self, content):
+        self.content = content
 
     def __repr__(self):
-        return f"CellRef({self.cid})"
+        return f"CellRef(@{id(self):x})"
 
 
 class PortRef:
-    __slots__ = ("pid",)
+    """A port; holds the unbound tail of its stream.  Equal only to itself."""
 
-    def __init__(self, pid: int):
-        self.pid = pid
+    __slots__ = ("tail",)
+
+    def __init__(self, tail):
+        self.tail = tail
 
     def __repr__(self):
-        return f"PortRef({self.pid})"
+        return f"PortRef(@{id(self):x})"
 
 
 class SpaceRef:
-    __slots__ = ("sid",)
+    """A computation space; references are equal iff they hold one space."""
 
-    def __init__(self, sid: int):
-        self.sid = sid
+    __slots__ = ("space",)
+
+    def __init__(self, space):
+        self.space = space
 
     def __repr__(self):
-        return f"SpaceRef({self.sid})"
+        return f"SpaceRef({self.space.sid})"
 
 
 Term = Union[int, str, Var, Record, Closure, Builtin, Name, CellRef, PortRef, SpaceRef]
@@ -143,13 +149,6 @@ Term = Union[int, str, Var, Record, Closure, Builtin, Name, CellRef, PortRef, Sp
 
 def cons(head, tail) -> Record:
     return Record(CONS, ((1, head), (2, tail)))
-
-
-def make_list(items) -> Term:
-    out: Term = NIL
-    for x in reversed(list(items)):
-        out = cons(x, out)
-    return out
 
 
 def pair(a, b) -> Record:

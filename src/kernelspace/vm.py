@@ -27,7 +27,7 @@ from .kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
     KSkip, KTellRec, KThread, KTry, Lit,
 )
-from .store import FAILED, OK, Need, Store
+from .store import FAILED, OK, Store
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
@@ -82,7 +82,6 @@ class VM:
         self.store.wake_fn = self.wake_all
         self.store.fail_space_fn = lambda sp: spaces.fail_space(self, sp)
         self.top = spaces.Space(None, sid=0)
-        self.spaces = {0: self.top}
         self.queue = deque()
         self.slice = slice_
         self.max_reductions = max_reductions if max_reductions else 10 ** 18
@@ -90,11 +89,7 @@ class VM:
         self.reductions = 0
         self.next_tid = 0
         self.next_sid = 0
-        self.next_cid = 0
-        self.next_pid = 0
         self.next_nid = 0
-        self.cells = {}
-        self.ports = {}
         self.browse = []
         self.on_browse = on_browse
         self.trace = [] if trace else None
@@ -108,11 +103,22 @@ class VM:
         self.current = None
 
     # ------------------------------------------------------------------
-    # allocation
+    # spaces
 
     def alloc_sid(self):
         self.next_sid += 1
         return self.next_sid
+
+    @property
+    def spaces(self):
+        """The live spaces by sid, read off the space tree (a fresh dict)."""
+        out = {}
+        stack = [self.top]
+        while stack:
+            sp = stack.pop()
+            out[sp.sid] = sp
+            stack.extend(sp.children)
+        return out
 
     # ------------------------------------------------------------------
     # thread lifecycle
@@ -163,6 +169,10 @@ class VM:
     def kill_thread(self, th):
         if th.state == "runnable":
             self._dec_runnable(th.space)
+        elif th.state == "suspended":
+            waiters = self.store.susp.get(th.wait_vid, ())
+            if th in waiters:
+                waiters.remove(th)
         th.state = "killed"
         th.stack.clear()
 
@@ -536,10 +546,7 @@ def bi_equal(vm, th, args, sp):
             continue
         same = ((ta is Closure and a.cid == b.cid)
                 or (ta is Name and a.nid == b.nid)
-                or (ta is CellRef and a.cid == b.cid)
-                or (ta is PortRef and a.pid == b.pid)
-                or (ta is SpaceRef and a.sid == b.sid)
-                or a is b)
+                or (ta is SpaceRef and a.space is b.space))
         if not same:
             return vm.tell_th(th, args[2], "false")
     return vm.tell_th(th, args[2], "true")
@@ -569,9 +576,7 @@ def _top_only(sp, what):
 
 def bi_newcell(vm, th, args, sp):
     _top_only(sp, "cell")
-    vm.next_cid += 1
-    vm.cells[vm.next_cid] = args[0]
-    return vm.tell_th(th, args[1], CellRef(vm.next_cid))
+    return vm.tell_th(th, args[1], CellRef(args[0]))
 
 
 def bi_exchange(vm, th, args, sp):
@@ -582,20 +587,17 @@ def bi_exchange(vm, th, args, sp):
     if type(c) is not CellRef:
         raise OzRaise(_error("type"))
     # one reduction: read and replace together
-    old = vm.cells[c.cid]
-    vm.cells[c.cid] = args[2]
+    old, c.content = c.content, args[2]
     return vm.tell_th(th, args[1], old)
 
 
 def bi_newport(vm, th, args, sp):
     _top_only(sp, "port")
-    vm.next_pid += 1
     tail = vm.store.new_var(sp)
-    vm.ports[vm.next_pid] = tail.vid
     r = vm.tell_th(th, args[0], tail)
     if r is not None:
         return r
-    return vm.tell_th(th, args[1], PortRef(vm.next_pid))
+    return vm.tell_th(th, args[1], PortRef(tail))
 
 
 def bi_send(vm, th, args, sp):
@@ -605,12 +607,11 @@ def bi_send(vm, th, args, sp):
         return vm.need(p)
     if type(p) is not PortRef:
         raise OzRaise(_error("type"))
-    tail = vm.ports[p.pid]
     new_tail = vm.store.new_var(sp)
-    r = vm.tell_th(th, Var(tail), cons(args[1], new_tail))
+    r = vm.tell_th(th, p.tail, cons(args[1], new_tail))
     if r is not None:
         return r
-    vm.ports[p.pid] = new_tail.vid
+    p.tail = new_tail
     return None
 
 
@@ -636,13 +637,23 @@ def bi_browse(vm, th, args, sp):
 # space operation builtins
 
 
+def _catch_usage(fn):
+    """Space-operation misuse surfaces as a catchable error(kind:space)."""
+    def wrapped(vm, th, args, sp):
+        try:
+            return fn(vm, th, args, sp)
+        except UsageError:
+            raise OzRaise(_error("space")) from None
+    return wrapped
+
+
 def _space_arg(vm, t, sp):
     d = vm.store.deref(t, sp)
     if type(d) is Var:
         return None, d
     if type(d) is not SpaceRef:
         raise OzRaise(_error("type"))
-    return vm.spaces[d.sid], None
+    return d.space, None
 
 
 def _proc_arg(vm, t, sp):
@@ -675,15 +686,17 @@ def _await_stable(vm, s, sp):
     return w.vid
 
 
+@_catch_usage
 def bi_newspace(vm, th, args, sp):
     p, v = _proc_arg(vm, args[0], sp)
     if p is None:
         return vm.need(v)
     ref = spaces.new_space(vm, p, sp)
-    vm.log_op("newspace", ref.sid)
+    vm.log_op("newspace", ref.space.sid)
     return vm.tell_th(th, args[1], ref)
 
 
+@_catch_usage
 def bi_choose(vm, th, args, sp):
     if th.resume_value is not None:
         i = th.resume_value
@@ -696,6 +709,7 @@ def bi_choose(vm, th, args, sp):
     return BLOCKED
 
 
+@_catch_usage
 def bi_ask(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
@@ -705,6 +719,7 @@ def bi_ask(vm, th, args, sp):
     return None
 
 
+@_catch_usage
 def bi_commit(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
@@ -721,6 +736,7 @@ def bi_commit(vm, th, args, sp):
     return None
 
 
+@_catch_usage
 def bi_clone(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
@@ -730,10 +746,11 @@ def bi_clone(vm, th, args, sp):
         if r is not None:
             return r
     ref = spaces.clone(vm, s, sp)
-    vm.log_op("clone", s.sid, ref.sid)
+    vm.log_op("clone", s.sid, ref.space.sid)
     return vm.tell_th(th, args[1], ref)
 
 
+@_catch_usage
 def bi_inject(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
@@ -746,6 +763,7 @@ def bi_inject(vm, th, args, sp):
     return None
 
 
+@_catch_usage
 def bi_merge(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
@@ -759,21 +777,6 @@ def bi_merge(vm, th, args, sp):
     if failed:
         raise OzRaise(FAILURE)
     return vm.tell_th(th, args[1], root)
-
-
-def _catch_usage(fn):
-    """Space-operation misuse surfaces as a catchable error(kind:space)."""
-    def wrapped(vm, th, args, sp):
-        try:
-            return fn(vm, th, args, sp)
-        except UsageError:
-            raise OzRaise(_error("space")) from None
-    return wrapped
-
-
-for _fn_name in ("bi_newspace", "bi_choose", "bi_ask", "bi_commit",
-                 "bi_clone", "bi_inject", "bi_merge"):
-    globals()[_fn_name] = _catch_usage(globals()[_fn_name])
 
 
 CORE_BUILTINS = {}
@@ -808,83 +811,83 @@ for _name, _arity, _fn in [
 # rendering values for Browse and diagnostics
 
 
+_SHOW = {                       # how render displays each non-record term
+    int: lambda t: str(t) if t >= 0 else f"~{-t}",
+    str: lambda t: t,
+    Var: lambda t: "_",
+    Closure: lambda t: f"<P/{len(t.params)}>",
+    Builtin: lambda t: f"<P/{t.arity}>",
+    Name: lambda t: f"<N{t.nid}>",
+    CellRef: lambda t: "<Cell>",
+    PortRef: lambda t: "<Port>",
+    SpaceRef: lambda t: "<Space>",
+}
+
+
 def render(vm, t, sp):
     """One-line display of a term as seen from `sp`.
 
     Unbound variables show as _.  A record that is reached again inside its
     own rendering is a cycle; the inner occurrence shows as @k, where k
-    numbers the cyclic records in discovery order.
+    numbers the cyclic records in discovery order.  The walk uses an explicit
+    stack, so long lists and deep records are fine.  On it an (enter or
+    leave, id) pair adds a record to or drops it from the path of records
+    being rendered, and a punctuation string is emitted like an atom.
     """
     deref = vm.store.deref
     labels = {}
-    counter = [0]
-
-    def scan(t, path):
+    path = set()
+    enter, leave = path.add, path.discard
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            t[0](t[1])
+            continue
         t = deref(t, sp)
-        if type(t) is Record:
-            i = id(t)
-            if i in path:
-                if i not in labels:
-                    counter[0] += 1
-                    labels[i] = counter[0]
-                return
-            path.add(i)
-            for _, v in t.feats:
-                scan(v, path)
-            path.discard(i)
-
-    scan(t, set())
-
-    def out(t, path):
-        t = deref(t, sp)
-        tt = type(t)
-        if tt is int:
-            return str(t) if t >= 0 else f"~{-t}"
-        if tt is str:
-            return t
-        if tt is Var:
-            return "_"
-        if tt is Record:
-            i = id(t)
-            if i in path:
-                return f"@{labels[i]}"
-            path = path | {i}
-            if is_cons(t):
-                heads = []
-                cur = t
-                while True:
-                    heads.append(out(cur.feats[0][1], path))
-                    nxt = deref(cur.feats[1][1], sp)
-                    if type(nxt) is Record and is_cons(nxt):
-                        if id(nxt) in path:
-                            return "|".join(heads) + "|" + f"@{labels[id(nxt)]}"
-                        path = path | {id(nxt)}
-                        cur = nxt
-                        continue
-                    if nxt == "nil":
-                        return "[" + " ".join(heads) + "]"
-                    return "|".join(heads) + "|" + out(nxt, path)
+        if type(t) is not Record:
+            out.append(_SHOW.get(type(t), repr)(t))
+            continue
+        i = id(t)
+        if i in path:
+            out.append(f"@{labels.setdefault(i, len(labels) + 1)}")
+            continue
+        enter(i)
+        todo = []
+        if is_cons(t):
+            # the spine's end decides between [a b c] and a|b|c|Tail; cell k
+            # joins the path just before head k is rendered
+            spine, seen = [t], {i}
+            nxt = deref(t.feats[1][1], sp)
+            while is_cons(nxt) and id(nxt) not in path and id(nxt) not in seen:
+                spine.append(nxt)
+                seen.add(id(nxt))
+                nxt = deref(nxt.feats[1][1], sp)
+            closed = nxt == "nil"
+            if closed:
+                todo.append("[")
+            for k, cell in enumerate(spine):
+                if k:
+                    todo.append(" " if closed else "|")
+                    todo.append((enter, id(cell)))
+                todo.append(cell.feats[0][1])
+            todo.extend(("]",) if closed else ("|", nxt))
+            todo.extend((leave, id(cell)) for cell in spine)
+        else:
             feats = t.feats
             positional = all(f == k + 1 for k, (f, _) in enumerate(feats))
-            if t.label == "#" and positional and len(feats) >= 2:
-                return "#".join(out(v, path) for _, v in feats)
-            if positional:
-                inner = " ".join(out(v, path) for _, v in feats)
-            else:
-                inner = " ".join(f"{f}:{out(v, path)}" for f, v in feats)
-            return f"{t.label}({inner})"
-        if tt is Closure:
-            return f"<P/{len(t.params)}>"
-        if tt is Builtin:
-            return f"<P/{t.arity}>"
-        if tt is Name:
-            return f"<N{t.nid}>"
-        if tt is CellRef:
-            return "<Cell>"
-        if tt is PortRef:
-            return "<Port>"
-        if tt is SpaceRef:
-            return "<Space>"
-        return repr(t)
-
-    return out(t, set())
+            hashed = t.label == "#" and positional and len(feats) >= 2
+            if not hashed:
+                todo.append(f"{t.label}(")
+            for k, (f, v) in enumerate(feats):
+                if k:
+                    todo.append("#" if hashed else " ")
+                if not positional:
+                    todo.append(f"{f}:")
+                todo.append(v)
+            if not hashed:
+                todo.append(")")
+            todo.append((leave, i))
+        stack.extend(reversed(todo))
+    return "".join(out)
