@@ -24,10 +24,6 @@ from .terms import Record, Var, record_get
 SUP = 134217726
 
 
-def _floor_div(a, b):
-    return a // b
-
-
 def _ceil_div(a, b):
     return -((-a) // b)
 
@@ -371,12 +367,12 @@ class LinProp:
             if self.rel == "eq":
                 lb = k - resthi
                 if c > 0:
-                    qlo, qhi = _ceil_div(lb, c), _floor_div(ub, c)
+                    qlo, qhi = _ceil_div(lb, c), ub // c
                 else:
-                    qlo, qhi = _ceil_div(ub, c), _floor_div(lb, c)
+                    qlo, qhi = _ceil_div(ub, c), lb // c
             else:
                 if c > 0:
-                    qlo, qhi = None, _floor_div(ub, c)
+                    qlo, qhi = None, ub // c
                 else:
                     qlo, qhi = _ceil_div(ub, c), None
             if (qlo is not None and qlo > d.min()) or \
@@ -421,14 +417,14 @@ class MulProp:
         # refresh c's bounds before dividing through
         cv, clo, chi = self._bounds(vm, self.c)
         lo = _ceil_div(clo, bhi) if bhi > 0 else (0 if clo == 0 else None)
-        hi = _floor_div(chi, blo) if blo > 0 else None
+        hi = chi // blo if blo > 0 else None
         if lo is None:
             return FAILED          # c > 0 but b is stuck at 0
         if self._narrow_to(vm, av, alo, ahi, lo, hi) is FAILED:
             return FAILED
         av, alo, ahi = self._bounds(vm, self.a)
         lo = _ceil_div(clo, ahi) if ahi > 0 else (0 if clo == 0 else None)
-        hi = _floor_div(chi, alo) if alo > 0 else None
+        hi = chi // alo if alo > 0 else None
         if lo is None:
             return FAILED
         return self._narrow_to(vm, bv, blo, bhi, lo, hi)

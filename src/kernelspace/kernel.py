@@ -1,9 +1,15 @@
 """Kernel statements and the desugarer from surface phrases.
 
 A kernel operand is either an identifier (a plain str, looked up in the
-thread environment) or a Lit wrapping a ground term.  Desugaring decides
-for every phrase whether it sits in statement or expression position; an
-expression phrase gets a target identifier to bind.
+thread environment) or a Lit wrapping a ground term.
+
+Each desugaring job is done by one walk.  `Desugarer.walk` translates a
+phrase in either position, chosen by its target: with no target the phrase
+is a statement; with one it is an expression, and the kernel binds the
+target identifier to its value.  `compile_pat` compiles every pattern,
+nested sub-patterns included; `number_feats` numbers the positional
+features of records and patterns; `free_names` is one bottom-up walk that
+fills in each KProc.free as it returns.
 
 The pretty printer emits kernel statements back as parseable surface text,
 so desugar(parse(pretty(k))) is alpha-equivalent to k.
@@ -236,7 +242,7 @@ class Desugarer:
             return name
         name = self.fresh()
         temps.append(name)
-        stmts.append(self.expr(p, name, sc))
+        stmts.append(self.walk(p, sc, name))
         return name
 
     def wrap(self, temps, stmts):
@@ -245,88 +251,72 @@ class Desugarer:
             return KLocal(temps, body)
         return body
 
-    # -- statement position ------------------------------------------------
+    # -- phrases ------------------------------------------------------------
 
-    def stmt(self, p, sc):
+    def walk(self, p, sc, target=None):
+        """Kernel for phrase p in scope sc.  With no target p is in statement
+        position; with one it is in expression position and the kernel binds
+        the target identifier to p's value."""
         t = type(p)
-        if t is S.SSkip:
-            return KSkip()
+        # constructs legal in both positions
         if t is S.SSeq:
-            return kseq([self.stmt(q, sc) for q in p.phrases])
-        if t is S.SLocal:
-            sc2 = sc | set(p.names)
-            return KLocal(p.names, self.stmt(p.body, sc2))
+            out = [self.walk(q, sc) for q in p.phrases[:-1]]
+            out.append(self.walk(p.phrases[-1], sc, target))
+            return kseq(out)
+        if t is S.SLocal or (t is S.SDeclare and target is None):
+            return KLocal(p.names, self.walk(p.body, sc | set(p.names), target))
         if t is S.SLocalBind:
             sc2 = sc | {p.name}
-            return KLocal([p.name], kseq([self.expr(p.rhs, p.name, sc2),
-                                          self.stmt(p.body, sc2)]))
-        if t is S.SDeclare:
-            sc2 = sc | set(p.names)
-            return KLocal(p.names, self.stmt(p.body, sc2))
-        if t is S.SEq:
-            return self.tell(p, sc)
-        if t is S.SFd:
-            return self.fd_stmt(p, sc)
+            return KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
+                                          self.walk(p.body, sc2, target)]))
         if t is S.SApply:
             temps, stmts = [], []
             ops = [self.operand(q, sc, temps, stmts) for q in p.items]
-            stmts.append(KApply(ops[0], ops[1:]))
+            args = ops[1:] if target is None else ops[1:] + [target]
+            stmts.append(KApply(ops[0], args))
             return self.wrap(temps, stmts)
         if t is S.SIf:
+            if p.els is None and target is not None:
+                self.err("an if used as an expression needs an else", p)
             temps, stmts = [], []
             c = self.operand(p.cond, sc, temps, stmts)
-            then = self.stmt(p.then, sc)
-            els = self.stmt(p.els, sc) if p.els is not None else KSkip()
+            then = self.walk(p.then, sc, target)
+            els = KSkip() if p.els is None else self.walk(p.els, sc, target)
             stmts.append(KIf(c, then, els))
             return self.wrap(temps, stmts)
         if t is S.SCase:
-            return self.case(p, sc, None)
+            return self.case(p, sc, target)
         if t is S.SProc:
-            if p.name is None:
-                self.err("a procedure in statement position needs a name", p)
-            self.use(p.name, sc, p)
-            return self.proc_into(p, p.name, sc)
+            if target is None:
+                if p.name is None:
+                    self.err("a procedure in statement position needs a name", p)
+                target = self.use(p.name, sc, p)
+            elif p.name is not None:
+                self.err("a named procedure definition is a statement", p)
+            return self.proc_into(p, target, sc)
         if t is S.SThread:
-            return KThread(self.stmt(p.body, sc))
-        if t is S.STry:
-            return KTry(self.stmt(p.body, sc), p.var,
-                        self.stmt(p.handler, sc | {p.var}))
-        if t is S.SRaise:
-            temps, stmts = [], []
-            op = self.operand_of_seq(p.value, sc, temps, stmts)
-            stmts.append(KRaise(op))
-            return self.wrap(temps, stmts)
-        if t is S.SChoice:
-            return self.choice(p, sc)
-        if t is S.SDis:
-            return self.dis(p, sc)
-        self.err("this expression cannot stand alone as a statement", p)
-
-    def operand_of_seq(self, p, sc, temps, stmts):
-        """Operand of a phrase that may be a sequence ending in a value."""
-        if type(p) is S.SSeq:
-            for q in p.phrases[:-1]:
-                stmts.append(self.stmt(q, sc))
-            return self.operand(p.phrases[-1], sc, temps, stmts)
-        return self.operand(p, sc, temps, stmts)
-
-    def tell(self, p, sc):
-        lhs, rhs = p.lhs, p.rhs
-        if type(lhs) is S.SVar:
-            self.use(lhs.name, sc, lhs)
-            return self.expr(rhs, lhs.name, sc)
-        if type(rhs) is S.SVar:
-            self.use(rhs.name, sc, rhs)
-            return self.expr(lhs, rhs.name, sc)
-        name = self.fresh()
-        return KLocal([name], kseq([self.expr(lhs, name, sc),
-                                    self.expr(rhs, name, sc)]))
-
-    # -- expression position -----------------------------------------------
-
-    def expr(self, p, target, sc):
-        """Statement that binds `target` to the value of phrase p."""
-        t = type(p)
+            return KThread(self.walk(p.body, sc, target))
+        if target is None:      # constructs legal in statement position only
+            if t is S.SSkip:
+                return KSkip()
+            if t is S.SEq:
+                return self.tell(p, sc)
+            if t is S.SFd:
+                return self.fd_stmt(p, sc)
+            if t is S.STry:
+                return KTry(self.walk(p.body, sc), p.var,
+                            self.walk(p.handler, sc | {p.var}))
+            if t is S.SRaise:
+                temps, stmts = [], []
+                op = self.operand_of_seq(p.value, sc, temps, stmts)
+                stmts.append(KRaise(op))
+                return self.wrap(temps, stmts)
+            if t is S.SChoice:
+                return self.choice(p, sc)
+            if t is S.SDis:
+                return self.dis(p, sc)
+            self.err("this expression cannot stand alone as a statement", p)
+        # constructs legal in expression position only
         if t is S.SVar:
             return KEq(target, self.use(p.name, sc, p))
         if t is S.SInt:
@@ -335,39 +325,18 @@ class Desugarer:
             return KEq(target, Lit(p.name))
         if t is S.SWild:
             return KSkip()
-        if t is S.SSeq:
-            out = [self.stmt(q, sc) for q in p.phrases[:-1]]
-            out.append(self.expr(p.phrases[-1], target, sc))
-            return kseq(out)
-        if t is S.SLocal:
-            sc2 = sc | set(p.names)
-            return KLocal(p.names, self.expr(p.body, target, sc2))
-        if t is S.SLocalBind:
-            sc2 = sc | {p.name}
-            return KLocal([p.name], kseq([self.expr(p.rhs, p.name, sc2),
-                                          self.expr(p.body, target, sc2)]))
         if t is S.SRecordCons:
             temps, stmts = [], []
+            pairs, dup = number_feats(p.feats)
             feats = []
-            seen = set()
-            pos = 0
-            for f, q in p.feats:
-                if f is None:
-                    pos += 1
-                    f = pos
-                if f in seen:
-                    self.err(f"duplicate feature {f}", p)
-                seen.add(f)
+            for f, q in pairs:
                 feats.append((f, self.operand(q, sc, temps, stmts)))
+            if dup is not None:
+                self.err(f"duplicate feature {dup}", p)
             if feats and all(type(o) is Lit for _, o in feats):
                 return KEq(target, Lit(Record(p.label,
                                               [(f, o.v) for f, o in feats])))
             stmts.append(KTellRec(target, p.label, feats))
-            return self.wrap(temps, stmts)
-        if t is S.SApply:
-            temps, stmts = [], []
-            ops = [self.operand(q, sc, temps, stmts) for q in p.items]
-            stmts.append(KApply(ops[0], ops[1:] + [target]))
             return self.wrap(temps, stmts)
         if t is S.SOp:
             temps, stmts = [], []
@@ -387,23 +356,27 @@ class Desugarer:
             else:
                 self.err(f"operator {op} has no value", p)
             return self.wrap(temps, stmts)
-        if t is S.SIf:
-            if p.els is None:
-                self.err("an if used as an expression needs an else", p)
-            temps, stmts = [], []
-            c = self.operand(p.cond, sc, temps, stmts)
-            stmts.append(KIf(c, self.expr(p.then, target, sc),
-                             self.expr(p.els, target, sc)))
-            return self.wrap(temps, stmts)
-        if t is S.SCase:
-            return self.case(p, sc, target)
-        if t is S.SProc:
-            if p.name is not None:
-                self.err("a named procedure definition is a statement", p)
-            return self.proc_into(p, target, sc)
-        if t is S.SThread:
-            return KThread(self.expr(p.body, target, sc))
         self.err("this construct has no value", p)
+
+    def operand_of_seq(self, p, sc, temps, stmts):
+        """Operand of a phrase that may be a sequence ending in a value."""
+        if type(p) is S.SSeq:
+            for q in p.phrases[:-1]:
+                stmts.append(self.walk(q, sc))
+            return self.operand(p.phrases[-1], sc, temps, stmts)
+        return self.operand(p, sc, temps, stmts)
+
+    def tell(self, p, sc):
+        lhs, rhs = p.lhs, p.rhs
+        if type(lhs) is S.SVar:
+            self.use(lhs.name, sc, lhs)
+            return self.walk(rhs, sc, lhs.name)
+        if type(rhs) is S.SVar:
+            self.use(rhs.name, sc, rhs)
+            return self.walk(lhs, sc, rhs.name)
+        name = self.fresh()
+        return KLocal([name], kseq([self.walk(lhs, sc, name),
+                                    self.walk(rhs, sc, name)]))
 
     def proc_into(self, p, target, sc):
         params = []
@@ -414,9 +387,9 @@ class Desugarer:
             params.append(name)
             sc2.add(name)
         if not p.is_fun:
-            return KProc(target, params, self.stmt(p.body, frozenset(sc2)))
+            return KProc(target, params, self.walk(p.body, frozenset(sc2)))
         out = self.fresh("R")
-        body = self.expr(p.body, out, frozenset(sc2))
+        body = self.walk(p.body, frozenset(sc2), out)
         if not p.lazy:
             return KProc(target, params + [out], body)
         # lazy: the result is a by-need variable whose trigger runs the body
@@ -436,41 +409,38 @@ class Desugarer:
         temps, stmts = [], []
         subj = self.operand(p.subject, sc, temps, stmts)
         if p.els is not None:
-            if target is None:
-                els = self.stmt(p.els, sc)
-            else:
-                els = self.expr(p.els, target, sc)
+            chain = self.walk(p.els, sc, target)
         else:
-            els = self.case_miss()
-        chain = els
+            chain = self.case_miss()
         for pat, body in reversed(p.clauses):
-            chain = self.compile_pat(subj, pat, body, chain, sc, target)
+            # the body sees every variable the pattern binds, including
+            # those in nested sub-patterns
+            sc2 = sc | pat_vars(pat)
+            chain = self.compile_pat(
+                subj, pat, lambda: self.walk(body, sc2, target), chain)
         stmts.append(chain)
         return self.wrap(temps, stmts)
 
     def case_miss(self):
         return KRaise(Lit(Record("error", [("kind", "case")])))
 
-    def compile_pat(self, subj, pat, body, els, sc, target):
-        def done(sc2):
-            if target is None:
-                return self.stmt(body, sc2)
-            return self.expr(body, target, sc2)
-
+    def compile_pat(self, subj, pat, body, els):
+        """Test subj against pat: on a match run the kernel body() makes,
+        otherwise els.  body() is called after the pattern's own feature
+        names are made and before its nested sub-patterns are compiled."""
         t = type(pat)
         if t is S.PWild:
-            return done(sc)
+            return body()
         if t is S.PVar:
-            return KLocal([pat.name], kseq([KEq(pat.name, subj),
-                                            done(sc | {pat.name})]))
+            return KLocal([pat.name], kseq([KEq(pat.name, subj), body()]))
         if t is S.PLit:
-            return KCase(subj, KPatLit(pat.value), done(sc), els)
-        # record pattern: the body sees every variable the pattern binds,
-        # including those in nested sub-patterns
+            return KCase(subj, KPatLit(pat.value), body(), els)
+        pairs, dup = number_feats(pat.feats)
+        if dup is not None:
+            self.err(f"duplicate feature {dup} in pattern", pat)
         feats = []
         nested = []
-        sc2 = set(sc) | pat_vars(pat)
-        for f, sub in self.pat_feats(pat):
+        for f, sub in pairs:
             st = type(sub)
             if st is S.PVar:
                 feats.append((f, sub.name))
@@ -480,51 +450,10 @@ class Desugarer:
                 name = self.fresh("M")
                 feats.append((f, name))
                 nested.append((name, sub))
-        # innermost: the clause body; wrap nested sub-pattern tests outside in
-        cur_sc = frozenset(sc2)
-        cur = done(cur_sc)
+        # innermost: the body; wrap nested sub-pattern tests outside in
+        cur = body()
         for name, sub in reversed(nested):
-            cur = self.compile_pat_sub(name, sub, cur, els, cur_sc)
-        return KCase(subj, KPatRec(pat.label, feats), cur, els)
-
-    def pat_feats(self, pat):
-        out = []
-        seen = set()
-        pos = 0
-        for f, sub in pat.feats:
-            if f is None:
-                pos += 1
-                f = pos
-            if f in seen:
-                self.err(f"duplicate feature {f} in pattern", pat)
-            seen.add(f)
-            out.append((f, sub))
-        return out
-
-    def compile_pat_sub(self, subj, pat, body_k, els, sc):
-        """Like compile_pat but the success continuation is already kernel."""
-        t = type(pat)
-        if t is S.PWild:
-            return body_k
-        if t is S.PVar:
-            return KLocal([pat.name], kseq([KEq(pat.name, subj), body_k]))
-        if t is S.PLit:
-            return KCase(subj, KPatLit(pat.value), body_k, els)
-        feats = []
-        nested = []
-        for f, sub in self.pat_feats(pat):
-            st = type(sub)
-            if st is S.PVar:
-                feats.append((f, sub.name))
-            elif st is S.PWild:
-                feats.append((f, self.fresh("W")))
-            else:
-                name = self.fresh("M")
-                feats.append((f, name))
-                nested.append((name, sub))
-        cur = body_k
-        for name, sub in reversed(nested):
-            cur = self.compile_pat_sub(name, sub, cur, els, sc)
+            cur = self.compile_pat(name, sub, lambda k=cur: k, els)
         return KCase(subj, KPatRec(pat.label, feats), cur, els)
 
     # -- choice / dis ---------------------------------------------------------
@@ -532,9 +461,9 @@ class Desugarer:
     def choice(self, p, sc):
         n = len(p.branches)
         y = self.fresh("C")
-        chain = self.stmt(p.branches[-1], sc)
+        chain = self.walk(p.branches[-1], sc)
         for i in range(n - 2, -1, -1):
-            chain = KCase(y, KPatLit(i + 1), self.stmt(p.branches[i], sc), chain)
+            chain = KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc), chain)
         return KLocal([y], kseq([KApply("Choose", [Lit(n), y]), chain]))
 
     def dis(self, p, sc):
@@ -544,8 +473,8 @@ class Desugarer:
             g = self.fresh("G")
             b = self.fresh("B")
             temps.extend([g, b])
-            stmts.append(KProc(g, [], self.stmt(guard, sc)))
-            stmts.append(KProc(b, [], self.stmt(body, sc)))
+            stmts.append(KProc(g, [], self.walk(guard, sc)))
+            stmts.append(KProc(b, [], self.walk(body, sc)))
             gops.append(g)
             bops.append(b)
         gl = self.klist(gops, temps, stmts)
@@ -645,6 +574,24 @@ class Desugarer:
         return 0, [(1, (op,))]
 
 
+def number_feats(feats):
+    """Number the positional features of a record or pattern 1, 2, ... in
+    order.  Returns the (feature, item) pairs before the first feature that
+    repeats, and that feature (None when none repeats)."""
+    out = []
+    seen = set()
+    pos = 0
+    for f, q in feats:
+        if f is None:
+            pos += 1
+            f = pos
+        if f in seen:
+            return out, f
+        seen.add(f)
+        out.append((f, q))
+    return out, None
+
+
 def try_ground(p):
     """The ground term a phrase denotes, or None if it is not ground."""
     t = type(p)
@@ -654,21 +601,14 @@ def try_ground(p):
         return p.name
     if t is S.SRecordCons:
         feats = []
-        seen = set()
-        pos = 0
         for f, q in p.feats:
-            if f is None:
-                pos += 1
-                f = pos
-            if f in seen:
-                return None         # let the operand path report it
-            seen.add(f)
             g = try_ground(q)
             if g is None:
                 return None
             feats.append((f, g))
-        if not feats:
-            return None
+        feats, dup = number_feats(feats)
+        if dup is not None or not feats:
+            return None             # the operand path reports a duplicate
         return Record(p.label, feats)
     return None
 
@@ -693,21 +633,18 @@ def _int_list(ints):
 
 
 def desugar(phrase, base_names, extra_names=()):
-    d = Desugarer(base_names)
-    k = d.stmt(phrase, frozenset(extra_names))
-    annotate_free(k)
+    k = Desugarer(base_names).walk(phrase, frozenset(extra_names))
+    free_names(k)
     return k
-
-
-def parse_program(src, base_names, extra_names=()):
-    return desugar(S.parse(src), base_names, extra_names)
 
 
 # ----------------------------------------------------------------------
 # free identifiers
 
 def free_names(k):
-    cache = {}
+    """The identifiers free in k.  On the way back up it fills in each
+    KProc.free: the identifiers the closure captures."""
+    cache = {}      # by node id: case chains share their else branches
 
     def op_free(o, acc):
         if type(o) is str:
@@ -744,8 +681,10 @@ def free_names(k):
                 bound = {n for _, n in s.pat.feats}
             acc |= (walk(s.then) - bound) | walk(s.els)
         elif t is KProc:
+            captured = walk(s.body) - set(s.params)
+            s.free = tuple(sorted(captured))
             acc.add(s.x) if type(s.x) is str else None
-            acc |= walk(s.body) - set(s.params)
+            acc |= captured
         elif t is KApply:
             op_free(s.f, acc)
             for o in s.args:
@@ -760,30 +699,6 @@ def free_names(k):
         return acc
 
     return walk(k)
-
-
-def annotate_free(k):
-    """Fill in KProc.free: identifiers the closure captures."""
-    def walk(s):
-        t = type(s)
-        if t is KSeq:
-            for q in s.stmts:
-                walk(q)
-        elif t is KLocal or t is KThread:
-            walk(s.body)
-        elif t is KIf:
-            walk(s.then)
-            walk(s.els)
-        elif t is KCase:
-            walk(s.then)
-            walk(s.els)
-        elif t is KProc:
-            walk(s.body)
-            s.free = tuple(sorted(free_names(s.body) - set(s.params)))
-        elif t is KTry:
-            walk(s.body)
-            walk(s.handler)
-    walk(k)
 
 
 # ----------------------------------------------------------------------

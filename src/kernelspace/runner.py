@@ -80,11 +80,6 @@ def run_text(src, config=None, on_browse=None):
     return _classify(vm, status)
 
 
-def run_file(path, config=None, on_browse=None):
-    with open(path) as f:
-        return run_text(f.read(), config, on_browse)
-
-
 @dataclass
 class FeedResult:
     status: str                 # ok | parse-error | uncaught | budget

@@ -118,9 +118,6 @@ class Store:
     def suspend(self, vid, waiter):
         self.susp.setdefault(vid, []).append(waiter)
 
-    def has_trigger(self, vid) -> bool:
-        return vid in self.triggers
-
     # ------------------------------------------------------------------
     # binding
 

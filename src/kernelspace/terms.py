@@ -15,15 +15,7 @@ variables.
 
 from __future__ import annotations
 
-from typing import Union
-
-# Atoms with a fixed meaning.
-NIL = "nil"
 CONS = "|"
-PAIR = "#"
-TRUE = "true"
-FALSE = "false"
-UNIT = "unit"
 
 
 class Var:
@@ -144,15 +136,8 @@ class SpaceRef:
         return f"SpaceRef({self.space.sid})"
 
 
-Term = Union[int, str, Var, Record, Closure, Builtin, Name, CellRef, PortRef, SpaceRef]
-
-
 def cons(head, tail) -> Record:
     return Record(CONS, ((1, head), (2, tail)))
-
-
-def pair(a, b) -> Record:
-    return Record(PAIR, ((1, a), (2, b)))
 
 
 def is_cons(t) -> bool:

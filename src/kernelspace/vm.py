@@ -301,6 +301,10 @@ class VM:
                     r = handlers[type(stmt)](self, th, stmt, env)
                     if self.fd_agenda:
                         self._fd_drain(self)
+                        # propagation may have failed th's own space, which
+                        # killed th and already took it off the counts
+                        if th.state != "runnable":
+                            break
                 except OzRaise as ex:
                     self.unwind(th, ex)
                     if th.state != "runnable":
@@ -618,7 +622,7 @@ def bi_send(vm, th, args, sp):
 def bi_byneed(vm, th, args, sp):
     x = args[1]
     xd = vm.store.deref(x, sp)
-    if type(xd) is not Var or vm.store.has_trigger(xd.vid):
+    if type(xd) is not Var or xd.vid in vm.store.triggers:
         raise OzRaise(_error("byNeed"))
     vm.store.triggers[xd.vid] = (args[0], sp)
     vm.triggers_installed += 1

@@ -52,6 +52,7 @@ def _check_reclaimed(vm, made):
         stack.extend(sp.children)
     assert all(sp.alive() for sp in tree)
     assert set(vm.spaces.values()) == set(tree) | {vm.top}
+    assert vm.top.runnable == 0
 
     dead = [sp for sp in made if not sp.alive()]
     assert dead, "the search should have failed or merged some spaces"

@@ -135,6 +135,23 @@ def test_child_failure_does_not_fail_parent():
     assert browse(src) == ["failed", "alive"]
 
 
+def test_propagation_failing_a_grandchild_does_not_answer_ask_early():
+    # the grandchild fails by propagation while the child's thread is still
+    # running; the child must still count that thread as runnable and
+    # answer only after its own 1 = 2
+    src = """
+    declare Loop S A in
+    proc {Loop N} if N > 0 then {Loop N - 1} end end
+    {NewSpace proc {$ R}
+       local G in {NewSpace proc {$ X} X ::: 0#5 X =: 7 end G} end
+       {Loop 2000}
+       1 = 2
+    end S}
+    {Ask S A} {Browse A}
+    """
+    assert browse(src) == ["failed"]
+
+
 def test_ask_blocks_until_stable():
     src = """
     declare X S A in

@@ -9,11 +9,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from kernelspace import stdlib
 from kernelspace.errors import ParseError
 from kernelspace.kernel import (
-    KApply, KCase, KEq, KLocal, KPatLit, KPatRec, KProc, KRaise, KSkip,
-    KTellRec, KThread, KTry, Lit, alpha_equivalent, desugar, free_names,
-    kseq, pretty,
+    KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
+    KSkip, KTellRec, KThread, KTry, Lit, alpha_equivalent, desugar,
+    free_names, kseq, pretty,
 )
 from kernelspace.syntax import parse
 from kernelspace.terms import Record
@@ -82,7 +83,6 @@ def kernel_program(draw):
             names = [fresh() for _ in range(draw(st.integers(1, 2)))]
             return KLocal(names, stmt(scope + tuple(names), depth - 1))
         if kind == "if":
-            from kernelspace.kernel import KIf
             return KIf(draw(st.sampled_from(scope)),
                        stmt(scope, depth - 1), stmt(scope, depth - 1))
         if kind == "case":
@@ -121,6 +121,74 @@ def test_pretty_parse_roundtrip(k):
     text = pretty(k)
     back = ds(text)
     assert alpha_equivalent(k, back), f"\n--- printed ---\n{text}"
+    _assert_proc_free_matches_reference(back)
+
+
+# ----------------------------------------------------------------------
+# captured identifiers: KProc.free against a reference free-variable function
+# (alpha_equivalent ignores KProc.free)
+
+
+def _ref_free(k):
+    """Free identifiers of kernel statement k, by the scoping rules."""
+    def ids(*ops):
+        return {o for o in ops if type(o) is str}
+
+    t = type(k)
+    if t is KSkip:
+        return set()
+    if t is KEq:
+        return ids(k.a, k.b)
+    if t is KTellRec:
+        return ids(k.x, *(o for _, o in k.feats))
+    if t is KSeq:
+        return set().union(*(_ref_free(s) for s in k.stmts))
+    if t is KLocal:
+        return _ref_free(k.body) - set(k.names)
+    if t is KIf:
+        return ids(k.x) | _ref_free(k.then) | _ref_free(k.els)
+    if t is KCase:
+        bound = ({n for _, n in k.pat.feats} if type(k.pat) is KPatRec
+                 else set())
+        return ids(k.x) | (_ref_free(k.then) - bound) | _ref_free(k.els)
+    if t is KProc:
+        return ids(k.x) | (_ref_free(k.body) - set(k.params))
+    if t is KApply:
+        return ids(k.f, *k.args)
+    if t is KThread:
+        return _ref_free(k.body)
+    if t is KTry:
+        return _ref_free(k.body) | (_ref_free(k.handler) - {k.var})
+    if t is KRaise:
+        return ids(k.x)
+    raise AssertionError(k)
+
+
+def _procs(k):
+    if type(k) is KProc:
+        yield k
+    for attr in ("body", "then", "els", "handler"):
+        sub = getattr(k, attr, None)
+        if sub is not None:
+            yield from _procs(sub)
+    for sub in getattr(k, "stmts", ()):
+        yield from _procs(sub)
+
+
+def _assert_proc_free_matches_reference(k):
+    for p in _procs(k):
+        want = tuple(sorted(_ref_free(p.body) - set(p.params)))
+        assert p.free == want, pretty(p)
+
+
+@pytest.mark.parametrize(
+    "entry", [None] + stdlib.corpus(),
+    ids=lambda e: "prelude" if e is None else f"{e.section}/{e.name}")
+def test_proc_free_matches_reference_on_library_programs(entry):
+    names, k = stdlib._prelude()
+    if entry is not None:
+        k = desugar(parse(entry.source()), set(stdlib.builtins()) | set(names))
+    _assert_proc_free_matches_reference(k)
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +410,34 @@ def test_anonymous_proc_needs_expression_position():
 def test_duplicate_feature_rejected():
     with pytest.raises(ParseError):
         ds("local X Y in X = f(1:Y 1:Y) end")
+
+
+@pytest.mark.parametrize("src, msg, line, col", [
+    ("local X in\n   X = (declare Y in Y)\nend",
+     "this construct has no value", 2, 9),
+    ("local X Y in\n   X = (Y = 1)\nend",
+     "this construct has no value", 2, 11),
+    ("local X in\n   X = proc {F} skip end\nend",
+     "a named procedure definition is a statement", 2, 8),
+    ("local X in\n   proc {$ Y} skip end\nend",
+     "a procedure in statement position needs a name", 2, 4),
+    ("local X in\n   X = if X then 1 end\nend",
+     "an if used as an expression needs an else", 2, 8),
+    ("local X in\n   X + 1\nend",
+     "this expression cannot stand alone as a statement", 2, 6),
+    ("local X Y in\n   X = f(1:Y 1:Y)\nend",
+     "duplicate feature 1", 2, 8),
+    ("local X in\n   case X of f(a:_ a:_) then skip end\nend",
+     "duplicate feature a in pattern", 2, 14),
+], ids=["declare-as-value", "tell-as-value", "named-proc-as-value",
+        "anonymous-proc-as-statement", "if-value-without-else",
+        "value-as-statement", "duplicate-record-feature",
+        "duplicate-pattern-feature"])
+def test_desugar_error_message_and_position(src, msg, line, col):
+    with pytest.raises(ParseError) as e:
+        ds(src)
+    assert (str(e.value), e.value.line, e.value.col) == (
+        f"{msg} at {line}:{col}", line, col)
 
 
 def test_unknown_character_rejected():
