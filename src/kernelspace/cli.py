@@ -8,7 +8,10 @@
 
 Common flags: --slice N, --max-red N, --trace, --reverse-queue.
 Only browse lines are written to stdout by `run`; everything else
-(errors, trace, notices) goes to stderr.
+(errors, trace, notices) goes to stderr.  With --trace every subcommand
+writes each event to stderr as it happens, one line per event in the form
+T<tid>@S<sid> kind or T<tid>@S<sid> kind(args), for example T1@S0 spawn,
+T3@S2 suspend(v40) or T2@S0 clone(1,4).
 """
 
 import argparse
@@ -25,22 +28,25 @@ def _add_common(p):
     p.add_argument("--max-red", type=int, default=200_000_000, metavar="N",
                    help="total reduction budget (default 200000000)")
     p.add_argument("--trace", action="store_true",
-                   help="write scheduler events to stderr")
+                   help="stream thread and space events to stderr")
     p.add_argument("--reverse-queue", action="store_true",
                    help="enqueue woken threads at the front instead of the back")
 
 
+def _print_event(ev):
+    kind, tid, sid, *args = ev
+    if kind == "suspend":
+        args = [f"v{args[0]}"]
+    text = f"{kind}({','.join(map(str, args))})" if args else kind
+    print(f"T{tid}@S{sid} {text}", file=sys.stderr)
+
+
 def _config(args):
     cfg = RunConfig(slice_=args.slice, max_reductions=args.max_red,
-                    trace=args.trace, reverse_queue=args.reverse_queue)
+                    trace=_print_event if args.trace else None,
+                    reverse_queue=args.reverse_queue)
     cfg.validate()
     return cfg
-
-
-def _dump_trace(vm):
-    if vm is not None and vm.trace is not None:
-        for line in vm.trace:
-            print(line, file=sys.stderr)
 
 
 def cmd_run(args):
@@ -52,7 +58,6 @@ def cmd_run(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = run_text(src, cfg, on_browse=lambda line: print(line, flush=True))
-    _dump_trace(out.vm)
     if out.error is not None:
         print(out.error, file=sys.stderr)
     return out.exit_code

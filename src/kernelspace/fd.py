@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from . import spaces as spaces_mod
 from .store import FAILED, Need, OK
-from .terms import Record, Var, record_get
+from .terms import Builtin, Record, Var, record_get
+from .vm import FAILURE, OzRaise, _error
 
 SUP = 134217726
 
@@ -177,7 +178,7 @@ def _bind_value(vm, sp, vid, value):
     return OK
 
 
-def narrow(vm, sp, vid, nd, bind=True):
+def narrow(vm, sp, vid, nd):
     """Install domain nd (a subset of the visible one) for vid in sp.
 
     Binds on singletons, wakes watchers in sp's subtree, and revalidates
@@ -191,7 +192,7 @@ def narrow(vm, sp, vid, nd, bind=True):
     if cur is not None and nd.ivs == cur.ivs:
         return OK
     sp.fd_domains[vid] = nd
-    if bind and nd.is_singleton():
+    if nd.is_singleton():
         if _bind_value(vm, sp, vid, nd.value()) is FAILED:
             return FAILED
     _wake_and_revalidate(vm, sp, vid, nd)
@@ -309,7 +310,6 @@ def drain(vm):
             if sp.alive():
                 spaces_mod.maybe_answer(vm, sp)
     if top_failed:
-        from .vm import FAILURE, OzRaise
         raise OzRaise(FAILURE)
 
 
@@ -535,9 +535,8 @@ def clone_space_state(vm, old, new, vmap, cp):
 
 
 def adopt_into_parent(vm, s, parent):
-    """Fold a merged space's fd state into its parent.  Returns False when a
-    domain entry contradicts what the parent sees."""
-    ok = True
+    """Fold a merged space's fd state into its parent.  A domain entry that
+    contradicts what the parent sees is skipped."""
     doms, s.fd_domains = s.fd_domains, {}
     props, s.propagators = s.propagators, {}
     watchers, s.fd_watchers = s.fd_watchers, {}
@@ -545,11 +544,9 @@ def adopt_into_parent(vm, s, parent):
         cur = lookup(parent, vid)
         nd = dom if cur is None else cur.intersect(dom)
         if nd is None:
-            ok = False
             continue
         if cur is None or nd.ivs != cur.ivs:
-            if narrow(vm, parent, vid, nd) is FAILED:
-                ok = False
+            narrow(vm, parent, vid, nd)
     for p in props:
         p.home = parent
         parent.propagators[p] = None
@@ -557,19 +554,16 @@ def adopt_into_parent(vm, s, parent):
         parent.fd_watchers.setdefault(vid, {}).update(ws)
     for p in props:
         _enqueue(vm, p)
-    return ok
 
 
 # ----------------------------------------------------------------------
 # builtins
 
 def _fail_tell(vm):
-    from .vm import FAILURE, OzRaise
     raise OzRaise(FAILURE)
 
 
 def _type_err():
-    from .vm import OzRaise, _error
     raise OzRaise(_error("type"))
 
 
@@ -789,12 +783,15 @@ def bi_fd_excl(vm, th, args, sp):
     return None
 
 
-FD_BUILTINS = {
-    "FDDecl": bi_fd_decl,
-    "FDDomTellVec": bi_fd_dom_tell_vec,
-    "FDLinRel": bi_fd_lin_rel,
-    "FDMulProp": bi_fd_mul_prop,
-    "FDDistinct": bi_fd_distinct,
-    "FDSelectFF": bi_fd_select_ff,
-    "FDExcl": bi_fd_excl,
-}
+# arity includes the output argument, when there is one
+FD_BUILTINS = {}
+for _name, _arity, _fn in [
+    ("FDDecl", 1, bi_fd_decl),
+    ("FDDomTellVec", 2, bi_fd_dom_tell_vec),
+    ("FDLinRel", 4, bi_fd_lin_rel),
+    ("FDMulProp", 3, bi_fd_mul_prop),
+    ("FDDistinct", 1, bi_fd_distinct),
+    ("FDSelectFF", 2, bi_fd_select_ff),
+    ("FDExcl", 2, bi_fd_excl),
+]:
+    FD_BUILTINS[_name] = Builtin(_name, _arity, _fn)

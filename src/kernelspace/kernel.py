@@ -205,6 +205,7 @@ class Desugarer:
     def __init__(self, base_names):
         self.base = frozenset(base_names)
         self.n = 0
+        self.ground = {}        # try_ground's answer for each record phrase
 
     def fresh(self, hint="T"):
         self.n += 1
@@ -233,7 +234,7 @@ class Desugarer:
         if t is S.SAtom:
             return Lit(p.name)
         if t is S.SRecordCons:
-            g = try_ground(p)
+            g = try_ground(p, self.ground)
             if g is not None:
                 return Lit(g)
         if t is S.SWild:
@@ -592,25 +593,34 @@ def number_feats(feats):
     return out, None
 
 
-def try_ground(p):
-    """The ground term a phrase denotes, or None if it is not ground."""
+def try_ground(p, memo):
+    """The ground term a phrase denotes, or None if it is not ground.
+
+    `memo` keeps the answer for every record phrase it walked, so the
+    operand path, which asks again for each field of a record that is not
+    ground, walks each sub-phrase once."""
     t = type(p)
     if t is S.SInt:
         return p.value
     if t is S.SAtom:
         return p.name
-    if t is S.SRecordCons:
-        feats = []
-        for f, q in p.feats:
-            g = try_ground(q)
-            if g is None:
-                return None
-            feats.append((f, g))
+    if t is not S.SRecordCons:
+        return None
+    if p in memo:
+        return memo[p]
+    g = None
+    feats = []
+    for f, q in p.feats:
+        sub = try_ground(q, memo)
+        if sub is None:
+            break
+        feats.append((f, sub))
+    else:
         feats, dup = number_feats(feats)
-        if dup is not None or not feats:
-            return None             # the operand path reports a duplicate
-        return Record(p.label, feats)
-    return None
+        if dup is None and feats:   # the operand path reports a duplicate
+            g = Record(p.label, feats)
+    memo[p] = g
+    return g
 
 
 def pat_vars(pat):

@@ -7,6 +7,9 @@ Exit code meanings, in precedence order when several conditions hold:
   3  the reduction budget ran out before quiescence
   4  quiescent, but some toplevel thread is still suspended (deadlock)
   0  ran to quiescence with nothing left over
+
+`RunConfig.trace` is None or a callable; the VM hands it one event tuple
+(kind, tid, sid, *args) at a time while the program runs (see vm.py).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ from .vm import VM, render
 class RunConfig:
     slice_: int = 1000
     max_reductions: int = 200_000_000
-    trace: bool = False
+    trace: object = None        # None or a callable taking an event tuple
     reverse_queue: bool = False
 
     def validate(self):

@@ -97,14 +97,3 @@ class SearchObject:
         if status != "done":
             raise EngineError(f"close did not finish: {status}")
 
-
-def choose_events(vm):
-    """How many choice points were reached, from the trace."""
-    if vm.trace is None:
-        raise EngineError("tracing is not enabled on this vm")
-    return sum(1 for line in vm.trace if "choose(" in line)
-
-
-def space_ops(vm):
-    """The space-operation audit log as a list of tuples."""
-    return list(vm.space_log)

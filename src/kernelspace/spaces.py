@@ -39,7 +39,7 @@ STATUS_SUSPENDED = "suspended"         # not stable; never given to ask waiters
 
 class Space:
     def __init__(self, parent, sid=0):
-        self.sid = sid                # a label for traces and the space log
+        self.sid = sid                # a label for trace events
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.children = {}            # live child spaces (ordered set)
@@ -191,7 +191,7 @@ def choose(vm, thread, n):
     if sp.pending_choose is not None:
         raise UsageError("second choice point in one space")
     sp.pending_choose = (thread, n)
-    vm.trace_event(thread, f"choose({n})")
+    vm.event(thread, "choose", n)
     vm.block_thread(thread)
 
 
@@ -220,7 +220,7 @@ def commit(vm, s, i, caller_space):
     if not 1 <= i <= n:
         raise UsageError(f"commit index {i} outside 1..{n}")
     s.pending_choose = None
-    vm.trace_event(thread, f"commit({i})")
+    vm.event(thread, "commit", i)
     vm.resume_thread(thread, i)
 
 

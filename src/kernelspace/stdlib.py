@@ -9,30 +9,16 @@ language itself and define the list helpers and the search engines.
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import fd as _fd
 from . import kernel, syntax
-from .terms import Builtin
+from .fd import FD_BUILTINS
 from .vm import CORE_BUILTINS
 
 _HERE = Path(__file__).parent
 
-# arity includes the output argument, when there is one
-_FD_ARITIES = {
-    "FDDecl": 1,
-    "FDDomTellVec": 2,
-    "FDLinRel": 4,
-    "FDMulProp": 3,
-    "FDDistinct": 1,
-    "FDSelectFF": 2,
-    "FDExcl": 2,
-}
-
 
 def builtins():
     """Name -> Builtin table for every host-implemented operation."""
-    table = dict(CORE_BUILTINS)
-    for name, fn in _fd.FD_BUILTINS.items():
-        table[name] = Builtin(name, _FD_ARITIES[name], fn)
+    table = {**CORE_BUILTINS, **FD_BUILTINS}
     # dotted aliases used by programs
     table["FD.decl"] = table["FDDecl"]
     table["FD.distinct"] = table["FDDistinct"]

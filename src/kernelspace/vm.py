@@ -15,6 +15,15 @@ Exceptions unwind the frame stack to the nearest catch marker.  A failed tell
 raises the catchable record failure(debug:unit); when any exception reaches
 the bottom of a thread homed in a child space, that space fails, and at the
 top level the run is flagged and later exits with code 1.
+
+Tracing is opt-in: `trace` is None or a callable that receives one tuple
+(kind, tid, sid, *args) per event, as it happens, where tid and sid name
+the acting thread and its home space.  The kinds are the thread events
+spawn, exit, suspend (vid), wake and raise (label of the raised value);
+the choice events choose (n) and commit (i), reported by the thread that
+chose; and the space operations newspace (new sid), ask (sid), clone (sid,
+new sid), inject (sid) and merge (sid), reported by the calling thread.
+Without a trace nothing is recorded.
 """
 
 from __future__ import annotations
@@ -77,23 +86,24 @@ class Thread:
 
 class VM:
     def __init__(self, slice_=1000, max_reductions=None, reverse_queue=False,
-                 trace=False, on_browse=None):
+                 trace=None, on_browse=None):
         self.store = Store()
         self.store.wake_fn = self.wake_all
         self.store.fail_space_fn = lambda sp: spaces.fail_space(self, sp)
         self.top = spaces.Space(None, sid=0)
         self.queue = deque()
+        # woken and new threads go to the back, or the front when reversed
+        self.enqueue = (self.queue.appendleft if reverse_queue
+                        else self.queue.append)
         self.slice = slice_
         self.max_reductions = max_reductions if max_reductions else 10 ** 18
-        self.reverse_queue = reverse_queue
         self.reductions = 0
         self.next_tid = 0
         self.next_sid = 0
         self.next_nid = 0
         self.browse = []
         self.on_browse = on_browse
-        self.trace = [] if trace else None
-        self.space_log = []
+        self.trace = trace
         self.uncaught = None
         self.budget_hit = False
         self.triggers_installed = 0
@@ -129,11 +139,8 @@ class VM:
         th.stack.append((body, env))
         space.threads[th] = None
         self._inc_runnable(space)
-        if self.reverse_queue:
-            self.queue.appendleft(th)
-        else:
-            self.queue.append(th)
-        self.trace_event(th, "spawn")
+        self.enqueue(th)
+        self.event(th, "spawn")
         return th
 
     def spawn_call(self, proc_term, args, space):
@@ -143,14 +150,14 @@ class VM:
     def finish_thread(self, th):
         th.state = "done"
         th.space.threads.pop(th, None)
-        self.trace_event(th, "exit")
+        self.event(th, "exit")
         self._dec_runnable(th.space)
 
     def suspend_thread(self, th, vid):
         th.state = "suspended"
         th.wait_vid = vid
         self.store.suspend(vid, th)
-        self.trace_event(th, f"suspend(v{vid})")
+        self.event(th, "suspend", vid)
         self._dec_runnable(th.space)
 
     def block_thread(self, th):
@@ -161,10 +168,7 @@ class VM:
         th.resume_value = i
         th.state = "runnable"
         self._inc_runnable(th.space)
-        if self.reverse_queue:
-            self.queue.appendleft(th)
-        else:
-            self.queue.append(th)
+        self.enqueue(th)
 
     def kill_thread(self, th):
         if th.state == "runnable":
@@ -182,11 +186,8 @@ class VM:
                 th.state = "runnable"
                 th.wait_vid = None
                 self._inc_runnable(th.space)
-                if self.reverse_queue:
-                    self.queue.appendleft(th)
-                else:
-                    self.queue.append(th)
-                self.trace_event(th, "wake")
+                self.enqueue(th)
+                self.event(th, "wake")
 
     def _inc_runnable(self, sp):
         while sp is not None:
@@ -235,12 +236,9 @@ class VM:
     # ------------------------------------------------------------------
     # tracing and output
 
-    def trace_event(self, th, ev):
+    def event(self, th, kind, *args):
         if self.trace is not None:
-            self.trace.append(f"T{th.tid}@S{th.space.sid} {ev}")
-
-    def log_op(self, *items):
-        self.space_log.append(items)
+            self.trace((kind, th.tid, th.space.sid) + args)
 
     def emit(self, line):
         self.browse.append(line)
@@ -251,7 +249,7 @@ class VM:
     # exception unwinding
 
     def unwind(self, th, exc):
-        self.trace_event(th, f"raise({_exc_label(exc.term)})")
+        self.event(th, "raise", _exc_label(exc.term))
         stack = th.stack
         while stack:
             entry = stack.pop()
@@ -696,7 +694,7 @@ def bi_newspace(vm, th, args, sp):
     if p is None:
         return vm.need(v)
     ref = spaces.new_space(vm, p, sp)
-    vm.log_op("newspace", ref.space.sid)
+    vm.event(th, "newspace", ref.space.sid)
     return vm.tell_th(th, args[1], ref)
 
 
@@ -718,7 +716,7 @@ def bi_ask(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
         return vm.need(v)
-    vm.log_op("ask", s.sid)
+    vm.event(th, "ask", s.sid)
     spaces.ask(vm, s, args[1], sp)
     return None
 
@@ -735,7 +733,6 @@ def bi_commit(vm, th, args, sp):
         r = _await_stable(vm, s, sp)
         if r is not None:
             return r
-    vm.log_op("commit", s.sid, i)
     spaces.commit(vm, s, i, sp)
     return None
 
@@ -750,7 +747,7 @@ def bi_clone(vm, th, args, sp):
         if r is not None:
             return r
     ref = spaces.clone(vm, s, sp)
-    vm.log_op("clone", s.sid, ref.space.sid)
+    vm.event(th, "clone", s.sid, ref.space.sid)
     return vm.tell_th(th, args[1], ref)
 
 
@@ -762,7 +759,7 @@ def bi_inject(vm, th, args, sp):
     p, v = _proc_arg(vm, args[1], sp)
     if p is None:
         return vm.need(v)
-    vm.log_op("inject", s.sid)
+    vm.event(th, "inject", s.sid)
     spaces.inject(vm, s, p, sp)
     return None
 
@@ -776,7 +773,7 @@ def bi_merge(vm, th, args, sp):
         r = _await_stable(vm, s, sp)
         if r is not None:
             return r
-    vm.log_op("merge", s.sid)
+    vm.event(th, "merge", s.sid)
     root, failed = spaces.merge(vm, s, sp)
     if failed:
         raise OzRaise(FAILURE)

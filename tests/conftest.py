@@ -1,7 +1,23 @@
 """Shared helpers: run a program text and inspect the outcome."""
 
+from collections import Counter
+
 from kernelspace import kernel, syntax
 from kernelspace.runner import RunConfig, run_text
+
+
+# the event kinds a trace reports: thread events and the seven operations
+THREAD_KINDS = {"spawn", "exit", "suspend", "wake", "raise"}
+SPACE_OPS = {"newspace", "choose", "ask", "commit", "clone", "inject", "merge"}
+
+
+def kind_counter():
+    """A Counter of event kinds and a trace sink that fills it."""
+    kinds = Counter()
+
+    def sink(ev):
+        kinds[ev[0]] += 1
+    return kinds, sink
 
 
 def run(src, **cfg):

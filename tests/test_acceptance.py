@@ -15,7 +15,7 @@ from kernelspace import search, stdlib
 from kernelspace.runner import RunConfig, run_text
 from kernelspace.terms import record_get
 
-from conftest import load_decls
+from conftest import SPACE_OPS, THREAD_KINDS, kind_counter, load_decls
 from test_determinism import run_matrix
 from test_fd import run_fd_models
 from test_search import run_search_trees
@@ -59,13 +59,13 @@ def _golden_run(name, config=None):
 
 
 def test_criterion_01_dataflow_concurrency():
-    out, dt = _golden_run("append-dataflow", RunConfig(trace=True))
+    kinds, sink = kind_counter()
+    out, dt = _golden_run("append-dataflow", RunConfig(trace=sink))
     assert dt < 1.0, dt
-    suspends = [ev for ev in out.vm.trace if "suspend" in ev]
-    wakes = [ev for ev in out.vm.trace if "wake" in ev]
+    suspends, wakes = kinds["suspend"], kinds["wake"]
     assert suspends and wakes
     _line(1, f"incremental append ran in {dt*1000:.0f} ms with "
-             f"{len(suspends)} suspensions and {len(wakes)} wakes")
+             f"{suspends} suspensions and {wakes} wakes")
 
 
 def test_criterion_02_all_solutions_and_engine_session():
@@ -115,7 +115,8 @@ def test_criterion_05_fd_model_vs_brute_force():
     assert dt_oracle < 5.0, dt_oracle
 
     entry = _entry("fractions")
-    vm, env = search.fresh()
+    kinds, sink = kind_counter()
+    vm, env = search.fresh(trace=sink)
     t0 = time.perf_counter()
     ok, tbl = load_decls(vm, env, entry.source())
     dt = time.perf_counter() - t0
@@ -127,7 +128,7 @@ def test_criterion_05_fd_model_vs_brute_force():
         got.add(tuple(vm.store.deref(record_get(s, k), vm.top)
                       for k in "abcdefghi"))
     assert got == oracle
-    nodes = sum(1 for op in vm.space_log if op[0] in ("newspace", "clone"))
+    nodes = kinds["newspace"] + kinds["clone"]
     assert nodes < 100_000, nodes
     _STATS["fractions"] = (len(got), nodes, dt)
     _line(5, f"all {len(got)} digit solutions match the brute-force "
@@ -155,16 +156,18 @@ def test_criterion_08_fd_propagation():
 
 def test_criterion_09_disjunction_and_engine_audit():
     # a deterministic disjunction commits without a choice point
-    out = run_text(_entry("dis-unit-commit").source(), RunConfig(trace=True))
+    kinds, sink = kind_counter()
+    out = run_text(_entry("dis-unit-commit").source(), RunConfig(trace=sink))
     assert out.browse == ["2"]
-    assert search.choose_events(out.vm) == 0
+    assert kinds["choose"] == 0 and kinds["spawn"] > 0
 
     # open guards become a committable choice in guard order
     out2, _ = _golden_run("dis-choice")
     assert out2.browse == ["alternatives(2)", "2"]
 
     # engines touch spaces only through the published operations
-    vm, env = search.fresh()
+    kinds, sink = kind_counter()
+    vm, env = search.fresh(trace=sink)
     ok, tbl = load_decls(vm, env, """
     declare T in
     proc {T Root}
@@ -173,10 +176,8 @@ def test_criterion_09_disjunction_and_engine_audit():
     """)
     assert ok
     assert search.dfs_all(vm, env, tbl["T"]) == [1, 2]
-    kinds = {op[0] for op in search.space_ops(vm)}
-    assert kinds <= {"newspace", "choose", "ask", "commit",
-                     "clone", "inject", "merge"}
-    assert "clone" in kinds
+    assert set(kinds) <= THREAD_KINDS | SPACE_OPS, kinds
+    assert kinds["clone"] > 0
     _line(9, "determinacy-driven commit makes no choice point; engines "
              "stay inside the seven space operations")
 

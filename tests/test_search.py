@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from conftest import browse, load_decls, run
+from conftest import (SPACE_OPS, THREAD_KINDS, browse, kind_counter,
+                      load_decls, run)
 
 from kernelspace import search
 from kernelspace.search import EngineError, SearchObject
@@ -67,8 +68,8 @@ def _tree_script(rng, depth=5):
     return src, _live_leaves(tree)
 
 
-def _load_script(src):
-    vm, env = search.fresh()
+def _load_script(src, **vm_kwargs):
+    vm, env = search.fresh(**vm_kwargs)
     ok, tbl = load_decls(vm, env, src)
     assert ok
     return vm, env, tbl["T"]
@@ -205,10 +206,11 @@ def test_dis_commits_alone_without_a_choice_point():
     end
     {Browse Y}
     """
-    out = run(src, trace=True)
+    kinds, sink = kind_counter()
+    out = run(src, trace=sink)
     assert out.status == "ok"
     assert out.browse == ["2"]
-    assert search.choose_events(out.vm) == 0
+    assert kinds["choose"] == 0 and kinds["spawn"] > 0
 
 
 def test_dis_surviving_guards_become_alternatives_in_guard_order():
@@ -289,24 +291,23 @@ def test_engines_use_only_the_seven_operations():
        end
     end
     """
-    vm, env, script = _load_script(src)
+    kinds, sink = kind_counter()
+    vm, env, script = _load_script(src, trace=sink)
     sols = search.dfs_all(vm, env, script)
     assert sols == [1, 2, 3]
-    ops = search.space_ops(vm)
-    kinds = {entry[0] for entry in ops}
-    assert kinds <= {"newspace", "choose", "ask", "commit",
-                     "clone", "inject", "merge"}
+    assert set(kinds) <= THREAD_KINDS | SPACE_OPS, kinds
     # real exploration forks the tree
-    assert any(entry[0] == "clone" for entry in ops)
-    assert any(entry[0] == "commit" for entry in ops)
+    assert kinds["clone"] > 0
+    assert kinds["commit"] > 0
 
 
 def test_bab_injects():
+    kinds, sink = kind_counter()
     vm, env, script = _load_script("""
     declare T in
     proc {T Root} choice Root = 1 [] Root = 2 end end
-    """)
+    """, trace=sink)
     ok, tbl = load_decls(vm, env, ORDER_SRC)
     assert ok
     assert search.bab(vm, env, script, tbl["Better"]) == [2]
-    assert any(e[0] == "inject" for e in search.space_ops(vm))
+    assert kinds["inject"] > 0

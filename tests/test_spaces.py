@@ -9,7 +9,8 @@ replays deterministically.
 
 import random
 
-from conftest import browse, load_decls, run
+from conftest import (SPACE_OPS, THREAD_KINDS, browse, kind_counter,
+                      load_decls, run)
 
 from kernelspace import search
 from kernelspace.vm import render
@@ -307,10 +308,15 @@ def test_manual_session_logs_only_the_seven_ops():
     {Commit C 2}
     local RA RB in {Merge S RA} {Merge C RB} {Wait RA} {Wait RB} end
     """
-    out = run(src)
+    kinds, sink = kind_counter()
+    out = run(src, trace=sink)
     assert out.status == "ok"
-    kinds = {entry[0] for entry in out.vm.space_log}
-    assert kinds == {"newspace", "ask", "clone", "commit", "inject", "merge"}
+    # the stream reports the choice point too, which the session reached
+    assert set(kinds) - THREAD_KINDS == SPACE_OPS
+    # one event per operation: two commits give two commit events
+    assert {k: kinds[k] for k in SPACE_OPS} == {
+        "newspace": 1, "choose": 1, "ask": 1, "clone": 1, "commit": 2,
+        "inject": 1, "merge": 2}
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +372,8 @@ _INJECT_NAMES = ["IOk", "IFail", "IChoice"]
 def _one_sequence(seed, n_ops=14):
     """One random op sequence; returns its summary for replay checks."""
     rng = random.Random(seed)
-    vm, env = search.fresh()
+    kinds, sink = kind_counter()
+    vm, env = search.fresh(trace=sink)
     ok, decls = load_decls(vm, env, _SCRIPTS_SRC)
     assert ok
     pool = []
@@ -433,9 +440,7 @@ def _one_sequence(seed, n_ops=14):
             note("inject", kind, res if kind == "raise" else "")
 
     assert not vm.top_deadlocked()
-    kinds = {entry[0] for entry in vm.space_log}
-    assert kinds <= {"newspace", "ask", "choose", "commit",
-                     "clone", "inject", "merge"}
+    assert set(kinds) <= THREAD_KINDS | SPACE_OPS, kinds
     return log
 
 

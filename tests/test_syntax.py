@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from kernelspace import stdlib
+from kernelspace import kernel, stdlib
 from kernelspace.errors import ParseError
 from kernelspace.kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
@@ -405,6 +405,24 @@ def test_if_expression_requires_else():
 def test_anonymous_proc_needs_expression_position():
     with pytest.raises(ParseError):
         ds("proc {$ X} skip end")
+
+
+@pytest.mark.parametrize("where", ["last", "first"])
+def test_list_literal_groundness_is_decided_once_per_cell(monkeypatch, where):
+    """A list literal with one variable is not ground, and the operand
+    path asks about each of its suffixes; every cell is still walked a
+    bounded number of times, so desugaring stays linear in its length."""
+    calls = []
+    orig = kernel.try_ground
+
+    def counting(*args):
+        calls.append(None)
+        return orig(*args)
+    monkeypatch.setattr(kernel, "try_ground", counting)
+    n = 400
+    elems = "1 " * n + "Y" if where == "last" else "Y " + "1 " * n
+    ds(f"local X Y in X = [{elems}] end")
+    assert len(calls) <= 4 * n, len(calls)
 
 
 def test_duplicate_feature_rejected():
