@@ -2,12 +2,13 @@
 
 Everything homed inside the subtree gets a fresh identity: spaces, variables,
 threads, propagators, and by-need triggers.  Everything homed outside is
-shared: ancestor variables keep their vids, cells, ports, names, and builtins
-are the same objects.  Record spines are copied with sharing preserved
+shared: ancestor variables, cells, ports, names, and builtins are the same
+objects.  Record spines are copied with sharing preserved
 (memoized on object identity) and left untouched when no subtree variable
 occurs inside, so large ground structures cost nothing.
 
-The copy re-registers suspensions with the store, rebuilds each overlay with
+The copy gives each new variable the copy of its original's in-place
+binding, re-registers suspensions with the store, rebuilds each overlay with
 re-keyed entries, and reproduces a pending choice point, so the clone is
 indistinguishable from the original to every primitive operation.
 """
@@ -36,20 +37,18 @@ def clone_space(vm, s, caller_space):
         parent = space_map.get(old.parent, old.parent)
         space_map[old] = Space(parent, sid=vm.alloc_sid())
 
-    vmap = {}                # old vid -> new vid
+    vmap = {}                # old Var -> new Var
     for old in old_spaces:
         new = space_map[old]
-        for vid in old.own_vars:
-            nv = store.new_var(new)
-            vmap[vid] = nv.vid
+        for var in old.own_vars:
+            vmap[var] = store.new_var(new)
 
     memo = {}
 
     def cp(t):
         tt = type(t)
         if tt is Var:
-            nv = vmap.get(t.vid)
-            return t if nv is None else Var(nv)
+            return vmap.get(t, t)
         if tt is Record:
             i = id(t)
             hit = memo.get(i)
@@ -85,30 +84,30 @@ def clone_space(vm, s, caller_space):
             return t if ns is None else SpaceRef(ns)
         return t             # ints, atoms, names, cells, ports, builtins
 
-    # overlays: re-keyed entries; those on variables homed above the new
-    # space are registered for ancestor revalidation
-    homes = store.homes
+    # in-place bindings and by-need triggers of subtree variables
+    for var, nv in vmap.items():
+        if var.ref is not None:
+            nv.ref = cp(var.ref)
+        tr = store.triggers.get(var.vid)
+        if tr is not None:
+            proc, home, _ = tr
+            store.triggers[nv.vid] = (cp(proc), space_map.get(home, home), nv)
+
+    # overlays: re-keyed entries, all on variables homed above their space,
+    # registered for ancestor revalidation
     for old in old_spaces:
         new = space_map[old]
-        for vid, value in old.bindings.items():
-            nvid = vmap.get(vid, vid)
-            new.bindings[nvid] = cp(value)
-            if homes[nvid] is not new:
-                store.entry_spaces.setdefault(nvid, {})[new] = None
+        for var, value in old.bindings.items():
+            nv = vmap.get(var, var)
+            new.bindings[nv] = cp(value)
+            store.entry_spaces.setdefault(nv.vid, {})[new] = None
         new.root_var = cp(old.root_var) if old.root_var is not None else None
-
-    # by-need triggers on subtree variables
-    for old in old_spaces:
-        for vid in old.own_vars:
-            tr = store.triggers.get(vid)
-            if tr is not None:
-                proc, home = tr
-                store.triggers[vmap[vid]] = (cp(proc), space_map.get(home, home))
 
     # threads: a stable space has only suspended and blocked ones
     def cp_env(env):
         return {k: cp(v) for k, v in env.items()}
 
+    wait_map = None          # old vid -> new vid, made on first use
     for old in old_spaces:
         new = space_map[old]
         tmap = {}
@@ -127,7 +126,9 @@ def clone_space(vm, s, caller_space):
             new.threads[nt] = None
             tmap[t] = nt
             if t.state == "suspended":
-                nt.wait_vid = vmap.get(t.wait_vid, t.wait_vid)
+                if wait_map is None:
+                    wait_map = {v.vid: nv.vid for v, nv in vmap.items()}
+                nt.wait_vid = wait_map.get(t.wait_vid, t.wait_vid)
                 store.suspend(nt.wait_vid, nt)
             elif t.state != "blocked":
                 raise AssertionError(f"clone saw a {t.state} thread")

@@ -2,11 +2,13 @@
 
 A finite-domain variable is an ordinary store variable that carries a domain,
 a finite set of integers in [0, SUP].  Domains live in per-space overlays
-(Space.fd_domains) with the same visibility rule as bindings: a space sees
-the nearest entry on its ancestor chain, and an entry in a space is always a
-subset of what the parent sees.  Narrowing a domain to a single value binds
-the variable in that space; binding a variable to an integer narrows its
-domain; anything else is a domain lookup away.
+(Space.fd_domains, keyed by Var) with the visibility rule of binding
+overlays: a space sees the nearest entry on its ancestor chain, and an entry
+in a space is always a subset of what the parent sees.  Unlike a binding, a
+domain stays in the overlay even in the variable's home space.  Narrowing a
+domain to a single value binds the variable in that space; binding a
+variable to an integer narrows its domain; anything else is a domain lookup
+away.
 
 Propagators are bounds-consistent (values-consistent for distinct) and are
 homed in the space that posted them.  They watch variables through per-space
@@ -117,11 +119,11 @@ FULL = FDomain(((0, SUP),))
 # ----------------------------------------------------------------------
 # lookup and narrowing
 
-def lookup(sp, vid):
-    """Nearest domain entry for vid visible from sp, or None."""
+def lookup(sp, var):
+    """Nearest domain entry for var visible from sp, or None."""
     s = sp
     while s is not None:
-        d = s.fd_domains.get(vid)
+        d = s.fd_domains.get(var)
         if d is not None:
             return d
         s = s.parent
@@ -136,36 +138,36 @@ def _enqueue(vm, prop):
     vm.fd_agenda.append(prop)
 
 
-def _wake_and_revalidate(vm, sp, vid, nd):
-    """After vid's domain shrank to nd in sp: wake the subtree's watchers
+def _wake_and_revalidate(vm, sp, var, nd):
+    """After var's domain shrank to nd in sp: wake the subtree's watchers
     and push the narrowing into descendant overlay entries."""
     stack = [sp]
     while stack:
         cur = stack.pop()
         if cur is not sp:
-            ent = cur.fd_domains.get(vid)
+            ent = cur.fd_domains.get(var)
             if ent is not None:
                 inter = ent.intersect(nd)
                 if inter is None:
                     spaces_mod.fail_space(vm, cur)
                     continue
                 if inter.ivs != ent.ivs:
-                    cur.fd_domains[vid] = inter
+                    cur.fd_domains[var] = inter
                     if inter.is_singleton():
-                        _bind_value(vm, cur, vid, inter.value())
+                        _bind_value(vm, cur, var, inter.value())
                         if not cur.alive():
                             continue
-        ws = cur.fd_watchers.get(vid)
+        ws = cur.fd_watchers.get(var)
         if ws:
             for p in ws:
                 _enqueue(vm, p)
         stack.extend(cur.children)
 
 
-def _bind_value(vm, sp, vid, value):
-    """Bind vid to its now-singleton value in sp.  Failure fails sp (or is
+def _bind_value(vm, sp, var, value):
+    """Bind var to its now-singleton value in sp.  Failure fails sp (or is
     reported if sp is the top space)."""
-    r = vm.store.unify(Var(vid), value, sp, fire=True)
+    r = vm.store.unify(var, value, sp, fire=True)
     if r is FAILED:
         if sp.parent is None:
             return FAILED
@@ -178,8 +180,8 @@ def _bind_value(vm, sp, vid, value):
     return OK
 
 
-def narrow(vm, sp, vid, nd):
-    """Install domain nd (a subset of the visible one) for vid in sp.
+def narrow(vm, sp, var, nd):
+    """Install domain nd (a subset of the visible one) for var in sp.
 
     Binds on singletons, wakes watchers in sp's subtree, and revalidates
     descendant entries.  Returns OK, or FAILED when nd is empty or the
@@ -188,30 +190,30 @@ def narrow(vm, sp, vid, nd):
     """
     if nd is None:
         return FAILED
-    cur = lookup(sp, vid)
+    cur = lookup(sp, var)
     if cur is not None and nd.ivs == cur.ivs:
         return OK
-    sp.fd_domains[vid] = nd
+    sp.fd_domains[var] = nd
     if nd.is_singleton():
-        if _bind_value(vm, sp, vid, nd.value()) is FAILED:
+        if _bind_value(vm, sp, var, nd.value()) is FAILED:
             return FAILED
-    _wake_and_revalidate(vm, sp, vid, nd)
+    _wake_and_revalidate(vm, sp, var, nd)
     return OK
 
 
-def _dom_or_declare(vm, sp, vid):
-    d = lookup(sp, vid)
+def _dom_or_declare(vm, sp, var):
+    d = lookup(sp, var)
     if d is None:
         d = FULL
-        sp.fd_domains[vid] = d
+        sp.fd_domains[var] = d
     return d
 
 
 # ----------------------------------------------------------------------
 # store hooks
 
-def _on_bind(vm, vid, value, space):
-    d = lookup(space, vid)
+def _on_bind(vm, var, value, space):
+    d = lookup(space, var)
     if d is None:
         return OK
     if type(value) is not int:
@@ -220,8 +222,8 @@ def _on_bind(vm, vid, value, space):
         return FAILED
     if not d.is_singleton():
         nd = FDomain(((value, value),))
-        space.fd_domains[vid] = nd
-        _wake_and_revalidate(vm, space, vid, nd)
+        space.fd_domains[var] = nd
+        _wake_and_revalidate(vm, space, var, nd)
     return OK
 
 
@@ -266,7 +268,7 @@ def _on_alias(vm, src, dst, space):
     if vs is not None:
         final = lookup(space, dst)
         if final is not None and final.is_singleton() and \
-                not vm.store.is_det(Var(dst), space):
+                not vm.store.is_det(dst, space):
             # the alias bind (src -> dst) is still in flight; settle dst now
             if _bind_value(vm, space, dst, final.value()) is FAILED:
                 return FAILED
@@ -277,7 +279,7 @@ def ensure_installed(vm):
     if vm._fd_drain is not None:
         return
     vm._fd_drain = drain
-    vm.store.fd_bind_fn = lambda vid, value, space: _on_bind(vm, vid, value, space)
+    vm.store.fd_bind_fn = lambda var, value, space: _on_bind(vm, var, value, space)
     vm.store.fd_alias_fn = lambda src, dst, space: _on_alias(vm, src, dst, space)
 
 
@@ -347,8 +349,8 @@ class LinProp:
             if type(t) is int:
                 lo = hi = t
             else:
-                d = lookup(sp, t.vid) or FULL
-                doms[i] = (t.vid, d)
+                d = lookup(sp, t) or FULL
+                doms[i] = (t, d)
                 lo, hi = d.min(), d.max()
             los[i], his[i] = (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
         totlo = sum(los)
@@ -358,7 +360,7 @@ class LinProp:
         for i in range(n):
             if doms[i] is None:
                 continue
-            vid, d = doms[i]
+            var, d = doms[i]
             c = self.coeffs[i]
             restlo = totlo - los[i]
             resthi = tothi - his[i]
@@ -377,7 +379,7 @@ class LinProp:
                     qlo, qhi = _ceil_div(ub, c), None
             if (qlo is not None and qlo > d.min()) or \
                (qhi is not None and qhi < d.max()):
-                if narrow(vm, sp, vid, d.narrow_bounds(qlo, qhi)) is FAILED:
+                if narrow(vm, sp, var, d.narrow_bounds(qlo, qhi)) is FAILED:
                     return FAILED
         return OK
 
@@ -404,8 +406,8 @@ class MulProp:
         t = vm.store.deref(t, self.home)
         if type(t) is int:
             return None, t, t
-        d = lookup(self.home, t.vid) or FULL
-        return t.vid, d.min(), d.max()
+        d = lookup(self.home, t) or FULL
+        return t, d.min(), d.max()
 
     def run(self, vm):
         sp = self.home
@@ -429,17 +431,17 @@ class MulProp:
             return FAILED
         return self._narrow_to(vm, bv, blo, bhi, lo, hi)
 
-    def _narrow_to(self, vm, vid, lo, hi, nlo, nhi):
+    def _narrow_to(self, vm, var, lo, hi, nlo, nhi):
         if nhi is not None and nhi < nlo:
             return FAILED
-        if vid is None:
+        if var is None:
             if lo < nlo or (nhi is not None and hi > nhi):
                 return FAILED
             return OK
         if nlo <= lo and (nhi is None or nhi >= hi):
             return OK
-        d = lookup(self.home, vid) or FULL
-        return narrow(vm, self.home, vid, d.narrow_bounds(nlo, nhi))
+        d = lookup(self.home, var) or FULL
+        return narrow(vm, self.home, var, d.narrow_bounds(nlo, nhi))
 
 
 class DistinctProp:
@@ -468,13 +470,13 @@ class DistinctProp:
             if type(t) is int:
                 fixed.append(t)
             else:
-                free.append((t.vid, lookup(sp, t.vid) or FULL))
+                free.append((t, lookup(sp, t) or FULL))
         if len(set(fixed)) != len(fixed):
             return FAILED
         ivs = []
         for v in fixed:
             ivs.append((v, v))
-        for vid, d in free:
+        for var, d in free:
             nd = d
             for v in fixed:
                 if nd.contains(v):
@@ -482,7 +484,7 @@ class DistinctProp:
                     if nd is None:
                         return FAILED
             if nd is not d:
-                if narrow(vm, sp, vid, nd) is FAILED:
+                if narrow(vm, sp, var, nd) is FAILED:
                     return FAILED
             ivs.extend(nd.ivs)
         # pigeonhole: the union must offer at least one value per operand
@@ -509,10 +511,10 @@ def _register(vm, prop, operands):
     home.propagators[prop] = None
     seen = set()
     for t in operands:
-        if type(t) is Var and t.vid not in seen:
-            seen.add(t.vid)
-            _dom_or_declare(vm, home, t.vid)
-            home.fd_watchers.setdefault(t.vid, {})[prop] = None
+        if type(t) is Var and t not in seen:
+            seen.add(t)
+            _dom_or_declare(vm, home, t)
+            home.fd_watchers.setdefault(t, {})[prop] = None
     _enqueue(vm, prop)
 
 
@@ -520,17 +522,17 @@ def _register(vm, prop, operands):
 # clone and merge support
 
 def clone_space_state(vm, old, new, vmap, cp):
-    """Copy old's fd state into its clone; cp maps terms, vmap maps vids."""
+    """Copy old's fd state into its clone; cp maps terms, vmap maps Vars."""
     prop_map = {}
     for p in old.propagators:
         np = p.copy(cp)
         np.home = new
         new.propagators[np] = None
         prop_map[p] = np
-    for vid, dom in old.fd_domains.items():
-        new.fd_domains[vmap.get(vid, vid)] = dom
-    for vid, ws in old.fd_watchers.items():
-        new.fd_watchers[vmap.get(vid, vid)] = {
+    for var, dom in old.fd_domains.items():
+        new.fd_domains[vmap.get(var, var)] = dom
+    for var, ws in old.fd_watchers.items():
+        new.fd_watchers[vmap.get(var, var)] = {
             prop_map[p]: None for p in ws if p in prop_map}
 
 
@@ -540,18 +542,18 @@ def adopt_into_parent(vm, s, parent):
     doms, s.fd_domains = s.fd_domains, {}
     props, s.propagators = s.propagators, {}
     watchers, s.fd_watchers = s.fd_watchers, {}
-    for vid, dom in doms.items():
-        cur = lookup(parent, vid)
+    for var, dom in doms.items():
+        cur = lookup(parent, var)
         nd = dom if cur is None else cur.intersect(dom)
         if nd is None:
             continue
         if cur is None or nd.ivs != cur.ivs:
-            narrow(vm, parent, vid, nd)
+            narrow(vm, parent, var, nd)
     for p in props:
         p.home = parent
         parent.propagators[p] = None
-    for vid, ws in watchers.items():
-        parent.fd_watchers.setdefault(vid, {}).update(ws)
+    for var, ws in watchers.items():
+        parent.fd_watchers.setdefault(var, {}).update(ws)
     for p in props:
         _enqueue(vm, p)
 
@@ -576,7 +578,7 @@ def bi_fd_decl(vm, th, args, sp):
         return None
     if type(x) is not Var:
         _type_err()
-    _dom_or_declare(vm, sp, x.vid)
+    _dom_or_declare(vm, sp, x)
     return None
 
 
@@ -585,8 +587,8 @@ def _tell_interval(vm, th, sp, t, lo, hi):
         if not lo <= t <= hi:
             _fail_tell(vm)
         return
-    d = lookup(sp, t.vid) or FULL
-    if narrow(vm, sp, t.vid, d.narrow_bounds(lo, hi)) is FAILED:
+    d = lookup(sp, t) or FULL
+    if narrow(vm, sp, t, d.narrow_bounds(lo, hi)) is FAILED:
         _fail_tell(vm)
 
 
@@ -665,17 +667,17 @@ def bi_fd_lin_rel(vm, th, args, sp):
         _type_err()
     if rel == "lt":
         rel, k = "leq", k - 1
-    by_vid = {}
+    index = {}
     vs = []
     cs = []
     for c, t in zip(coeffs, terms):
         if type(t) is int:
             k -= c * t
         elif type(t) is Var:
-            if t.vid in by_vid:
-                cs[by_vid[t.vid]] += c
+            if t in index:
+                cs[index[t]] += c
             else:
-                by_vid[t.vid] = len(vs)
+                index[t] = len(vs)
                 vs.append(t)
                 cs.append(c)
         else:
@@ -746,7 +748,7 @@ def bi_fd_select_ff(vm, th, args, sp):
     for t in _vec_terms(vm, args[0], sp):
         t = store.deref(t, sp)
         if type(t) is Var:
-            d = lookup(sp, t.vid)
+            d = lookup(sp, t)
             if d is None or d.is_singleton():
                 # an undeclared or not-yet-bound singleton is still pending
                 return vm.need(t)
@@ -775,10 +777,10 @@ def bi_fd_excl(vm, th, args, sp):
         return None
     if type(x) is not Var:
         _type_err()
-    d = lookup(sp, x.vid) or FULL
+    d = lookup(sp, x) or FULL
     if not d.contains(v):
         return None
-    if narrow(vm, sp, x.vid, d.remove(v)) is FAILED:
+    if narrow(vm, sp, x, d.remove(v)) is FAILED:
         _fail_tell(vm)
     return None
 

@@ -1,12 +1,14 @@
 """First-class computation spaces.
 
-A space is a node in a tree rooted at the top-level space.  It owns a binding
-overlay (see store.py), the threads whose home it is, the propagators posted
-in it, and at most one pending choice point.  Stability is a property of the
-whole subtree: a space is stable when nothing outside the subtree can ever
-wake it, which operationally means no thread in the subtree is runnable, no
-propagator is queued, and no thread in the subtree is suspended on a variable
-homed in a proper ancestor of the space.
+A space is a node in a tree rooted at the top-level space.  It owns the
+variables homed in it, which it binds in place, an overlay of speculative
+bindings of variables homed above it (see store.py), the threads whose home
+it is, the propagators posted in it, and at most one pending choice point.
+Stability is a property of the whole subtree: a space is stable when
+nothing outside the subtree can ever wake it, which operationally means no
+thread in the subtree is runnable, no propagator is queued, and no thread in
+the subtree is suspended on a variable homed in a proper ancestor of the
+space.
 
 The seven primitive operations (new_space, choose, ask, commit, clone,
 inject, merge) are exposed both as host functions here and as language
@@ -16,10 +18,11 @@ bound when the space becomes stable.
 Lifecycle: a space is created by new_space or clone, runs until it is stable,
 and ends failed or merged, or stays alive for as long as the VM runs.  A space
 that fails takes its subtree with it; a space that merges hands its
-variables, threads, live children and fd state to its parent.  Either way
-the dead space is detached from its parent's `children` (which therefore
-holds live spaces only) and emptied: overlay, domains, watchers,
-propagators, own variables and threads.  What remains is a small record
+variables (bound in place or not), threads, live children and fd state to
+its parent, and tells its overlay entries there.  Either way the dead space
+is detached from its parent's `children` (which therefore holds live spaces
+only) and emptied: overlay, domains, watchers, propagators, own variables
+and threads.  What remains is a small record
 (sid, parent, flags) that a SpaceRef may still hold, so Ask on it still
 answers `failed` and the other operations still raise.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .store import FAILED, is_ancestor
-from .terms import Record, SpaceRef, Var
+from .terms import Record, SpaceRef
 
 STATUS_FAILED = "failed"
 STATUS_SUCCEEDED = "succeeded"
@@ -43,8 +46,10 @@ class Space:
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.children = {}            # live child spaces (ordered set)
-        self.bindings = {}
-        self.own_vars = []            # vids homed here, for clone and merge
+        self.bindings = {}            # Var -> term: speculative bindings of
+                                      # Vars homed in proper ancestors
+        self.own_vars = []            # Vars homed here, for clone and merge;
+                                      # the top space keeps none
         self.root_var = None
         self.threads = {}             # live threads homed here (ordered set)
         self.runnable = 0             # runnable threads in the whole subtree
@@ -53,8 +58,9 @@ class Space:
         self.failed = False
         self.merged = False
         self.discarded = False        # failed or merged: no further bindings
-        self.fd_domains = {}          # vid -> FDomain overlay
-        self.fd_watchers = {}         # vid -> propagators posted here (ordered)
+        self.fd_domains = {}          # Var -> FDomain overlay, for Vars
+                                      # homed here or above
+        self.fd_watchers = {}         # Var -> propagators posted here (ordered)
         self.propagators = {}         # ordered set
         self.fd_queued = 0            # propagator runs waiting in the agenda
         if parent is not None:
@@ -250,9 +256,9 @@ def inject(vm, s, proc_term, caller_space):
 def merge(vm, s, caller_space):
     """Fold a succeeded space into its parent; returns the root term.
 
-    Local variables and residual suspended threads are adopted by the
-    parent; overlay entries for ancestor variables are told in the parent,
-    where they may fail like any tell.
+    Local variables, with their in-place bindings, and residual suspended
+    threads are adopted by the parent; overlay entries, all on ancestor
+    variables, are told in the parent, where they may fail like any tell.
     """
     _check_child(caller_space, s, "merge")
     if s.merged:
@@ -267,9 +273,10 @@ def merge(vm, s, caller_space):
     parent = s.parent
     store = vm.store
     # adopt local variables and threads
-    for vid in s.own_vars:
-        store.homes[vid] = parent
-    parent.own_vars.extend(s.own_vars)
+    for var in s.own_vars:
+        store.homes[var.vid] = parent
+    if parent.parent is not None:    # the top space keeps no list
+        parent.own_vars.extend(s.own_vars)
     s.own_vars = []
     for t in list(s.threads):
         t.space = parent
@@ -292,10 +299,10 @@ def merge(vm, s, caller_space):
         from . import fd
         fd.adopt_into_parent(vm, s, parent)
     failure = False
-    for vid, value in entries:
+    for var, value in entries:
         # the parent may already see a binding from its own chain, so this
         # is a full tell, not a blind overlay copy
-        if store.unify(Var(vid), value, parent, fire=False) is FAILED:
+        if store.unify(var, value, parent, fire=False) is FAILED:
             failure = True
             break
     _answer_waiters(vm, s, STATUS_MERGED)

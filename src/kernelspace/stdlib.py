@@ -47,7 +47,11 @@ def base_env(vm):
     """Run the prelude inside `vm` and return the full base environment.
 
     The returned closures live in this vm's store, so the environment is
-    only valid for programs executed by the same vm.
+    only valid for programs executed by the same vm.  The prelude's
+    reductions count against the vm's budget.  If the budget runs out
+    first, the names the prelude has not defined yet are unbound, and the
+    vm, still over budget, stops at once with status "budget" when it next
+    runs.
     """
     table = builtins()
     names, body = _prelude()
@@ -56,7 +60,7 @@ def base_env(vm):
         env[n] = vm.store.new_var(vm.top)
     vm.spawn(body, env, vm.top)
     status = vm.run()
-    if status != "done" or vm.uncaught is not None or vm.top_deadlocked():
+    if vm.uncaught is not None or (status == "done" and vm.top_deadlocked()):
         raise RuntimeError("base library failed to load")
     out = dict(table)
     for n in names:

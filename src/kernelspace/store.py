@@ -1,18 +1,28 @@
-"""Constraint store over rational trees with per-space binding overlays.
+"""Constraint store over rational trees: bindings in place, speculation in
+per-space overlays.
 
-Each computation space owns an overlay: a dict from variable id to term.  The
-binding of a variable as seen from a space is found by walking that space's
-overlay chain up to the root; the first entry wins.  A space may bind only
-variables homed in itself or an ancestor, so an entry is visible exactly in
-the binding space and its descendants.
+A variable is one `Var` object, made by `new_var` in its home space.  A
+binding made in the home space holds for good in that space and everything
+below it, so it is stored in the variable itself (`Var.ref`).  A binding
+made in a proper descendant of the home is speculative: it goes into the
+binding space's overlay, a dict from Var to term, and is visible in that
+space and its descendants only.  A space may bind only variables homed in
+itself or an ancestor, and the top-level space has no ancestor, so its
+overlay stays empty: what a program binds at top level is reachable only
+through the variables themselves.
+
+The binding of a variable as seen from a space is the first overlay entry
+on the chain from that space up to the root, and `ref` only if there is
+none.  The overlays come first because a descendant's speculation must
+shadow a later in-place binding by an ancestor until revalidation has
+checked that the two agree, or failed the descendant.
 
 A binding made in an ancestor must be pushed into descendant overlays that
-speculated about the same variable.  `entry_spaces` indexes those overlays:
-it lists a space under a variable only when the variable is homed in a
-proper ancestor of the space, because no other binding can reach the entry
-(a space's own variables are invisible above it).  When a space fails or
-merges, `release` drops its index entries, and its own variables lose their
-home (the `homes` slot becomes None), waiters and by-need trigger.
+speculated about the same variable.  `entry_spaces` indexes those overlays
+by vid; every overlay entry is in it, because every overlay entry is on a
+variable homed in a proper ancestor.  When a space fails or merges,
+`release` drops its index entries, and its own variables lose their home
+(the `homes` slot becomes None), binding, waiters and by-need trigger.
 
 Unification is an incremental tell: bindings created before an inconsistency
 is discovered are kept, and their suspensions are woken.  A visited pair set
@@ -64,13 +74,13 @@ class Store:
     def __init__(self):
         self.homes = []            # vid -> home space, None once it failed
         self.susp = {}             # vid -> list of waiters, sparse
-        self.triggers = {}         # vid -> trigger token, removed when fired
+        self.triggers = {}         # vid -> (proc, home space, Var) until fired
         self.entry_spaces = {}     # vid -> spaces below its home with an entry
         self.wake_fn = None
         self.fail_space_fn = None
         # fd hooks, installed by the fd module when domains are in play
-        self.fd_bind_fn = None     # (vid, int, space) -> OK | FAILED
-        self.fd_alias_fn = None    # (src_vid, dst_vid, space) -> OK | FAILED
+        self.fd_bind_fn = None     # (Var, int, space) -> OK | FAILED
+        self.fd_alias_fn = None    # (src Var, dst Var, space) -> OK | FAILED
 
     # ------------------------------------------------------------------
     # variables and lookup
@@ -78,35 +88,37 @@ class Store:
     def new_var(self, home) -> Var:
         if home.discarded:
             raise UsageError("new_var in a failed or merged space")
-        vid = len(self.homes)
+        var = Var(len(self.homes))
         self.homes.append(home)
-        home.own_vars.append(vid)
-        return Var(vid)
+        if home.parent is not None:    # the top space is never cloned,
+            home.own_vars.append(var)  # failed or merged
+        return var
 
     def deref(self, t, space):
         """Follow bindings visible from `space` to a value or an unbound Var."""
         hops = 0
         seen = None
         while type(t) is Var:
-            vid = t.vid
             sp = space
             while sp is not None:
-                val = sp.bindings.get(vid)
+                val = sp.bindings.get(t)
                 if val is not None:
                     break
                 sp = sp.parent
             else:
-                return t
-            t = val
+                val = t.ref
+                if val is None:
+                    return t
             hops += 1
             if hops > 32:
                 # circular alias chains (vars bound to each other across
                 # overlays) denote a set of equal unbound variables
                 if seen is None:
                     seen = set()
-                if vid in seen:
-                    return Var(vid)
-                seen.add(vid)
+                if t in seen:
+                    return t
+                seen.add(t)
+            t = val
         return t
 
     def is_det(self, t, space) -> bool:
@@ -126,20 +138,26 @@ class Store:
         if waiters and self.wake_fn is not None:
             self.wake_fn(waiters)
 
-    def bind(self, vid, value, space):
-        """Record vid -> value in `space`'s overlay and wake watchers.
+    def bind(self, var, value, space):
+        """Bind var to value as seen from `space` and wake its watchers.
 
-        The caller must have established that vid is unbound as seen from
-        `space`.  Returns OK or FAILED (an fd domain may reject the value, or
-        a descendant overlay may hold a contradictory speculation, in which
-        case that descendant space is failed, not this tell).
+        In var's home space the binding goes into var itself; below the home
+        it goes into `space`'s overlay.  The caller must have established
+        that var is unbound as seen from `space`.  Returns OK or FAILED (an
+        fd domain may reject the value, or a descendant overlay may hold a
+        contradictory speculation, in which case that descendant space is
+        failed, not this tell).
         """
-        assert vid not in space.bindings, "binding monotonicity violated"
         if self.fd_bind_fn is not None and type(value) is not Var:
-            if self.fd_bind_fn(vid, value, space) is FAILED:
+            if self.fd_bind_fn(var, value, space) is FAILED:
                 return FAILED
-        space.bindings[vid] = value
-        if self.homes[vid] is not space:
+        vid = var.vid
+        if self.homes[vid] is space:
+            assert var.ref is None, "binding monotonicity violated"
+            var.ref = value
+        else:
+            assert var not in space.bindings, "binding monotonicity violated"
+            space.bindings[var] = value
             self.entry_spaces.setdefault(vid, {})[space] = None
         self._wake(vid)
         # a new ancestor binding must be pushed into descendant overlays that
@@ -150,29 +168,31 @@ class Store:
                 if sp.discarded:
                     continue
                 if sp is not space and is_ancestor(space, sp):
-                    r = self.unify(value, Var(vid), sp, fire=False)
+                    r = self.unify(value, var, sp, fire=False)
                     if r is FAILED and self.fail_space_fn is not None:
                         self.fail_space_fn(sp)
         return OK
 
     def release(self, space):
         """Forget a failed or merged space: its overlay and index entries,
-        and its remaining own variables' homes, waiters and triggers."""
+        and its remaining own variables' homes, bindings, waiters and
+        triggers."""
         index = self.entry_spaces
-        for vid in space.bindings:
-            entries = index.get(vid)
+        for var in space.bindings:
+            entries = index.get(var.vid)
             if entries is not None:
                 entries.pop(space, None)
                 if not entries:
-                    del index[vid]
+                    del index[var.vid]
         space.bindings.clear()
-        for vid in space.own_vars:
-            self.homes[vid] = None
-            self.susp.pop(vid, None)
-            self.triggers.pop(vid, None)
+        for var in space.own_vars:
+            var.ref = None
+            self.homes[var.vid] = None
+            self.susp.pop(var.vid, None)
+            self.triggers.pop(var.vid, None)
         space.own_vars = []
 
-    def _alias(self, u, v, space, fire):
+    def _alias(self, u, v, space):
         """Bind one unbound var to another; returns OK/FAILED or Need."""
         ut, vt = u.vid in self.triggers, v.vid in self.triggers
         if ut != vt:
@@ -185,9 +205,9 @@ class Store:
             else:
                 src, dst = (u, v) if u.vid > v.vid else (v, u)
         if self.fd_alias_fn is not None:
-            if self.fd_alias_fn(src.vid, dst.vid, space) is FAILED:
+            if self.fd_alias_fn(src, dst, space) is FAILED:
                 return FAILED
-        return self.bind(src.vid, dst, space)
+        return self.bind(src, dst, space)
 
     # ------------------------------------------------------------------
     # unification
@@ -212,20 +232,18 @@ class Store:
             tb = type(b)
             if ta is Var:
                 if tb is Var:
-                    if a.vid == b.vid:
-                        continue
-                    r = self._alias(a, b, space, fire)
+                    r = self._alias(a, b, space)
                 else:
                     if fire and a.vid in self.triggers:
                         return Need(a.vid)
-                    r = self.bind(a.vid, b, space)
+                    r = self.bind(a, b, space)
                 if r is not OK:
                     return r
                 continue
             if tb is Var:
                 if fire and b.vid in self.triggers:
                     return Need(b.vid)
-                if self.bind(b.vid, a, space) is FAILED:
+                if self.bind(b, a, space) is FAILED:
                     return FAILED
                 continue
             if ta is not tb:

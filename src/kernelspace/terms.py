@@ -19,12 +19,17 @@ CONS = "|"
 
 
 class Var:
-    """A reference to a store variable.  Identity is the integer id."""
+    """A store variable; one object per variable, compared by identity.
 
-    __slots__ = ("vid",)
+    `vid` numbers it for the store's tables and for trace events.  `ref` is
+    its binding made in its home space, or None (see store.py).
+    """
+
+    __slots__ = ("vid", "ref")
 
     def __init__(self, vid: int):
         self.vid = vid
+        self.ref = None
 
     def __repr__(self):
         return f"Var({self.vid})"

@@ -224,10 +224,10 @@ class VM:
         """Fire vid's by-need trigger if present; returns vid to park on."""
         tr = self.store.triggers.pop(vid, None)
         if tr is not None:
-            proc, home = tr
+            proc, home, var = tr
             if not home.discarded:
                 self.triggers_fired += 1
-                self.spawn_call(proc, [Var(vid)], home)
+                self.spawn_call(proc, [var], home)
         return vid
 
     def need(self, var_term):
@@ -524,8 +524,6 @@ def bi_equal(vm, th, args, sp):
         if a is b:
             continue
         ta, tb = type(a), type(b)
-        if ta is Var and tb is Var and a.vid == b.vid:
-            continue
         if ta is Var:
             return vm.need(a)
         if tb is Var:
@@ -622,7 +620,7 @@ def bi_byneed(vm, th, args, sp):
     xd = vm.store.deref(x, sp)
     if type(xd) is not Var or xd.vid in vm.store.triggers:
         raise OzRaise(_error("byNeed"))
-    vm.store.triggers[xd.vid] = (args[0], sp)
+    vm.store.triggers[xd.vid] = (args[0], sp, xd)
     vm.triggers_installed += 1
     return None
 

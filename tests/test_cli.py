@@ -69,6 +69,36 @@ def test_run_exit_3_reduction_budget(tmp_path, capsys):
     assert (code, out, err) == (3, ["1"], ["reduction budget exhausted"])
 
 
+def test_run_exit_3_budget_below_the_prelude_cost(tmp_path, capsys):
+    code, out, err = _run(tmp_path, capsys, "{Browse 1}",
+                          "--max-red", "10", "--slice", "10")
+    assert (code, out, err) == (3, [], ["reduction budget exhausted"])
+
+
+def test_run_text_budget_counts_the_prelude():
+    """The prelude's reductions count against the budget, so a budget one
+    short of the whole run ends it with exit 3, at any size."""
+    full = run_text("{Browse 1}").vm.reductions
+    out = run_text("{Browse 1}", RunConfig(slice_=1, max_reductions=full))
+    assert (out.exit_code, out.browse) == (0, ["1"])
+    for budget in (full - 1, 25, 1):
+        out = run_text("{Browse 1}", RunConfig(slice_=1, max_reductions=budget))
+        assert (out.status, out.exit_code, out.browse) == ("budget", 3, [])
+        assert out.vm.reductions == budget
+
+
+def test_run_text_parse_error_wins_over_a_spent_budget():
+    out = run_text("{Browse 1", RunConfig(slice_=1, max_reductions=1))
+    assert (out.status, out.exit_code) == ("parse-error", 2)
+
+
+def test_session_budget_below_the_prelude_cost():
+    s = Session(RunConfig(slice_=1, max_reductions=10))
+    r = s.feed("{Browse 1}")
+    assert (r.status, r.browse, r.error) == (
+        "budget", [], "reduction budget exhausted")
+
+
 def test_run_exit_4_deadlock(tmp_path, capsys):
     code, out, err = _run(tmp_path, capsys, "local X in {Browse a} {Wait X} end")
     assert code == 4 and out == ["a"]

@@ -106,7 +106,7 @@ def dom_values(vm, t):
     if isinstance(t, int):
         return {t}
     assert type(t) is Var
-    d = fd.lookup(vm.top, t.vid)
+    d = fd.lookup(vm.top, t)
     assert d is not None, "variable has no domain"
     return set_of(d)
 

@@ -12,6 +12,7 @@ Rendering is checked against expected strings built in Python, on terms
 far longer and deeper than the host's recursion limit.
 """
 
+import gc
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from test_search import _load_script, _tree_script
 from kernelspace import search, spaces
 from kernelspace.spaces import Space
 from kernelspace.store import FAILED, OK, Store
-from kernelspace.terms import CellRef, PortRef, Record, SpaceRef, cons
+from kernelspace.terms import CellRef, PortRef, Record, SpaceRef, Var, cons
 from kernelspace.vm import VM, render
 
 
@@ -232,6 +233,116 @@ def test_sibling_failure_prunes_only_its_own_entries():
     assert vm.store.unify(x, 2, vm.top) is OK
     assert not s1.alive()
     assert x.vid not in vm.store.entry_spaces
+
+
+# ----------------------------------------------------------------------
+# the store holds live state only: a variable bound in its home space is
+# bound in place, so no overlay keeps the values of unreachable variables
+
+
+def _live(cls):
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is cls)
+
+
+EAGER_STREAM = """
+declare Generate Sum in
+proc {Generate N Limit Xs}
+   if N<Limit then Xr in
+      Xs=N|Xr
+      {Generate N+1 Limit Xr}
+   else Xs=nil end
+end
+proc {Sum Xs A S}
+   case Xs
+   of X|Xr then {Sum Xr A+X S}
+   [] nil then S=A
+   end
+end
+local Xs S in
+   thread {Generate 0 3000 Xs} end
+   thread {Sum Xs 0 S} end
+   {Browse S}
+end
+"""
+
+
+def test_eager_stream_leaves_no_bindings_and_no_variables():
+    before = _live(Var)
+    out = run(EAGER_STREAM)
+    assert out.browse == [str(sum(range(3000)))]
+    assert out.vm.top.bindings == {}
+    assert _live(Var) == before
+
+
+ORDERED_FRACTIONS = """
+declare P Sols in
+proc {P Sol}
+   A B C D E F G H I BC EF HI
+in
+   Sol=sol(a:A b:B c:C d:D e:E f:F g:G h:H i:I)
+   BC={FD.decl} EF={FD.decl} HI={FD.decl}
+   Sol:::1#9
+   {FD.distinct Sol}
+   BC=:10*B+C
+   EF=:10*E+F
+   HI=:10*H+I
+   A*EF*HI+D*BC*HI+G*BC*EF=:BC*EF*HI
+   BC<:EF
+   EF<:HI
+   {FD.distribute ff Sol}
+end
+{Search.base.all P Sols}
+"""
+
+
+def test_search_at_top_level_leaves_only_the_top_space():
+    before = _live(Space)
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, ORDERED_FRACTIONS)
+    assert ok
+    sols = [tuple(vm.store.deref(v, vm.top) for _, v in s.feats)
+            for s in search.to_pylist(vm, tbl["Sols"])]
+    assert sols == [(9, 1, 2, 5, 3, 4, 7, 6, 8)]      # 9/12 + 5/34 + 7/68
+    assert vm.top.bindings == {} and vm.store.entry_spaces == {}
+    assert _live(Space) == before + 1                 # vm.top
+
+
+def test_in_place_binding_survives_clone_and_merge():
+    vm = VM()
+    store = vm.store
+    s = Space(vm.top, sid=1)
+    x, y = store.new_var(s), store.new_var(s)
+    assert store.unify(x, Record("f", ((1, y),)), s) is OK
+    assert type(x.ref) is Record and not s.bindings      # bound in place
+    c = spaces.clone(vm, s, vm.top).space
+    xc, yc = c.own_vars
+    assert render(vm, xc, c) == "f(_)"
+    # the copies are independent of the originals, both ways
+    assert store.unify(yc, 1, c) is OK
+    assert store.unify(y, 2, s) is OK
+    assert render(vm, x, s) == "f(2)" and render(vm, xc, c) == "f(1)"
+    # merge hands the in-place bindings over as they are
+    root, failure = spaces.merge(vm, s, vm.top)
+    assert not failure and not vm.top.bindings
+    assert render(vm, x, vm.top) == "f(2)"
+    assert store.unify(x, Record("f", ((1, 2),)), vm.top) is OK
+    assert store.unify(y, 3, vm.top) is FAILED
+
+
+def test_in_place_bind_by_the_parent_revalidates_child_speculation():
+    vm = VM()
+    store = vm.store
+    s = Space(vm.top, sid=1)
+    x = store.new_var(s)
+    agree, clash = Space(s, sid=2), Space(s, sid=3)
+    assert store.unify(x, 1, agree) is OK
+    assert store.unify(x, 2, clash) is OK
+    assert store.unify(x, 1, s) is OK                    # in place, in x's home
+    assert x.ref == 1 and not s.bindings
+    assert clash.failed and not agree.failed
+    assert store.deref(x, agree) == 1
+    assert list(s.children) == [agree]
 
 
 # ----------------------------------------------------------------------

@@ -314,9 +314,10 @@ def test_alias_direction_descendant_to_ancestor():
     xa = store.new_var(top)      # homed in the ancestor
     xc = store.new_var(child)    # homed in the child
     assert store.unify(xa, xc, child) is OK
-    # the overlay entry must be keyed by the descendant-homed variable
-    assert xc.vid in child.bindings
-    assert xa.vid not in child.bindings
+    # the binding must be made on the descendant-homed variable, which
+    # the child binds in place; the ancestor's variable stays unbound
+    assert xc.ref is xa
+    assert xa.ref is None and not child.bindings
 
 
 def test_binding_monotone_within_space():
@@ -413,4 +414,4 @@ def _check_visibility(store, v, binder, spaces):
         if is_ancestor(binder, sp):
             assert type(seen) is not Var or any(
                 is_ancestor(other, sp) for other in spaces
-                if other is not binder and v.vid in other.bindings)
+                if other is not binder and v in other.bindings)
