@@ -7,6 +7,13 @@ objects.  Record spines are copied with sharing preserved
 (memoized on object identity) and left untouched when no subtree variable
 occurs inside, so large ground structures cost nothing.
 
+Thread state is copied the same way.  A frame (the slot list of one
+procedure activation, see vm.py) is mutable and may be shared by several
+stack entries and by threads that `thread` started on it, so every frame is
+copied exactly once, memoized on identity like records, and the copies are
+shared where the originals were.  A closure holds a tuple of captured
+values, copied when a subtree variable occurs in it.
+
 The copy gives each new variable the copy of its original's in-place
 binding, re-registers suspensions with the store, rebuilds each overlay with
 re-keyed entries, and reproduces a pending choice point, so the clone is
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 from .spaces import Space
 from .terms import Closure, Record, SpaceRef, Var
-from .vm import CatchMarker, Thread
+from .codegen import CatchMarker
+from .vm import Thread
 
 
 def clone_space(vm, s, caller_space):
@@ -69,14 +77,10 @@ def clone_space(vm, s, caller_space):
             hit = memo.get(i)
             if hit is not None:
                 return hit
-            changed = False
-            env = {}
-            for k, v in t.env.items():
-                v2 = cp(v)
-                if v2 is not v:
-                    changed = True
-                env[k] = v2
-            out = Closure(t.params, t.body, env) if changed else t
+            captured = tuple([cp(v) for v in t.captured])
+            changed = any(a is not b for a, b in zip(captured, t.captured))
+            out = (Closure(t.arity, t.body, captured, t.pad) if changed
+                   else t)
             memo[i] = out
             return out
         if tt is SpaceRef:
@@ -103,9 +107,15 @@ def clone_space(vm, s, caller_space):
             store.entry_spaces.setdefault(nv.vid, {})[new] = None
         new.root_var = cp(old.root_var) if old.root_var is not None else None
 
-    # threads: a stable space has only suspended and blocked ones
-    def cp_env(env):
-        return {k: cp(v) for k, v in env.items()}
+    # threads: a stable space has only suspended and blocked ones.  Every
+    # frame is copied, even one with no subtree variable, because a later
+    # `local` or `case` in the copy writes its slots.
+    def cp_frame(fr):
+        i = id(fr)
+        hit = memo.get(i)
+        if hit is None:
+            hit = memo[i] = [cp(v) for v in fr]
+        return hit
 
     wait_map = None          # old vid -> new vid, made on first use
     for old in old_spaces:
@@ -116,11 +126,11 @@ def clone_space(vm, s, caller_space):
             nt = Thread(vm.next_tid, new)
             for entry in t.stack:
                 if type(entry) is CatchMarker:
-                    nt.stack.append(CatchMarker(entry.var, entry.handler,
-                                                cp_env(entry.env)))
+                    nt.stack.append(CatchMarker(entry.slot, entry.handler,
+                                                cp_frame(entry.frame)))
                 else:
-                    stmt, env = entry
-                    nt.stack.append((stmt, cp_env(env)))
+                    stmt, fr = entry
+                    nt.stack.append((stmt, cp_frame(fr)))
             nt.state = t.state
             nt.resume_value = t.resume_value
             new.threads[nt] = None

@@ -1,0 +1,247 @@
+"""Compiling kernel statements into closures.
+
+Each kernel statement compiles once, on its first run, into a Python
+closure (vm, th, frame) with its operands' slots and literals bound in
+(Feeley & Lapalme, "Using closures for code generation", 1987).  It returns
+None, the vid of a variable to suspend on, or what a builtin it applies
+returns.  An operand is read as frame[i] for an identifier and is a
+constant for a Lit.  The closures look up vm.tell_th, vm.store.deref and
+the store's methods at call time, so wrappers installed after import see
+every call.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+
+from .errors import OzRaise, _error
+from .kernel import (
+    KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq, KSkip,
+    KTellRec, KThread, KTry, Slot,
+)
+from .terms import Builtin, Closure, Record, Var, canonical_record
+
+
+class CatchMarker:
+    """try ... catch: the handler runs in `frame` with the raised value in
+    slot `slot`."""
+
+    __slots__ = ("slot", "handler", "frame")
+
+    def __init__(self, slot, handler, frame):
+        self.slot = slot
+        self.handler = handler
+        self.frame = frame
+
+
+def compile_stmt(s):
+    """s's closure, compiled now and kept in s.code."""
+    s.code = code = _COMPILERS[type(s)](s)
+    return code
+
+
+def _get(slot, o):
+    """A function from a frame to the value of operand o, read from its
+    slot, or the constant a Lit holds."""
+    if slot is None:
+        v = o.v
+        return lambda fr: v
+    return itemgetter(slot.i)
+
+
+def _get_all(slots, ops):
+    """A function from a frame to the values of the operands ops."""
+    if None in slots:
+        gets = [_get(sl, o) for sl, o in zip(slots, ops)]
+        return lambda fr: [g(fr) for g in gets]
+    if len(slots) > 1:
+        return itemgetter(*[sl.i for sl in slots])
+    if slots:
+        i = slots[0].i
+        return lambda fr: (fr[i],)
+    return lambda fr: ()
+
+
+def _c_skip(s):
+    return lambda vm, th, fr: None
+
+
+def _c_eq(s):
+    get_a, get_b = _get(s.slots[0], s.a), _get(s.slots[1], s.b)
+    return lambda vm, th, fr: vm.tell_th(th, get_a(fr), get_b(fr))
+
+
+def _c_tellrec(s):
+    x = s.slots[0].i
+    label = s.label
+    fnames = tuple(f for f, _ in s.feats)
+    get = _get_all(s.slots[1:], [o for _, o in s.feats])
+
+    def tellrec(vm, th, fr):
+        return vm.tell_th(th, fr[x], canonical_record(
+            label, tuple(zip(fnames, get(fr)))))
+    return tellrec
+
+
+def _c_seq(s):
+    stmts = s.stmts[::-1]
+
+    def seq(vm, th, fr):
+        th.stack.extend([(sub, fr) for sub in stmts])
+    return seq
+
+
+def _c_local(s):
+    slots = tuple(sl.i for sl in s.slots)
+    body = s.body
+
+    def local(vm, th, fr):
+        new_var = vm.store.new_var
+        sp = th.space
+        for i in slots:
+            fr[i] = new_var(sp)
+        th.stack.append((body, fr))
+    return local
+
+
+def _c_if(s):
+    get = _get(s.slots[0], s.x)
+    then, els = s.then, s.els
+
+    def if_(vm, th, fr):
+        c = vm.store.deref(get(fr), th.space)
+        if c == "true":
+            th.stack.append((then, fr))
+        elif c == "false":
+            th.stack.append((els, fr))
+        elif type(c) is Var:
+            return vm.need(c)
+        else:
+            raise OzRaise(_error("type"))
+    return if_
+
+
+def _c_case(s):
+    get = _get(s.slots[0], s.x)
+    pat, then, els = s.pat, s.then, s.els
+    if type(pat) is KPatLit:
+        lit = pat.v
+        kind = type(lit)
+
+        def case_lit(vm, th, fr):
+            t = vm.store.deref(get(fr), th.space)
+            if type(t) is kind and t == lit:
+                th.stack.append((then, fr))
+            elif type(t) is Var:
+                return vm.need(t)
+            else:
+                th.stack.append((els, fr))
+        return case_lit
+    label, arity = pat.label, pat.arity
+    outs = tuple(sl.i for sl in s.slots[1:])
+
+    def case_rec(vm, th, fr):
+        t = vm.store.deref(get(fr), th.space)
+        tt = type(t)
+        if (tt is Record and t.label == label
+                and tuple(map(_feature, t.feats)) == arity):
+            for i, (_, v) in zip(outs, t.feats):
+                fr[i] = v
+            th.stack.append((then, fr))
+        elif tt is Var:
+            return vm.need(t)
+        else:
+            th.stack.append((els, fr))
+    return case_rec
+
+
+_feature = itemgetter(0)
+
+
+def _c_proc(s):
+    x = s.slots[0].i
+    get = _get_all(s.caps, ())
+    arity, body = len(s.params), s.body
+    pad = (None,) * (s.size - len(s.caps) - arity)
+
+    def proc(vm, th, fr):
+        return vm.tell_th(th, fr[x], Closure(arity, body, get(fr), pad))
+    return proc
+
+
+def _c_apply(s):
+    get_f = _get(s.slots[0], s.f)
+    get = _get_all(s.slots[1:], s.args)
+    n = len(s.args)
+
+    def apply(vm, th, fr):
+        f = vm.store.deref(get_f(fr), th.space)
+        tf = type(f)
+        if tf is Closure:
+            if f.arity != n:
+                raise OzRaise(_error("arity"))
+            th.stack.append((f.body, [*f.captured, *get(fr), *f.pad]))
+            return None
+        if tf is Builtin:
+            if f.arity is not None and f.arity != n:
+                raise OzRaise(_error("arity"))
+            return f.fn(vm, th, get(fr), th.space)
+        if tf is Var:
+            return vm.need(f)
+        raise OzRaise(_error("apply"))
+    return apply
+
+
+def _c_thread(s):
+    body = s.body
+
+    def thread(vm, th, fr):
+        vm.start_thread(body, fr, th.space)
+    return thread
+
+
+def _c_try(s):
+    i = s.slots[0].i
+    body, handler = s.body, s.handler
+
+    def try_(vm, th, fr):
+        th.stack.append(CatchMarker(i, handler, fr))
+        th.stack.append((body, fr))
+    return try_
+
+
+def _c_raise(s):
+    get = _get(s.slots[0], s.x)
+
+    def raise_(vm, th, fr):
+        raise OzRaise(get(fr))
+    return raise_
+
+
+_COMPILERS = {
+    KSkip: _c_skip,
+    KEq: _c_eq,
+    KTellRec: _c_tellrec,
+    KSeq: _c_seq,
+    KLocal: _c_local,
+    KIf: _c_if,
+    KCase: _c_case,
+    KProc: _c_proc,
+    KApply: _c_apply,
+    KThread: _c_thread,
+    KTry: _c_try,
+    KRaise: _c_raise,
+}
+
+
+_CALLS = {}
+
+
+def call_stmt(n):
+    """{P A1 ... An} on the frame [P, A1, ..., An], for host-made calls."""
+    s = _CALLS.get(n)
+    if s is None:
+        names = [f"A{k}" for k in range(1, n + 1)]
+        s = _CALLS[n] = KApply("P", names)
+        s.slots = tuple(Slot(None, i) for i in range(n + 1))
+    return s

@@ -1,4 +1,7 @@
-"""Host-level error types shared across modules."""
+"""Error types shared across modules: host-level errors, and OzRaise, which
+carries a raised language value up a thread's stack."""
+
+from .terms import Record
 
 
 class UsageError(Exception):
@@ -13,3 +16,17 @@ class ParseError(Exception):
         self.col = col
         where = f" at {line}:{col}" if line is not None else ""
         super().__init__(msg + where)
+
+
+class OzRaise(Exception):
+    """A raised language value travelling up the frame stack."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
+
+
+def _error(kind):
+    """The record error(kind:Kind) that a misused primitive raises."""
+    return Record("error", (("kind", kind),))

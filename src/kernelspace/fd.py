@@ -20,9 +20,10 @@ fixpoint and space stability can be read off directly.
 from __future__ import annotations
 
 from . import spaces as spaces_mod
+from .errors import OzRaise, _error
 from .store import FAILED, Need, OK
 from .terms import Builtin, Record, Var, record_get
-from .vm import FAILURE, OzRaise, _error
+from .vm import FAILURE
 
 SUP = 134217726
 

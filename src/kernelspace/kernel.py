@@ -1,18 +1,28 @@
 """Kernel statements and the desugarer from surface phrases.
 
-A kernel operand is either an identifier (a plain str, looked up in the
-thread environment) or a Lit wrapping a ground term.
+A kernel operand is either an identifier (a plain str) or a Lit wrapping a
+ground term.  Operands resolve to slots: the desugarer gives every
+identifier a Slot, a place in the frame of the procedure body it occurs
+in.  A frame holds the values the procedure captured, then its parameters,
+then its locals.  The whole program is a body too; its captured values are
+the outer names the caller supplies, such as the base environment.  A name
+used in a nested procedure but bound outside it is captured by every
+procedure in between, so a body reads only its own frame.  Slot numbers
+are fixed when the desugarer closes the frame, and the machine reads them
+when it compiles a statement (see codegen.py).
 
-Each desugaring job is done by one walk.  `Desugarer.walk` translates a
-phrase in either position, chosen by its target: with no target the phrase
-is a statement; with one it is an expression, and the kernel binds the
-target identifier to its value.  `compile_pat` compiles every pattern,
-nested sub-patterns included; `number_feats` numbers the positional
-features of records and patterns; `free_names` is one bottom-up walk that
-fills in each KProc.free as it returns.
+Nodes keep their identifiers as names, which the round-trip tools in
+roundtrip.py work on; the resolution is in extra fields: `slots`
+(the Slots of a statement's identifier operands in order, None for a
+Lit), KProc.caps and KProc.size, KPatRec.arity, and `root` (outer names,
+frame size) on the statement `desugar` returns.
 
-The pretty printer emits kernel statements back as parseable surface text,
-so desugar(parse(pretty(k))) is alpha-equivalent to k.
+Each desugaring job is done by one walk, which also resolves.
+`Desugarer.walk` translates a phrase in either position, chosen by its
+target: with no target the phrase is a statement; with one it is an
+expression, and the kernel binds the target identifier to its value.
+`compile_pat` compiles every pattern, nested sub-patterns included;
+`number_feats` numbers the positional features of records and patterns.
 """
 
 from __future__ import annotations
@@ -50,12 +60,30 @@ def _term_eq(a, b):
     return a == b
 
 
-class KStmt:
-    __slots__ = ()
+class Slot:
+    """A place in a frame.  `i` is its index, set when the desugarer closes
+    the frame; until then `home` is the frame (a _Frame)."""
+
+    __slots__ = ("i", "home")
+
+    def __init__(self, home, i=None):
+        self.home = home
+        self.i = i
 
     def __repr__(self):
-        slots = [s for c in type(self).__mro__ for s in getattr(c, "__slots__", ())]
-        inner = ", ".join(repr(getattr(self, s)) for s in slots)
+        return f"Slot({self.i})"
+
+
+class KStmt:
+    # code: the compiled closure, set by the machine on the first run;
+    # slots: the Slots of the identifier operands, in operand order;
+    # root: (outer names, frame size), on the statement desugar returns
+    __slots__ = ("code", "slots", "root")
+
+    def __repr__(self):
+        fields = [s for c in type(self).__mro__ if c is not KStmt
+                  for s in getattr(c, "__slots__", ())]
+        inner = ", ".join(repr(getattr(self, s, None)) for s in fields)
         return f"{type(self).__name__}({inner})"
 
 
@@ -132,13 +160,15 @@ class KPatLit:
 
 
 class KPatRec:
-    """label plus (feature, identifier) pairs in canonical feature order."""
+    """label plus (feature, identifier) pairs in canonical feature order;
+    `arity` is the tuple of the features."""
 
-    __slots__ = ("label", "feats")
+    __slots__ = ("label", "feats", "arity")
 
     def __init__(self, label, feats):
         self.label = label
         self.feats = tuple(sorted(feats, key=lambda fn: _feat_key(fn[0])))
+        self.arity = tuple(f for f, _ in self.feats)
 
     def __repr__(self):
         return f"KPatRec({self.label!r}, {self.feats!r})"
@@ -155,7 +185,11 @@ class KCase(KStmt):
 
 
 class KProc(KStmt):
-    __slots__ = ("x", "params", "body", "free")
+    """proc {x params} body end.  `free` names the identifiers the closure
+    captures, in frame order; `caps` holds their Slots in the enclosing
+    frame and `size` is the size of the body's frame."""
+
+    __slots__ = ("x", "params", "body", "free", "caps", "size")
 
     def __init__(self, x, params, body, free=()):
         self.x = x
@@ -201,15 +235,47 @@ class KRaise(KStmt):
 _ARITH = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes"}
 
 
+class _Frame:
+    """The frame of a procedure body while it is desugared."""
+
+    __slots__ = ("parent", "caps", "own")
+
+    def __init__(self, parent):
+        self.parent = parent
+        self.caps = {}      # name -> (Slot here, Slot in parent or None)
+        self.own = []       # Slots of the parameters, then the locals
+
+    def new(self):
+        s = Slot(self)
+        self.own.append(s)
+        return s
+
+    def close(self):
+        """Number the slots: captured names in sorted order, then the
+        body's own.  Returns (captured names, their Slots in the parent,
+        frame size)."""
+        names = sorted(self.caps)
+        slots = [self.caps[n][0] for n in names] + self.own
+        for i, s in enumerate(slots):
+            s.i = i
+            s.home = None
+        return tuple(names), tuple(self.caps[n][1] for n in names), len(slots)
+
+
 class Desugarer:
     def __init__(self, base_names):
         self.base = frozenset(base_names)
         self.n = 0
         self.ground = {}        # try_ground's answer for each record phrase
+        self.frame = _Frame(None)
+        self.temps = {}         # fresh name -> its Slot
 
     def fresh(self, hint="T"):
+        """A new identifier with a slot in the current frame."""
         self.n += 1
-        return f"_{hint}{self.n}"
+        name = f"_{hint}{self.n}"
+        self.temps[name] = self.frame.new()
+        return name
 
     def err(self, msg, phrase):
         pos = getattr(phrase, "pos", None)
@@ -221,6 +287,65 @@ class Desugarer:
         if name not in sc and name not in self.base:
             self.err(f"variable {name} is not introduced", phrase)
         return name
+
+    # -- slots --------------------------------------------------------------
+
+    def bind(self, names, sc):
+        """Scope sc plus a new slot in the current frame for each name."""
+        sc = dict(sc)
+        new = self.frame.new
+        for name in names:
+            sc[name] = new()
+        return sc
+
+    def ref(self, o, sc):
+        """The Slot operand o reads in the current frame (None for a Lit).
+        A name bound outside the current body is captured by each body from
+        its binder inward; an outer name is captured by the program."""
+        if type(o) is Lit:
+            return None
+        s = self.temps.get(o) or sc.get(o)
+        home = None if s is None else s.home
+        fr = self.frame
+        chain = []
+        while fr is not home:
+            got = fr.caps.get(o)
+            if got is not None:
+                s = got[0]
+                break
+            chain.append(fr)
+            fr = fr.parent
+        for fr in reversed(chain):
+            c = Slot(fr)
+            fr.caps[o] = (c, s)
+            s = c
+        return s
+
+    def resolved(self, k, sc, *ops):
+        k.slots = tuple([self.ref(o, sc) for o in ops])
+        return k
+
+    def binder(self, k, sc):
+        """k, a local or try, with the slots its names got in scope sc."""
+        names = k.names if type(k) is KLocal else (k.var,)
+        k.slots = tuple([sc[n] for n in names])
+        return k
+
+    def proc(self, outer, x, params, body, sc):
+        """Close the current frame, a body walked after enter(), and return
+        its KProc, defined in the enclosing frame `outer` and scope sc."""
+        names, caps, size = self.frame.close()
+        self.frame = outer
+        k = KProc(x, params, body, names)
+        k.caps = caps
+        k.size = size
+        return self.resolved(k, sc, x)
+
+    def enter(self):
+        """Open a frame for a procedure body; returns the enclosing one."""
+        outer = self.frame
+        self.frame = _Frame(outer)
+        return outer
 
     # -- operands ---------------------------------------------------------
 
@@ -249,15 +374,15 @@ class Desugarer:
     def wrap(self, temps, stmts):
         body = kseq(stmts)
         if temps:
-            return KLocal(temps, body)
+            return self.resolved(KLocal(temps, body), {}, *temps)
         return body
 
     # -- phrases ------------------------------------------------------------
 
     def walk(self, p, sc, target=None):
-        """Kernel for phrase p in scope sc.  With no target p is in statement
-        position; with one it is in expression position and the kernel binds
-        the target identifier to p's value."""
+        """Kernel for phrase p in scope sc (name -> Slot).  With no target p
+        is in statement position; with one it is in expression position and
+        the kernel binds the target identifier to p's value."""
         t = type(p)
         # constructs legal in both positions
         if t is S.SSeq:
@@ -265,16 +390,20 @@ class Desugarer:
             out.append(self.walk(p.phrases[-1], sc, target))
             return kseq(out)
         if t is S.SLocal or (t is S.SDeclare and target is None):
-            return KLocal(p.names, self.walk(p.body, sc | set(p.names), target))
+            sc2 = self.bind(p.names, sc)
+            return self.binder(
+                KLocal(p.names, self.walk(p.body, sc2, target)), sc2)
         if t is S.SLocalBind:
-            sc2 = sc | {p.name}
-            return KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
-                                          self.walk(p.body, sc2, target)]))
+            sc2 = self.bind([p.name], sc)
+            return self.binder(
+                KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
+                                       self.walk(p.body, sc2, target)])), sc2)
         if t is S.SApply:
             temps, stmts = [], []
             ops = [self.operand(q, sc, temps, stmts) for q in p.items]
             args = ops[1:] if target is None else ops[1:] + [target]
-            stmts.append(KApply(ops[0], args))
+            stmts.append(self.resolved(KApply(ops[0], args), sc,
+                                       ops[0], *args))
             return self.wrap(temps, stmts)
         if t is S.SIf:
             if p.els is None and target is not None:
@@ -283,7 +412,7 @@ class Desugarer:
             c = self.operand(p.cond, sc, temps, stmts)
             then = self.walk(p.then, sc, target)
             els = KSkip() if p.els is None else self.walk(p.els, sc, target)
-            stmts.append(KIf(c, then, els))
+            stmts.append(self.resolved(KIf(c, then, els), sc, c))
             return self.wrap(temps, stmts)
         if t is S.SCase:
             return self.case(p, sc, target)
@@ -305,12 +434,14 @@ class Desugarer:
             if t is S.SFd:
                 return self.fd_stmt(p, sc)
             if t is S.STry:
-                return KTry(self.walk(p.body, sc), p.var,
-                            self.walk(p.handler, sc | {p.var}))
+                sc2 = self.bind([p.var], sc)
+                return self.binder(
+                    KTry(self.walk(p.body, sc), p.var,
+                         self.walk(p.handler, sc2)), sc2)
             if t is S.SRaise:
                 temps, stmts = [], []
                 op = self.operand_of_seq(p.value, sc, temps, stmts)
-                stmts.append(KRaise(op))
+                stmts.append(self.resolved(KRaise(op), sc, op))
                 return self.wrap(temps, stmts)
             if t is S.SChoice:
                 return self.choice(p, sc)
@@ -319,11 +450,11 @@ class Desugarer:
             self.err("this expression cannot stand alone as a statement", p)
         # constructs legal in expression position only
         if t is S.SVar:
-            return KEq(target, self.use(p.name, sc, p))
-        if t is S.SInt:
-            return KEq(target, Lit(p.value))
-        if t is S.SAtom:
-            return KEq(target, Lit(p.name))
+            name = self.use(p.name, sc, p)
+            return self.resolved(KEq(target, name), sc, target, name)
+        if t is S.SInt or t is S.SAtom:
+            lit = Lit(p.value if t is S.SInt else p.name)
+            return self.resolved(KEq(target, lit), sc, target, lit)
         if t is S.SWild:
             return KSkip()
         if t is S.SRecordCons:
@@ -335,9 +466,11 @@ class Desugarer:
             if dup is not None:
                 self.err(f"duplicate feature {dup}", p)
             if feats and all(type(o) is Lit for _, o in feats):
-                return KEq(target, Lit(Record(p.label,
-                                              [(f, o.v) for f, o in feats])))
-            stmts.append(KTellRec(target, p.label, feats))
+                lit = Lit(Record(p.label, [(f, o.v) for f, o in feats]))
+                return self.resolved(KEq(target, lit), sc, target, lit)
+            k = KTellRec(target, p.label, feats)
+            stmts.append(self.resolved(k, sc, target,
+                                       *(o for _, o in k.feats)))
             return self.wrap(temps, stmts)
         if t is S.SOp:
             temps, stmts = [], []
@@ -345,17 +478,18 @@ class Desugarer:
             b = self.operand(p.rhs, sc, temps, stmts)
             op = p.op
             if op in _ARITH:
-                stmts.append(KApply(_ARITH[op], [a, b, target]))
+                f, args = _ARITH[op], [a, b, target]
             elif op == "<":
-                stmts.append(KApply("Less", [a, b, target]))
+                f, args = "Less", [a, b, target]
             elif op == "=<":
-                stmts.append(KApply("Leq", [a, b, target]))
+                f, args = "Leq", [a, b, target]
             elif op == ">":
-                stmts.append(KApply("Less", [b, a, target]))
+                f, args = "Less", [b, a, target]
             elif op == "==":
-                stmts.append(KApply("Equal", [a, b, target]))
+                f, args = "Equal", [a, b, target]
             else:
                 self.err(f"operator {op} has no value", p)
+            stmts.append(self.resolved(KApply(f, args), sc, f, *args))
             return self.wrap(temps, stmts)
         self.err("this construct has no value", p)
 
@@ -376,66 +510,88 @@ class Desugarer:
             self.use(rhs.name, sc, rhs)
             return self.walk(lhs, sc, rhs.name)
         name = self.fresh()
-        return KLocal([name], kseq([self.walk(lhs, sc, name),
-                                    self.walk(rhs, sc, name)]))
+        return self.resolved(
+            KLocal([name], kseq([self.walk(lhs, sc, name),
+                                 self.walk(rhs, sc, name)])), sc, name)
 
     def proc_into(self, p, target, sc):
+        outer = self.enter()
         params = []
-        sc2 = set(sc)
+        sc2 = dict(sc)
         for name in p.params:
             if name is None:
                 name = self.fresh("P")
+            else:
+                sc2[name] = self.frame.new()
             params.append(name)
-            sc2.add(name)
         if not p.is_fun:
-            return KProc(target, params, self.walk(p.body, frozenset(sc2)))
-        out = self.fresh("R")
-        body = self.walk(p.body, frozenset(sc2), out)
+            return self.proc(outer, target, params,
+                             self.walk(p.body, sc2), sc)
         if not p.lazy:
-            return KProc(target, params + [out], body)
+            out = self.fresh("R")
+            return self.proc(outer, target, params + [out],
+                             self.walk(p.body, sc2, out), sc)
         # lazy: the result is a by-need variable whose trigger runs the body
+        out2 = self.fresh("O")
         trig = self.fresh("F")
         cell = self.fresh("X")
-        out2 = self.fresh("O")
-        lazy_body = KLocal(
+        fun_frame = self.enter()
+        out = self.fresh("R")
+        trig_proc = self.proc(fun_frame, trig, [out],
+                              self.walk(p.body, sc2, out), sc2)
+        lazy_body = self.resolved(KLocal(
             [trig, cell],
-            kseq([KProc(trig, [out], body),
-                  KApply("ByNeed", [trig, cell]),
-                  KEq(out2, cell)]))
-        return KProc(target, params + [out2], lazy_body)
+            kseq([trig_proc,
+                  self.resolved(KApply("ByNeed", [trig, cell]), sc2,
+                                "ByNeed", trig, cell),
+                  self.resolved(KEq(out2, cell), sc2, out2, cell)])),
+            sc2, trig, cell)
+        return self.proc(outer, target, params + [out2], lazy_body, sc)
 
     # -- case ---------------------------------------------------------------
 
     def case(self, p, sc, target):
         temps, stmts = [], []
         subj = self.operand(p.subject, sc, temps, stmts)
+        subj_slot = self.ref(subj, sc)
         if p.els is not None:
             chain = self.walk(p.els, sc, target)
         else:
             chain = self.case_miss()
         for pat, body in reversed(p.clauses):
             # the body sees every variable the pattern binds, including
-            # those in nested sub-patterns
-            sc2 = sc | pat_vars(pat)
+            # those in nested sub-patterns; the else chain does not
+            sc2 = self.bind(sorted(pat_vars(pat)), sc)
             chain = self.compile_pat(
-                subj, pat, lambda: self.walk(body, sc2, target), chain)
+                subj, subj_slot, pat, sc2,
+                lambda: self.walk(body, sc2, target), chain)
         stmts.append(chain)
         return self.wrap(temps, stmts)
 
     def case_miss(self):
-        return KRaise(Lit(Record("error", [("kind", "case")])))
+        k = KRaise(Lit(Record("error", [("kind", "case")])))
+        k.slots = (None,)
+        return k
 
-    def compile_pat(self, subj, pat, body, els):
-        """Test subj against pat: on a match run the kernel body() makes,
-        otherwise els.  body() is called after the pattern's own feature
-        names are made and before its nested sub-patterns are compiled."""
+    def compile_pat(self, subj, subj_slot, pat, sc, body, els):
+        """Test subj (read from subj_slot) against pat, whose variables have
+        slots in sc: on a match run the kernel body() makes, otherwise els.
+        body() is called after the pattern's own feature names are made and
+        before its nested sub-patterns are compiled."""
         t = type(pat)
         if t is S.PWild:
             return body()
         if t is S.PVar:
-            return KLocal([pat.name], kseq([KEq(pat.name, subj), body()]))
+            slot = sc[pat.name]
+            eq = KEq(pat.name, subj)
+            eq.slots = (slot, subj_slot)
+            k = KLocal([pat.name], kseq([eq, body()]))
+            k.slots = (slot,)
+            return k
         if t is S.PLit:
-            return KCase(subj, KPatLit(pat.value), body(), els)
+            k = KCase(subj, KPatLit(pat.value), body(), els)
+            k.slots = (subj_slot,)
+            return k
         pairs, dup = number_feats(pat.feats)
         if dup is not None:
             self.err(f"duplicate feature {dup} in pattern", pat)
@@ -454,8 +610,12 @@ class Desugarer:
         # innermost: the body; wrap nested sub-pattern tests outside in
         cur = body()
         for name, sub in reversed(nested):
-            cur = self.compile_pat(name, sub, lambda k=cur: k, els)
-        return KCase(subj, KPatRec(pat.label, feats), cur, els)
+            cur = self.compile_pat(name, self.temps[name], sub, sc,
+                                   lambda k=cur: k, els)
+        k = KCase(subj, KPatRec(pat.label, feats), cur, els)
+        k.slots = (subj_slot,) + tuple([self.ref(n, sc)
+                                        for _, n in k.pat.feats])
+        return k
 
     # -- choice / dis ---------------------------------------------------------
 
@@ -464,8 +624,14 @@ class Desugarer:
         y = self.fresh("C")
         chain = self.walk(p.branches[-1], sc)
         for i in range(n - 2, -1, -1):
-            chain = KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc), chain)
-        return KLocal([y], kseq([KApply("Choose", [Lit(n), y]), chain]))
+            chain = self.resolved(
+                KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc), chain),
+                sc, y)
+        lit = Lit(n)
+        return self.resolved(
+            KLocal([y], kseq([self.resolved(KApply("Choose", [lit, y]), sc,
+                                            "Choose", lit, y), chain])),
+            sc, y)
 
     def dis(self, p, sc):
         temps, stmts = [], []
@@ -474,16 +640,18 @@ class Desugarer:
             g = self.fresh("G")
             b = self.fresh("B")
             temps.extend([g, b])
-            stmts.append(KProc(g, [], self.walk(guard, sc)))
-            stmts.append(KProc(b, [], self.walk(body, sc)))
+            for name, q in ((g, guard), (b, body)):
+                outer = self.enter()
+                stmts.append(self.proc(outer, name, [], self.walk(q, sc), sc))
             gops.append(g)
             bops.append(b)
-        gl = self.klist(gops, temps, stmts)
-        bl = self.klist(bops, temps, stmts)
-        stmts.append(KApply("DisCombinator", [gl, bl]))
+        gl = self.klist(gops, sc, temps, stmts)
+        bl = self.klist(bops, sc, temps, stmts)
+        stmts.append(self.resolved(KApply("DisCombinator", [gl, bl]), sc,
+                                   "DisCombinator", gl, bl))
         return self.wrap(temps, stmts)
 
-    def klist(self, ops, temps, stmts):
+    def klist(self, ops, sc, temps, stmts):
         """Build a list of the given operands; returns the list operand."""
         tail = Lit("nil")
         cells = []
@@ -492,7 +660,8 @@ class Desugarer:
             temps.append(name)
             cells.append(name)
         for name, op in zip(reversed(cells), reversed(ops)):
-            stmts.append(KTellRec(name, "|", [(1, op), (2, tail)]))
+            stmts.append(self.resolved(
+                KTellRec(name, "|", [(1, op), (2, tail)]), sc, name, op, tail))
             tail = name
         return tail
 
@@ -503,7 +672,8 @@ class Desugarer:
         if p.op == ":::":
             vec = self.operand(p.lhs, sc, temps, stmts)
             dom = self.operand(p.rhs, sc, temps, stmts)
-            stmts.append(KApply("FDDomTellVec", [vec, dom]))
+            stmts.append(self.resolved(KApply("FDDomTellVec", [vec, dom]), sc,
+                                       "FDDomTellVec", vec, dom))
             return self.wrap(temps, stmts)
         lc, lm = self.poly(p.lhs, sc, temps, stmts)
         rc, rm = self.poly(p.rhs, sc, temps, stmts)
@@ -523,27 +693,30 @@ class Desugarer:
             c = combined[vs]
             if c == 0:
                 continue
-            v = self.mono_var(vs, pair_memo, temps, stmts)
+            v = self.mono_var(vs, pair_memo, sc, temps, stmts)
             coeffs.append(c)
             vars_.append(v)
         rel = {"=:": "eq", "<:": "lt", "=<:": "leq"}[p.op]
-        coeff_term = Lit(_int_list(coeffs))
-        vl = self.klist(vars_, temps, stmts)
-        stmts.append(KApply("FDLinRel", [coeff_term, vl, Lit(rel), Lit(-const)]))
+        args = [Lit(_int_list(coeffs)), self.klist(vars_, sc, temps, stmts),
+                Lit(rel), Lit(-const)]
+        stmts.append(self.resolved(KApply("FDLinRel", args), sc,
+                                   "FDLinRel", *args))
         return self.wrap(temps, stmts)
 
-    def mono_var(self, vs, memo, temps, stmts):
+    def mono_var(self, vs, memo, sc, temps, stmts):
         """Fold a factor tuple into one variable via pairwise products."""
         if len(vs) == 1:
             return vs[0]
-        rest = self.mono_var(vs[1:], memo, temps, stmts)
+        rest = self.mono_var(vs[1:], memo, sc, temps, stmts)
         key = (vs[0], rest)
         if key in memo:
             return memo[key]
         prod = self.fresh("Q")
         temps.append(prod)
-        stmts.append(KApply("FDDecl", [prod]))
-        stmts.append(KApply("FDMulProp", [vs[0], rest, prod]))
+        stmts.append(self.resolved(KApply("FDDecl", [prod]), sc,
+                                   "FDDecl", prod))
+        stmts.append(self.resolved(KApply("FDMulProp", [vs[0], rest, prod]),
+                                   sc, "FDMulProp", vs[0], rest, prod))
         memo[key] = prod
         return prod
 
@@ -643,247 +816,11 @@ def _int_list(ints):
 
 
 def desugar(phrase, base_names, extra_names=()):
-    k = Desugarer(base_names).walk(phrase, frozenset(extra_names))
-    free_names(k)
+    """The kernel statement for a program phrase.  Names in base_names and
+    extra_names are outer: the program's frame starts with those it uses,
+    listed with the frame size in the statement's `root`."""
+    d = Desugarer(set(base_names) | set(extra_names))
+    k = d.walk(phrase, {})
+    outer, _, size = d.frame.close()
+    k.root = (outer, size)
     return k
-
-
-# ----------------------------------------------------------------------
-# free identifiers
-
-def free_names(k):
-    """The identifiers free in k.  On the way back up it fills in each
-    KProc.free: the identifiers the closure captures."""
-    cache = {}      # by node id: case chains share their else branches
-
-    def op_free(o, acc):
-        if type(o) is str:
-            acc.add(o)
-
-    def walk(s):
-        key = id(s)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        t = type(s)
-        acc = set()
-        if t is KSkip:
-            pass
-        elif t is KEq:
-            op_free(s.a, acc)
-            op_free(s.b, acc)
-        elif t is KTellRec:
-            acc.add(s.x) if type(s.x) is str else None
-            for _, o in s.feats:
-                op_free(o, acc)
-        elif t is KSeq:
-            for q in s.stmts:
-                acc |= walk(q)
-        elif t is KLocal:
-            acc = walk(s.body) - set(s.names)
-        elif t is KIf:
-            op_free(s.x, acc)
-            acc |= walk(s.then) | walk(s.els)
-        elif t is KCase:
-            op_free(s.x, acc)
-            bound = set()
-            if type(s.pat) is KPatRec:
-                bound = {n for _, n in s.pat.feats}
-            acc |= (walk(s.then) - bound) | walk(s.els)
-        elif t is KProc:
-            captured = walk(s.body) - set(s.params)
-            s.free = tuple(sorted(captured))
-            acc.add(s.x) if type(s.x) is str else None
-            acc |= captured
-        elif t is KApply:
-            op_free(s.f, acc)
-            for o in s.args:
-                op_free(o, acc)
-        elif t is KThread:
-            acc |= walk(s.body)
-        elif t is KTry:
-            acc |= walk(s.body) | (walk(s.handler) - {s.var})
-        elif t is KRaise:
-            op_free(s.x, acc)
-        cache[key] = acc
-        return acc
-
-    return walk(k)
-
-
-# ----------------------------------------------------------------------
-# pretty printing back to surface syntax
-
-_BARE_ATOM = __import__("re").compile(r"[a-z][A-Za-z0-9_]*$")
-
-
-def _atom_out(a):
-    if _BARE_ATOM.match(a) and a not in S.KEYWORDS:
-        return a
-    return f"'{a}'"
-
-
-def _term_out(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v) if v >= 0 else f"~{-v}"
-    if isinstance(v, str):
-        return _atom_out(v)
-    if isinstance(v, Record):
-        inner = " ".join(f"{_feat_out(f)}:{_term_out(x)}" for f, x in v.feats)
-        return f"{_atom_out(v.label)}({inner})"
-    raise ValueError(f"unprintable literal {v!r}")
-
-
-def _feat_out(f):
-    if isinstance(f, int):
-        return str(f)
-    return _atom_out(f)
-
-
-def _op_out(o):
-    if type(o) is str:
-        return o
-    return _term_out(o.v)
-
-
-def pretty(k, indent=0):
-    pad = "   " * indent
-    t = type(k)
-    if t is KSkip:
-        return pad + "skip"
-    if t is KEq:
-        return f"{pad}{_op_out(k.a)} = {_op_out(k.b)}"
-    if t is KTellRec:
-        inner = " ".join(f"{_feat_out(f)}:{_op_out(o)}" for f, o in k.feats)
-        return f"{pad}{_op_out(k.x)} = {_atom_out(k.label)}({inner})"
-    if t is KSeq:
-        return "\n".join(pretty(s, indent) for s in k.stmts)
-    if t is KLocal:
-        return (f"{pad}local {' '.join(k.names)} in\n"
-                f"{pretty(k.body, indent + 1)}\n{pad}end")
-    if t is KIf:
-        return (f"{pad}if {_op_out(k.x)} then\n{pretty(k.then, indent + 1)}\n"
-                f"{pad}else\n{pretty(k.els, indent + 1)}\n{pad}end")
-    if t is KCase:
-        if type(k.pat) is KPatLit:
-            pat = _term_out(k.pat.v)
-        else:
-            inner = " ".join(f"{_feat_out(f)}:{n}" for f, n in k.pat.feats)
-            pat = f"{_atom_out(k.pat.label)}({inner})"
-        return (f"{pad}case {_op_out(k.x)} of {pat} then\n"
-                f"{pretty(k.then, indent + 1)}\n"
-                f"{pad}else\n{pretty(k.els, indent + 1)}\n{pad}end")
-    if t is KProc:
-        head = " ".join([_op_out(k.x)] + list(k.params))
-        return f"{pad}proc {{{head}}}\n{pretty(k.body, indent + 1)}\n{pad}end"
-    if t is KApply:
-        inner = " ".join(_op_out(o) for o in (k.f,) + k.args)
-        return f"{pad}{{{inner}}}"
-    if t is KThread:
-        return f"{pad}thread\n{pretty(k.body, indent + 1)}\n{pad}end"
-    if t is KTry:
-        return (f"{pad}try\n{pretty(k.body, indent + 1)}\n"
-                f"{pad}catch {k.var} then\n"
-                f"{pretty(k.handler, indent + 1)}\n{pad}end")
-    if t is KRaise:
-        return f"{pad}raise {_op_out(k.x)} end"
-    raise ValueError(f"cannot print {k!r}")
-
-
-# ----------------------------------------------------------------------
-# alpha equivalence of kernel statements
-
-def alpha_equivalent(k1, k2):
-    def ops(o1, o2, m12, m21):
-        if type(o1) is str and type(o2) is str:
-            b1 = m12.get(o1)
-            b2 = m21.get(o2)
-            if b1 is None and b2 is None:
-                return o1 == o2      # both free
-            return b1 == o2 and b2 == o1
-        if type(o1) is Lit and type(o2) is Lit:
-            return _term_eq(o1.v, o2.v)
-        return False
-
-    def bind(names1, names2, m12, m21):
-        m12 = dict(m12)
-        m21 = dict(m21)
-        for a, b in zip(names1, names2):
-            m12[a] = b
-            m21[b] = a
-        return m12, m21
-
-    def walk(a, b, m12, m21):
-        if type(a) is not type(b):
-            # sequences of one collapse, so normalize
-            return False
-        t = type(a)
-        if t is KSkip:
-            return True
-        if t is KEq:
-            return ops(a.a, b.a, m12, m21) and ops(a.b, b.b, m12, m21)
-        if t is KTellRec:
-            if a.label != b.label or len(a.feats) != len(b.feats):
-                return False
-            if not ops(a.x, b.x, m12, m21):
-                return False
-            return all(f1 == f2 and ops(o1, o2, m12, m21)
-                       for (f1, o1), (f2, o2) in zip(a.feats, b.feats))
-        if t is KSeq:
-            if len(a.stmts) != len(b.stmts):
-                return False
-            return all(walk(x, y, m12, m21)
-                       for x, y in zip(a.stmts, b.stmts))
-        if t is KLocal:
-            if len(a.names) != len(b.names):
-                return False
-            n12, n21 = bind(a.names, b.names, m12, m21)
-            return walk(a.body, b.body, n12, n21)
-        if t is KIf:
-            return (ops(a.x, b.x, m12, m21)
-                    and walk(a.then, b.then, m12, m21)
-                    and walk(a.els, b.els, m12, m21))
-        if t is KCase:
-            if not ops(a.x, b.x, m12, m21):
-                return False
-            if type(a.pat) is not type(b.pat):
-                return False
-            if type(a.pat) is KPatLit:
-                if a.pat.v != b.pat.v:
-                    return False
-                n12, n21 = m12, m21
-            else:
-                if a.pat.label != b.pat.label:
-                    return False
-                if [f for f, _ in a.pat.feats] != [f for f, _ in b.pat.feats]:
-                    return False
-                n12, n21 = bind([n for _, n in a.pat.feats],
-                                [n for _, n in b.pat.feats], m12, m21)
-            return (walk(a.then, b.then, n12, n21)
-                    and walk(a.els, b.els, m12, m21))
-        if t is KProc:
-            if len(a.params) != len(b.params):
-                return False
-            if not ops(a.x, b.x, m12, m21):
-                return False
-            n12, n21 = bind(a.params, b.params, m12, m21)
-            return walk(a.body, b.body, n12, n21)
-        if t is KApply:
-            if len(a.args) != len(b.args):
-                return False
-            return (ops(a.f, b.f, m12, m21)
-                    and all(ops(x, y, m12, m21)
-                            for x, y in zip(a.args, b.args)))
-        if t is KThread:
-            return walk(a.body, b.body, m12, m21)
-        if t is KTry:
-            n12, n21 = bind([a.var], [b.var], m12, m21)
-            return (walk(a.body, b.body, m12, m21)
-                    and walk(a.handler, b.handler, n12, n21))
-        if t is KRaise:
-            return ops(a.x, b.x, m12, m21)
-        return False
-
-    return walk(k1, k2, {}, {})

@@ -268,45 +268,15 @@ class Store:
                 for (_, v1), (_, v2) in zip(reversed(a.feats), reversed(b.feats)):
                     stack.append((v1, v2))
                 continue
-            if ta is Closure:
-                if a.cid != b.cid:
-                    return FAILED
-            elif ta is Name:
+            if ta is Name:
                 if a.nid != b.nid:
                     return FAILED
             elif ta is SpaceRef:
                 if a.space is not b.space:
                     return FAILED
-            elif ta is CellRef or ta is PortRef or ta is Builtin:
+            elif (ta is Closure or ta is CellRef or ta is PortRef
+                  or ta is Builtin):
                 return FAILED          # a is not b: each is equal to itself
             else:
                 raise UsageError(f"not a term: {a!r}")
         return OK
-
-    # ------------------------------------------------------------------
-    # ask-side checks
-
-    def entails_pattern(self, x, label, featnames, space):
-        """Can x match label(f1:_ ... fn:_) as seen from `space`?
-
-        Returns ('yes', [feature terms]), 'no', or ('unknown', vid): the
-        verdict is decided exactly when x is determined, so a case statement
-        suspends on that one variable.
-        """
-        t = self.deref(x, space)
-        if type(t) is Var:
-            return ("unknown", t.vid)
-        if type(t) is not Record:
-            return "no"
-        if t.label != label or t.arity() != featnames:
-            return "no"
-        return ("yes", [v for _, v in t.feats])
-
-    def entails_literal(self, x, lit, space):
-        """Same protocol for a literal (int or atom) pattern."""
-        t = self.deref(x, space)
-        if type(t) is Var:
-            return ("unknown", t.vid)
-        if type(t) is type(lit) and t == lit:
-            return ("yes", [])
-        return "no"

@@ -9,6 +9,12 @@ Variables start with an upper-case letter and may contain dots, so a dotted
 module-style name like a search or fd entry point is one identifier.  Atoms
 start lower-case or are quoted.  `[]` is the clause separator, never an
 empty list; the empty list is the atom nil.
+
+The parser is recursive descent, but operator chains, `|` chains and
+`elseif` chains are read by loops.  Nesting is limited: more than
+MAX_NESTING sequences, expressions and patterns open inside one another is
+a ParseError.  A level takes about four Python frames, so the limit keeps
+the parser near 800 frames deep, inside the host's default limit of 1000.
 """
 
 from __future__ import annotations
@@ -16,6 +22,13 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
+
+MAX_NESTING = 200
+
+# binding power of the infix operators; comparison is non-associative and
+# `|` right-associative, the others left-associative, `#` n-ary
+_INFIX = {"*": 4, "+": 3, "-": 3, "#": 2, "|": 1,
+          "<": 0, "=<": 0, ">": 0, "==": 0}
 
 KEYWORDS = {
     "declare", "local", "in", "end", "proc", "fun", "lazy", "if", "then",
@@ -148,6 +161,12 @@ class Parser:
     def __init__(self, src):
         self.toks = tokenize(src)
         self.i = 0
+        self.depth = 0          # sequences, expressions, patterns open
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"phrases nest more than {MAX_NESTING} deep")
 
     # -- token helpers --------------------------------------------------
 
@@ -188,6 +207,7 @@ class Parser:
 
     def parse_seq(self, stops):
         """A phrase sequence up to (not consuming) a stop keyword or eof."""
+        self.nest()
         phrases = []
         while True:
             t = self.peek()
@@ -224,6 +244,7 @@ class Parser:
                     break
                 self.fail("only a variable or Var=Expr may precede 'in' here")
             phrases.append(p)
+        self.depth -= 1
         if not phrases:
             return SSkip()
         if len(phrases) == 1:
@@ -274,22 +295,22 @@ class Parser:
 
     def _kw_if(self):
         t = self.next()
-        return self._if_tail(t)
-
-    def _if_tail(self, t):
-        cond = self.parse_expr()
-        self.expect("kw", "then")
-        then = self.parse_seq(("else", "elseif", "end"))
+        arms = []                   # (if or elseif token, cond, then)
+        while True:
+            cond = self.parse_expr()
+            self.expect("kw", "then")
+            arms.append((t, cond, self.parse_seq(("else", "elseif", "end"))))
+            if not self.at("kw", "elseif"):
+                break
+            t = self.next()
         els = None
-        if self.at("kw", "elseif"):
-            et = self.next()
-            els = self._if_tail(et)
-            return SIf(cond, then, els, pos=(t.line, t.col))
         if self.at("kw", "else"):
             self.next()
             els = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SIf(cond, then, els, pos=(t.line, t.col))
+        for t, cond, then in reversed(arms):
+            els = SIf(cond, then, els, pos=(t.line, t.col))
+        return els
 
     def _kw_case(self):
         t = self.next()
@@ -403,53 +424,47 @@ class Parser:
     # -- expressions ------------------------------------------------------
 
     def parse_expr(self):
-        return self._expr_cmp()
+        """Primaries joined by infix operators, by binding power: a stack
+        of pending operators instead of one function per level."""
+        self.nest()
+        operands = [self._expr_primary()]
+        ops = []                    # (power, token)
+        tuples = set()              # ids of # records this chain built
+        compared = False
+        while True:
+            t = self.peek()
+            power = _INFIX.get(t.value) if t.kind == "sym" else None
+            if power is None or (power == 0 and compared):
+                break
+            compared = compared or power == 0
+            while ops and (ops[-1][0] > power
+                           or (ops[-1][0] == power and power != 1)):
+                self._reduce(operands, ops, tuples)
+            ops.append((power, self.next()))
+            operands.append(self._expr_primary())
+        while ops:
+            self._reduce(operands, ops, tuples)
+        self.depth -= 1
+        return operands[0]
 
-    def _expr_cmp(self):
-        lhs = self._expr_cons()
-        t = self.peek()
-        if t.kind == "sym" and t.value in ("<", "=<", ">", "=="):
-            self.next()
-            rhs = self._expr_cons()
-            return SOp(t.value, lhs, rhs, pos=(t.line, t.col))
-        return lhs
-
-    def _expr_cons(self):
-        # right-associative list constructor
-        head = self._expr_tuple()
-        if self.at("sym", "|"):
-            t = self.next()
-            tail = self._expr_cons()
-            return SRecordCons("|", [(None, head), (None, tail)],
-                               pos=(t.line, t.col))
-        return head
-
-    def _expr_tuple(self):
-        first = self._expr_add()
-        if not self.at("sym", "#"):
-            return first
-        feats = [(None, first)]
-        t = self.peek()
-        while self.at("sym", "#"):
-            self.next()
-            feats.append((None, self._expr_add()))
-        return SRecordCons("#", feats, pos=(t.line, t.col))
-
-    def _expr_add(self):
-        lhs = self._expr_mul()
-        while self.at("sym", "+") or self.at("sym", "-"):
-            t = self.next()
-            rhs = self._expr_mul()
-            lhs = SOp(t.value, lhs, rhs, pos=(t.line, t.col))
-        return lhs
-
-    def _expr_mul(self):
-        lhs = self._expr_primary()
-        while self.at("sym", "*"):
-            t = self.next()
-            rhs = self._expr_primary()
-            lhs = SOp("*", lhs, rhs, pos=(t.line, t.col))
-        return lhs
+    def _reduce(self, operands, ops, tuples):
+        _, t = ops.pop()
+        rhs = operands.pop()
+        lhs = operands.pop()
+        if t.value == "#":
+            if id(lhs) in tuples:
+                lhs.feats.append((None, rhs))
+                operands.append(lhs)
+                return
+            out = SRecordCons("#", [(None, lhs), (None, rhs)],
+                              pos=(t.line, t.col))
+            tuples.add(id(out))
+        elif t.value == "|":
+            out = SRecordCons("|", [(None, lhs), (None, rhs)],
+                              pos=(t.line, t.col))
+        else:
+            out = SOp(t.value, lhs, rhs, pos=(t.line, t.col))
+        operands.append(out)
 
     def _expr_primary(self):
         t = self.peek()
@@ -523,12 +538,17 @@ class Parser:
     # -- patterns ----------------------------------------------------------
 
     def parse_pattern(self):
-        head = self._pat_tuple()
-        if self.at("sym", "|"):
-            t = self.next()
-            tail = self.parse_pattern()
-            return PRecord("|", [(None, head), (None, tail)], pos=(t.line, t.col))
-        return head
+        self.nest()
+        items = [self._pat_tuple()]
+        bars = []
+        while self.at("sym", "|"):
+            bars.append(self.next())
+            items.append(self._pat_tuple())
+        out = items.pop()
+        for head, t in zip(reversed(items), reversed(bars)):
+            out = PRecord("|", [(None, head), (None, out)], pos=(t.line, t.col))
+        self.depth -= 1
+        return out
 
     def _pat_tuple(self):
         first = self._pat_primary()

@@ -62,21 +62,36 @@ class Record:
         return f"Record({self.label!r} {inner})"
 
 
+def canonical_record(label, feats):
+    """A Record whose feature tuple is already in canonical order: no sort."""
+    rec = _new_record(Record)
+    rec.label = label
+    rec.feats = feats
+    return rec
+
+
+_new_record = object.__new__
+
+
 class Closure:
-    """A procedure value: formal parameters, kernel body, captured env."""
+    """A procedure value, equal only to itself.
 
-    __slots__ = ("cid", "params", "body", "env")
-    _next = 0
+    It holds its arity, its kernel body and the tuple of values it
+    captured when it was made.  A call runs the body in a new frame
+    [*captured, *args, *pad]: `pad` is a tuple of None, one per local slot
+    of the body (see kernel.py).
+    """
 
-    def __init__(self, params, body, env):
-        Closure._next += 1
-        self.cid = Closure._next
-        self.params = params
+    __slots__ = ("arity", "body", "captured", "pad")
+
+    def __init__(self, arity, body, captured, pad):
+        self.arity = arity
         self.body = body
-        self.env = env
+        self.captured = captured
+        self.pad = pad
 
     def __repr__(self):
-        return f"Closure(#{self.cid}/{len(self.params)})"
+        return f"Closure(@{id(self):x}/{self.arity})"
 
 
 class Builtin:
@@ -142,7 +157,7 @@ class SpaceRef:
 
 
 def cons(head, tail) -> Record:
-    return Record(CONS, ((1, head), (2, tail)))
+    return canonical_record(CONS, ((1, head), (2, tail)))
 
 
 def is_cons(t) -> bool:

@@ -1,20 +1,27 @@
-"""The abstract machine: threads, scheduler, and core builtins.
+"""The abstract machine: threads, scheduler, compiled statements, builtins.
 
 Execution is a round-robin over a FIFO queue of runnable threads.  A thread
-holds a stack of (statement, environment) frames; one dispatched frame is one
-reduction.  A thread keeps the processor for up to `slice_` reductions, then
-goes to the back of the queue, which gives weak fairness.
+holds a stack of (statement, frame) pairs.  A frame is a Python list with
+one slot per identifier of a procedure body (see kernel.py): the values the
+procedure captured, its arguments, then its locals.  Statements of one body
+share its frame; `local` and a matching `case` write their slots in place,
+and `thread` starts a thread on the same frame.  Each kernel statement is
+compiled once, on its first run, into a closure (vm, th, frame) with its
+operands' slots bound in (see codegen.py); one popped pair is one
+reduction.  A thread keeps the processor for up to `slice_` reductions,
+then goes to the back of the queue, which gives weak fairness.
 
-Suspension is by retry: a handler that finds an undetermined variable where a
-value is needed returns its vid; the frame is pushed back and the thread
-parks on that variable.  Binding the variable wakes every parked thread and
-each re-executes its frame from scratch, so handlers must keep their side
-effects after their last possible suspension point.
+Suspension is by retry: a statement that finds an undetermined variable
+where a value is needed returns its vid; the pair is pushed back and the
+thread parks on that variable.  Binding the variable wakes every parked
+thread and each re-executes its statement from scratch, so statements must
+keep their side effects after their last possible suspension point.
 
-Exceptions unwind the frame stack to the nearest catch marker.  A failed tell
-raises the catchable record failure(debug:unit); when any exception reaches
-the bottom of a thread homed in a child space, that space fails, and at the
-top level the run is flagged and later exits with code 1.
+Exceptions unwind the stack to the nearest catch marker, which writes the
+raised value into its variable's slot.  A failed tell raises the catchable
+record failure(debug:unit); when any exception reaches the bottom of a
+thread homed in a child space, that space fails, and at the top level the
+run is flagged and later exits with code 1.
 
 Tracing is opt-in: `trace` is None or a callable that receives one tuple
 (kind, tid, sid, *args) per event, as it happens, where tid and sid name
@@ -30,12 +37,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import UsageError
+from .codegen import CatchMarker, call_stmt, compile_stmt
+from .errors import OzRaise, UsageError, _error
 from . import spaces
-from .kernel import (
-    KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
-    KSkip, KTellRec, KThread, KTry, Lit,
-)
 from .store import FAILED, OK, Store
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
@@ -45,28 +49,6 @@ from .terms import (
 FAILURE = Record("failure", (("debug", "unit"),))
 
 BLOCKED = object()      # sentinel returned by Choose: thread parked on commit
-
-
-def _error(kind):
-    return Record("error", (("kind", kind),))
-
-
-class OzRaise(Exception):
-    """A raised language value travelling up the frame stack."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term):
-        self.term = term
-
-
-class CatchMarker:
-    __slots__ = ("var", "handler", "env")
-
-    def __init__(self, var, handler, env):
-        self.var = var
-        self.handler = handler
-        self.env = env
 
 
 class Thread:
@@ -134,9 +116,17 @@ class VM:
     # thread lifecycle
 
     def spawn(self, body, env, space):
+        """Start a thread on a program from kernel.desugar; `env` maps each
+        of its outer names to a value."""
+        outer, size = body.root
+        frame = [env[n] for n in outer]
+        frame += [None] * (size - len(outer))
+        return self.start_thread(body, frame, space)
+
+    def start_thread(self, body, frame, space):
         self.next_tid += 1
         th = Thread(self.next_tid, space)
-        th.stack.append((body, env))
+        th.stack.append((body, frame))
         space.threads[th] = None
         self._inc_runnable(space)
         self.enqueue(th)
@@ -144,8 +134,8 @@ class VM:
         return th
 
     def spawn_call(self, proc_term, args, space):
-        body = KApply(Lit(proc_term), tuple(Lit(a) for a in args))
-        return self.spawn(body, {}, space)
+        return self.start_thread(call_stmt(len(args)), [proc_term, *args],
+                                 space)
 
     def finish_thread(self, th):
         th.state = "done"
@@ -212,8 +202,19 @@ class VM:
         return r
 
     def tell_th(self, th, a, b):
-        """Tell from a running thread: OK -> None, Need -> suspend vid."""
-        r = self.store.unify(a, b, th.space)
+        """Tell from a running thread: OK -> None, Need -> suspend vid.
+
+        Binding an unbound variable with no by-need trigger to a value
+        that is not a variable is the common case; it binds directly."""
+        store = self.store
+        sp = th.space
+        if type(b) is not Var:
+            a = store.deref(a, sp)
+            if type(a) is Var and a.vid not in store.triggers:
+                if store.bind(a, b, sp) is FAILED:
+                    raise OzRaise(FAILURE)
+                return None
+        r = store.unify(a, b, sp)
         if r is OK:
             return None
         if r is FAILED:
@@ -254,9 +255,8 @@ class VM:
         while stack:
             entry = stack.pop()
             if type(entry) is CatchMarker:
-                env = dict(entry.env)
-                env[entry.var] = exc.term
-                stack.append((entry.handler, env))
+                entry.frame[entry.slot] = exc.term
+                stack.append((entry.handler, entry.frame))
                 return
         # fell off the bottom
         if th.space.parent is None:
@@ -272,32 +272,39 @@ class VM:
     def run(self):
         """Run until quiescence or the reduction budget is exhausted."""
         queue = self.queue
-        handlers = HANDLERS
+        fd_agenda = self.fd_agenda
+        limit = self.max_reductions
+        red = self.reductions
         while queue:
             th = queue.popleft()
             if th.state != "runnable":
                 continue
             self.current = th
             stack = th.stack
-            n = 0
-            while n < self.slice:
+            pop = stack.pop
+            end = red + self.slice
+            while red < end:
                 if not stack:
                     self.finish_thread(th)
                     break
-                entry = stack.pop()
+                entry = pop()
                 if type(entry) is CatchMarker:
                     continue
-                if self.reductions >= self.max_reductions:
+                if red >= limit:
                     stack.append(entry)
                     queue.append(th)
+                    self.reductions = red
                     self.budget_hit = True
                     return "budget"
-                self.reductions += 1
-                n += 1
-                stmt, env = entry
+                red += 1
+                stmt, frame = entry
                 try:
-                    r = handlers[type(stmt)](self, th, stmt, env)
-                    if self.fd_agenda:
+                    code = stmt.code
+                except AttributeError:
+                    code = compile_stmt(stmt)
+                try:
+                    r = code(self, th, frame)
+                    if fd_agenda:
                         self._fd_drain(self)
                         # propagation may have failed th's own space, which
                         # killed th and already took it off the counts
@@ -310,14 +317,13 @@ class VM:
                     continue
                 if r is None:
                     continue
-                if r is BLOCKED:
-                    stack.append(entry)
-                    break
                 stack.append(entry)
-                self.suspend_thread(th, r)
+                if r is not BLOCKED:
+                    self.suspend_thread(th, r)
                 break
             else:
                 queue.append(th)    # slice used up; go to the back
+            self.reductions = red
         return "done"
 
     def top_deadlocked(self):
@@ -330,135 +336,6 @@ def _exc_label(term):
     if isinstance(term, (int, str)):
         return str(term)
     return type(term).__name__
-
-
-# ----------------------------------------------------------------------
-# statement handlers
-
-
-def _val(o, env):
-    return env[o] if type(o) is str else o.v
-
-
-def h_skip(vm, th, s, env):
-    return None
-
-
-def h_eq(vm, th, s, env):
-    return vm.tell_th(th, _val(s.a, env), _val(s.b, env))
-
-
-def h_tellrec(vm, th, s, env):
-    rec = Record(s.label, [(f, _val(o, env)) for f, o in s.feats])
-    return vm.tell_th(th, env[s.x], rec)
-
-
-def h_seq(vm, th, s, env):
-    stack = th.stack
-    for sub in reversed(s.stmts):
-        stack.append((sub, env))
-    return None
-
-
-def h_local(vm, th, s, env):
-    env = dict(env)
-    new_var = vm.store.new_var
-    sp = th.space
-    for n in s.names:
-        env[n] = new_var(sp)
-    th.stack.append((s.body, env))
-    return None
-
-
-def h_if(vm, th, s, env):
-    c = vm.store.deref(_val(s.x, env), th.space)
-    if type(c) is Var:
-        return vm.need(c)
-    if c == "true":
-        th.stack.append((s.then, env))
-    elif c == "false":
-        th.stack.append((s.els, env))
-    else:
-        raise OzRaise(_error("type"))
-    return None
-
-
-def h_case(vm, th, s, env):
-    pat = s.pat
-    if type(pat) is KPatLit:
-        r = vm.store.entails_literal(_val(s.x, env), pat.v, th.space)
-    else:
-        r = vm.store.entails_pattern(_val(s.x, env), pat.label,
-                                     tuple(f for f, _ in pat.feats), th.space)
-    if r == "no":
-        th.stack.append((s.els, env))
-        return None
-    verdict, payload = r
-    if verdict == "unknown":
-        return vm.fire_need(payload)
-    if type(pat) is KPatRec:
-        env = dict(env)
-        for (f, name), value in zip(pat.feats, payload):
-            env[name] = value
-    th.stack.append((s.then, env))
-    return None
-
-
-def h_proc(vm, th, s, env):
-    captured = {n: env[n] for n in s.free}
-    clo = Closure(s.params, s.body, captured)
-    return vm.tell_th(th, env[s.x], clo)
-
-
-def h_apply(vm, th, s, env):
-    f = vm.store.deref(_val(s.f, env), th.space)
-    tf = type(f)
-    if tf is Var:
-        return vm.need(f)
-    if tf is Closure:
-        if len(s.args) != len(f.params):
-            raise OzRaise(_error("arity"))
-        env2 = dict(f.env)
-        for p, a in zip(f.params, s.args):
-            env2[p] = _val(a, env)
-        th.stack.append((f.body, env2))
-        return None
-    if tf is Builtin:
-        if f.arity is not None and len(s.args) != f.arity:
-            raise OzRaise(_error("arity"))
-        return f.fn(vm, th, [_val(a, env) for a in s.args], th.space)
-    raise OzRaise(_error("apply"))
-
-
-def h_thread(vm, th, s, env):
-    vm.spawn(s.body, env, th.space)
-    return None
-
-
-def h_try(vm, th, s, env):
-    th.stack.append(CatchMarker(s.var, s.handler, env))
-    th.stack.append((s.body, env))
-    return None
-
-
-def h_raise(vm, th, s, env):
-    raise OzRaise(_val(s.x, env))
-
-
-HANDLERS = {
-    KSkip: h_skip,
-    KEq: h_eq,
-    KTellRec: h_tellrec,
-    KSeq: h_seq,
-    KLocal: h_local,
-    KIf: h_if,
-    KCase: h_case,
-    KProc: h_proc,
-    KApply: h_apply,
-    KThread: h_thread,
-    KTry: h_try,
-    KRaise: h_raise,
-}
 
 
 # ----------------------------------------------------------------------
@@ -544,8 +421,7 @@ def bi_equal(vm, th, args, sp):
             for (_, v1), (_, v2) in zip(a.feats, b.feats):
                 stack.append((v1, v2))
             continue
-        same = ((ta is Closure and a.cid == b.cid)
-                or (ta is Name and a.nid == b.nid)
+        same = ((ta is Name and a.nid == b.nid)
                 or (ta is SpaceRef and a.space is b.space))
         if not same:
             return vm.tell_th(th, args[2], "false")
@@ -814,7 +690,7 @@ _SHOW = {                       # how render displays each non-record term
     int: lambda t: str(t) if t >= 0 else f"~{-t}",
     str: lambda t: t,
     Var: lambda t: "_",
-    Closure: lambda t: f"<P/{len(t.params)}>",
+    Closure: lambda t: f"<P/{t.arity}>",
     Builtin: lambda t: f"<P/{t.arity}>",
     Name: lambda t: f"<N{t.nid}>",
     CellRef: lambda t: "<Cell>",

@@ -1,4 +1,10 @@
-"""Every bundled program reproduces its golden output byte for byte."""
+"""Every bundled program reproduces its golden output byte for byte, in
+the same number of reductions.
+
+The reduction counts pin the machine's step semantics: one popped
+statement is one reduction, however statements are represented or run.
+A change that moves a count changes what a step is and must say so.
+"""
 
 import pytest
 
@@ -6,6 +12,69 @@ from kernelspace import stdlib
 from kernelspace.runner import RunConfig, run_text
 
 ENTRIES = stdlib.corpus()
+
+REDUCTIONS = {
+    "lists/append-dataflow": 73,
+    "lists/nrev": 87,
+    "lists/nrev-fun": 81,
+    "search/append-choice-all": 425,
+    "search/append-search-object": 553,
+    "search/nrev-choice-one": 664,
+    "streams/producer-consumer-eager": 2_401_696,
+    "streams/producer-consumer-lazy": 3_600_048,
+    "state/display-stream": 60,
+    "state/exchange-counter": 45,
+    "relational/children-fun": 281,
+    "relational/children-rel-all": 2_019,
+    "relational/children2": 320,
+    "fd/fractions": 462_678,
+    "spaces/dfs-engine": 139,
+    "spaces/dis-unit-commit": 100,
+    "spaces/dis-choice": 148,
+}
+
+# The bench's eager and lazy streams (bench/workloads.py) at 3,000 elements
+# from 5: both sum to 4513500.
+EAGER = """
+declare Generate Sum in
+proc {Generate N Limit Xs}
+   if N<Limit then Xr in
+      Xs=N|Xr
+      {Generate N+1 Limit Xr}
+   else Xs=nil end
+end
+proc {Sum Xs A S}
+   case Xs
+   of X|Xr then {Sum Xr A+X S}
+   [] nil then S=A
+   end
+end
+local Xs S in
+   thread {Generate 5 3005 Xs} end
+   thread {Sum Xs 0 S} end
+   {Browse S}
+end
+"""
+
+LAZY = """
+declare Generate Sum in
+fun lazy {Generate N}
+   N|{Generate N+1}
+end
+proc {Sum Xs Limit A S}
+   if Limit>0 then
+      case Xs
+      of X|Xr then
+         {Sum Xr Limit-1 A+X S}
+      end
+   else S=A end
+end
+local Xs S in
+   thread Xs={Generate 5} end
+   thread {Sum Xs 3000 0 S} end
+   {Browse S}
+end
+"""
 
 
 def test_corpus_is_complete():
@@ -21,3 +90,22 @@ def test_corpus_program(entry):
     got = "".join(line + "\n" for line in out.browse)
     assert got == entry.golden()
     assert out.exit_code == entry.expect_exit
+    assert out.vm.reductions == REDUCTIONS[f"{entry.section}/{entry.name}"]
+
+
+@pytest.mark.parametrize("src, reductions", [(EAGER, 48_079),
+                                             (LAZY, 72_048)],
+                         ids=["eager", "lazy"])
+def test_stream_reduction_counts(src, reductions):
+    out = run_text(src)
+    assert (out.exit_code, out.browse) == (0, ["4513500"])
+    assert out.vm.reductions == reductions
+
+
+@pytest.mark.parametrize("src", [EAGER, LAZY], ids=["eager", "lazy"])
+@pytest.mark.parametrize("slice_, budget", [(1, 500), (7, 1234),
+                                            (1000, 5000)])
+def test_budget_stops_at_exactly_the_budget(src, slice_, budget):
+    out = run_text(src, RunConfig(slice_=slice_, max_reductions=budget))
+    assert out.exit_code == 3
+    assert out.vm.reductions == budget

@@ -12,7 +12,7 @@ import random
 from conftest import (SPACE_OPS, THREAD_KINDS, browse, kind_counter,
                       load_decls, run)
 
-from kernelspace import search
+from kernelspace import search, spaces
 from kernelspace.vm import render
 
 
@@ -121,6 +121,57 @@ def test_failure_in_clone_leaves_original_intact():
     {Ask S B} {Browse B}
     """
     assert browse(src) == ["failed", "alternatives(2)"]
+
+
+def _frames(space):
+    """The frame of each stack entry of each thread of `space`, in order."""
+    return [entry[1] if type(entry) is tuple else entry.frame
+            for th in space.threads for entry in th.stack]
+
+
+def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
+    """A script's thread suspends with its frame shared by the thread it
+    spawned and captured by a closure; a clone gets its own frames, shared
+    the same way, and each space sees only its own later bindings."""
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, """
+    declare Script S in
+    proc {Script Root}
+       A B P Out1 Out2 in
+       Root = r(a:A b:B o1:Out1 o2:Out2)
+       P = proc {$ Z} Z = A + 100 end
+       thread {Wait B} Out2 = b(A B) end
+       {Wait A}
+       local Q in {P Q} Out1 = a(A Q) end
+    end
+    S = {NewSpace Script}
+    """)
+    assert ok
+    orig = tbl["S"].space
+    copy = spaces.clone(vm, orig, vm.top).space
+    before, after = _frames(orig), _frames(copy)
+    assert len(before) == len(after) and len(before) >= 3
+    # the spawned thread and the script's thread share one frame
+    assert len({id(f) for f in before}) < len(before)
+    pairs = {(id(a), id(b)) for a, b in zip(before, after)}
+    assert len(pairs) == len({id(f) for f in before}) \
+        == len({id(f) for f in after})
+    assert not {id(f) for f in before} & {id(f) for f in after}
+
+    def fields(space):
+        root = vm.store.deref(space.root_var, space)
+        return {f: v for f, v in root.feats}
+
+    for space, a, b in ((orig, 1, 10), (copy, 2, 20)):
+        got = fields(space)
+        vm.tell(got["a"], a, space)
+        vm.tell(got["b"], b, space)
+    assert vm.run() == "done"
+    for space, want in ((orig, ("a(1 101)", "b(1 10)")),
+                        (copy, ("a(2 102)", "b(2 20)"))):
+        got = fields(space)
+        assert (render(vm, got["o1"], space),
+                render(vm, got["o2"], space)) == want
 
 
 # ----------------------------------------------------------------------

@@ -329,23 +329,6 @@ def test_binding_monotone_within_space():
     assert store.deref(x, top).feats[0][1] == 1    # binding unchanged
 
 
-def test_entails_pattern_protocol():
-    store, top = fresh()
-    x = store.new_var(top)
-    verdict = store.entails_pattern(x, "|", (1, 2), top)
-    assert verdict[0] == "unknown" and verdict[1] == x.vid
-    store.unify(x, Record("|", ((1, 1), (2, "nil"))), top)
-    verdict = store.entails_pattern(x, "|", (1, 2), top)
-    assert verdict[0] == "yes" and verdict[1][0] == 1
-    assert store.entails_pattern(x, "f", (1, 2), top) == "no"
-    assert store.entails_pattern(x, "|", (1,), top) == "no"
-    y = store.new_var(top)
-    store.unify(y, 41, top)
-    assert store.entails_literal(y, 41, top)[0] == "yes"
-    assert store.entails_literal(y, 42, top) == "no"
-    assert store.entails_literal(y, "a", top) == "no"
-
-
 def test_is_det():
     store, top = fresh()
     x = store.new_var(top)

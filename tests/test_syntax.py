@@ -5,17 +5,21 @@ pretty-printed to surface text, reparsed, desugared, and must come back
 alpha-equivalent.  Hand-written cases pin down the individual sugar rules.
 """
 
+import ast
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from kernelspace import kernel, stdlib
+from kernelspace import kernel, stdlib, syntax
 from kernelspace.errors import ParseError
 from kernelspace.kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
-    KSkip, KTellRec, KThread, KTry, Lit, alpha_equivalent, desugar,
-    free_names, kseq, pretty,
+    KSkip, KTellRec, KThread, KTry, Lit, desugar, kseq,
 )
+from kernelspace.roundtrip import alpha_equivalent, pretty
+from kernelspace.runner import run_text
 from kernelspace.syntax import parse
 from kernelspace.terms import Record
 
@@ -387,8 +391,9 @@ def test_operators_desugar_to_builtins():
 
 
 def test_free_names_modulo_base():
-    k = ds("local X in {Browse X} {Foo X} end", base=("Browse", "Foo"))
-    assert free_names(k) == {"Browse", "Foo"}
+    # the program's frame starts with the outer names it uses
+    k = ds("local X in {Browse X} {Foo X} end", base=("Browse", "Foo", "Bar"))
+    assert k.root == (("Browse", "Foo"), 3)
 
 
 def test_unresolved_variable_reports_position():
@@ -456,6 +461,51 @@ def test_desugar_error_message_and_position(src, msg, line, col):
         ds(src)
     assert (str(e.value), e.value.line, e.value.col) == (
         f"{msg} at {line}:{col}", line, col)
+
+
+# ----------------------------------------------------------------------
+# nesting: deep programs run, too deep ones are parse errors
+
+
+def _nested_procs(n):
+    inner = "Z = 1"
+    for _ in range(n):
+        inner = f"Z = proc {{$ Y}} local Z in {inner} end end"
+    return f"local Z in {inner} end"
+
+
+@pytest.mark.parametrize("src", [
+    "local X Y in X = [" + "1 " * 450 + "Y] Y = nil {Browse X} end",
+    _nested_procs(60),
+], ids=["list-450-variable-last", "procs-60"])
+def test_deep_programs_still_run(src):
+    out = run_text(src)
+    assert out.exit_code == 0, out.error
+
+
+@pytest.mark.parametrize("src", [
+    _nested_procs(80),
+    "thread " * 500 + "skip" + " end" * 500,
+    "local X in X = " + "f(" * 3000 + "1" + ")" * 3000 + " end",
+], ids=["procs-80", "threads-500", "record-3000"])
+def test_too_deep_programs_are_parse_errors(src):
+    out = run_text(src)
+    assert (out.status, out.exit_code) == ("parse-error", 2)
+    assert f"nest more than {syntax.MAX_NESTING} deep" in out.error
+
+
+def test_every_program_in_the_tree_parses_within_the_nesting_limit():
+    """The prelude, the corpus and the bench's fixed programs parse."""
+    srcs = [(stdlib._HERE / "prelude.oz").read_text()]
+    srcs += [e.source() for e in stdlib.corpus()]
+    bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    for node in ast.walk(ast.parse(bench.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.startswith("\ndeclare"):
+            srcs.append(node.value)
+    assert len(srcs) == 1 + 17 + 5
+    for src in srcs:
+        parse(src)
 
 
 def test_unknown_character_rejected():

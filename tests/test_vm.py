@@ -145,6 +145,67 @@ def test_handler_runs_in_catching_thread():
 
 
 # ----------------------------------------------------------------------
+# case: matching and the scope of pattern variables
+
+
+def test_case_suspends_then_matches_or_falls_through():
+    src = """
+    local X R in
+       thread
+          case X of f(A B) then R = [A B]
+          [] g(_) then R = g
+          else R = other end
+       end
+       X = f(1 2)
+       {Browse R}
+    end
+    """
+    assert browse(src) == ["[1 2]"]
+    for value, shown in (("f(1)", "other"), ("f(a:1 2)", "other"),
+                         ("g(0)", "g"), ("7", "other")):
+        assert browse(src.replace("f(1 2)", value)) == [shown]
+
+
+def test_case_on_literal_patterns():
+    src = "case SUBJ of 1 then {Browse one} [] a then {Browse atom} " \
+          "else {Browse other} end"
+    for subject, shown in (("1", "one"), ("a", "atom"), ("2", "other"),
+                           ("'1'", "other"), ("f(1)", "other")):
+        assert browse(src.replace("SUBJ", subject)) == [shown]
+
+
+def test_else_of_a_nested_pattern_sees_the_outer_variable():
+    src = """
+    local Y X in
+       Y = outer
+       X = f(1 h)
+       case X of f(Y g(Z)) then {Browse inner(Y Z)} else {Browse Y} end
+    end
+    """
+    assert browse(src) == ["outer"]
+
+
+def test_later_clause_of_a_nested_pattern_sees_the_outer_variable():
+    src = """
+    local Y X in
+       Y = outer
+       X = f(1 h)
+       case X of f(Y g(Z)) then {Browse inner(Y Z)}
+       [] f(_ _) then {Browse Y}
+       end
+    end
+    """
+    assert browse(src) == ["outer"]
+
+
+def test_pattern_variable_may_reuse_the_subject_name():
+    assert browse("local X in X = 5 case X of X then {Browse X} end end") \
+        == ["5"]
+    assert browse("local X in X = f(5) case X of f(X) then {Browse X} end "
+                  "end") == ["5"]
+
+
+# ----------------------------------------------------------------------
 # cells
 
 
