@@ -5,16 +5,35 @@ a finite set of integers in [0, SUP].  Domains live in per-space overlays
 (Space.fd_domains, keyed by Var) with the visibility rule of binding
 overlays: a space sees the nearest entry on its ancestor chain, and an entry
 in a space is always a subset of what the parent sees.  Unlike a binding, a
-domain stays in the overlay even in the variable's home space.  Narrowing a
-domain to a single value binds the variable in that space; binding a
-variable to an integer narrows its domain; anything else is a domain lookup
-away.
+domain stays in the overlay even in the variable's home space, until the
+variable is bound.  Narrowing a domain to a single value binds the variable
+in that space; binding a variable to an integer narrows its domain; anything
+else is a domain lookup away.
 
 Propagators are bounds-consistent (values-consistent for distinct) and are
 homed in the space that posted them.  They watch variables through per-space
 watcher tables and are re-run through a global agenda that the VM drains
 after every reduction, so between reductions propagation is always at a
 fixpoint and space stability can be read off directly.
+
+What a run reads: it dereferences each operand and looks up its domain once,
+and takes bounds from the domain's runs (`ivs`).  Each step narrows from the
+domain the run holds for that variable, which is the one an earlier step of
+the same run installed when two operands are one variable (`X*X=:Y`, or an
+alias made after posting); `narrow` takes that domain from its caller.
+
+Who re-queues whom: a narrowing, or a tell that binds a variable with a
+domain, queues every watcher of the variable in the space's subtree.  That
+includes the propagator that is running, since it left the agenda when it
+started, so a propagator reaches its own fixpoint by running again.  An
+alias moves the watchers of the bound variable to the other one and queues
+them.
+
+When fd state is dropped: a variable bound in its home space loses its
+domain entry and watcher list there, since nothing can read them again.  A
+propagator that finds all its operands determined is entailed, and leaves
+its home's propagator set on that run.  A failed space's fd state is
+cleared and a merged space's moves to its parent.
 """
 
 from __future__ import annotations
@@ -26,10 +45,6 @@ from .terms import Builtin, Record, Var, record_get
 from .vm import FAILURE
 
 SUP = 134217726
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +94,8 @@ class FDomain:
                 a = lo
             if hi is not None and b > hi:
                 b = hi
-            out.append((a, b))
+            if a <= b:             # else lo > hi: the interval is empty
+                out.append((a, b))
         return FDomain(tuple(out)) if out else None
 
     def intersect(self, other):
@@ -142,27 +158,41 @@ def _enqueue(vm, prop):
 def _wake_and_revalidate(vm, sp, var, nd):
     """After var's domain shrank to nd in sp: wake the subtree's watchers
     and push the narrowing into descendant overlay entries."""
-    stack = [sp]
+    ws = sp.fd_watchers.get(var)
+    if ws:
+        for p in ws:
+            _enqueue(vm, p)
+    if not sp.children:
+        return
+    stack = list(sp.children)
     while stack:
         cur = stack.pop()
-        if cur is not sp:
-            ent = cur.fd_domains.get(var)
-            if ent is not None:
-                inter = ent.intersect(nd)
-                if inter is None:
-                    spaces_mod.fail_space(vm, cur)
-                    continue
-                if inter.ivs != ent.ivs:
-                    cur.fd_domains[var] = inter
-                    if inter.is_singleton():
-                        _bind_value(vm, cur, var, inter.value())
-                        if not cur.alive():
-                            continue
+        ent = cur.fd_domains.get(var)
+        if ent is not None:
+            inter = ent.intersect(nd)
+            if inter is None:
+                spaces_mod.fail_space(vm, cur)
+                continue
+            if inter.ivs != ent.ivs:
+                cur.fd_domains[var] = inter
+                if inter.is_singleton():
+                    _bind_value(vm, cur, var, inter.value())
+                    if not cur.alive():
+                        continue
         ws = cur.fd_watchers.get(var)
         if ws:
             for p in ws:
                 _enqueue(vm, p)
         stack.extend(cur.children)
+
+
+def _drop(sp, var):
+    """Forget var's domain entry and watcher list in sp once var is bound
+    in its home, sp or an ancestor: nothing reads them again.  A var bound
+    only in sp's overlay keeps its singleton entry, which fails sp if an
+    ancestor later narrows the var past the value."""
+    sp.fd_domains.pop(var, None)
+    sp.fd_watchers.pop(var, None)
 
 
 def _bind_value(vm, sp, var, value):
@@ -181,8 +211,9 @@ def _bind_value(vm, sp, var, value):
     return OK
 
 
-def narrow(vm, sp, var, nd):
-    """Install domain nd (a subset of the visible one) for var in sp.
+def narrow(vm, sp, var, d, nd):
+    """Install domain nd for var in sp, where d is the domain var has there
+    (None if it has none) and nd a subset of it.
 
     Binds on singletons, wakes watchers in sp's subtree, and revalidates
     descendant entries.  Returns OK, or FAILED when nd is empty or the
@@ -191,14 +222,15 @@ def narrow(vm, sp, var, nd):
     """
     if nd is None:
         return FAILED
-    cur = lookup(sp, var)
-    if cur is not None and nd.ivs == cur.ivs:
+    if d is not None and nd.ivs == d.ivs:
         return OK
     sp.fd_domains[var] = nd
     if nd.is_singleton():
         if _bind_value(vm, sp, var, nd.value()) is FAILED:
             return FAILED
     _wake_and_revalidate(vm, sp, var, nd)
+    if var.ref is not None:        # bound in its home
+        _drop(sp, var)
     return OK
 
 
@@ -225,6 +257,8 @@ def _on_bind(vm, var, value, space):
         nd = FDomain(((value, value),))
         space.fd_domains[var] = nd
         _wake_and_revalidate(vm, space, var, nd)
+        if vm.store.homes[var.vid] is space:   # the bind goes in place
+            _drop(space, var)
     return OK
 
 
@@ -338,50 +372,59 @@ class LinProp:
 
     def run(self, vm):
         sp = self.home
-        store = vm.store
+        deref = vm.store.deref
         k = self.k
-        n = len(self.vars)
-        los = [0] * n
-        his = [0] * n
-        doms = [None] * n
-        for i in range(n):
-            t = store.deref(self.vars[i], sp)
-            c = self.coeffs[i]
+        eq = self.rel == "eq"
+        totlo = tothi = 0
+        free = []              # (coeff, var, domain, coeff*min, coeff*max)
+        for c, t in zip(self.coeffs, self.vars):
+            t = deref(t, sp)
             if type(t) is int:
-                lo = hi = t
-            else:
-                d = lookup(sp, t) or FULL
-                doms[i] = (t, d)
-                lo, hi = d.min(), d.max()
-            los[i], his[i] = (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
-        totlo = sum(los)
-        tothi = sum(his)
-        if totlo > k or (self.rel == "eq" and tothi < k):
-            return FAILED
-        for i in range(n):
-            if doms[i] is None:
+                totlo += c * t
+                tothi += c * t
                 continue
-            var, d = doms[i]
-            c = self.coeffs[i]
-            restlo = totlo - los[i]
-            resthi = tothi - his[i]
-            # c*xi <= k - restlo, and for eq also c*xi >= k - resthi
-            ub = k - restlo
-            if self.rel == "eq":
-                lb = k - resthi
-                if c > 0:
-                    qlo, qhi = _ceil_div(lb, c), ub // c
-                else:
-                    qlo, qhi = _ceil_div(ub, c), lb // c
+            d = lookup(sp, t) or FULL
+            ivs = d.ivs
+            if c > 0:
+                lo, hi = c * ivs[0][0], c * ivs[-1][1]
             else:
+                lo, hi = c * ivs[-1][1], c * ivs[0][0]
+            totlo += lo
+            tothi += hi
+            free.append((c, t, d, lo, hi))
+        if totlo > k or (eq and tothi < k):
+            return FAILED
+        if not free:
+            sp.propagators.pop(self, None)     # entailed for good
+            return OK
+        cut = None             # var -> the domain this run installed
+        for c, var, d, lo, hi in free:
+            # c*x <= k - (the rest at its least), and for eq also
+            # c*x >= k - (the rest at its greatest)
+            ub = k - totlo + lo
+            if eq:
+                lb = k - tothi + hi
                 if c > 0:
-                    qlo, qhi = None, ub // c
+                    qlo, qhi = -(-lb // c), ub // c
                 else:
-                    qlo, qhi = _ceil_div(ub, c), None
-            if (qlo is not None and qlo > d.min()) or \
-               (qhi is not None and qhi < d.max()):
-                if narrow(vm, sp, var, d.narrow_bounds(qlo, qhi)) is FAILED:
+                    qlo, qhi = -(-ub // c), lb // c
+            elif c > 0:
+                qlo, qhi = None, ub // c
+            else:
+                qlo, qhi = -(-ub // c), None
+            if cut is not None:
+                # an operand aliased to an earlier one: narrow what that
+                # step installed, not the domain read at the start
+                d = cut.get(var, d)
+            ivs = d.ivs
+            if (qlo is not None and qlo > ivs[0][0]) or \
+               (qhi is not None and qhi < ivs[-1][1]):
+                nd = d.narrow_bounds(qlo, qhi)
+                if narrow(vm, sp, var, d, nd) is FAILED:
                     return FAILED
+                if cut is None:
+                    cut = {}
+                cut[var] = nd
         return OK
 
 
@@ -401,48 +444,76 @@ class MulProp:
         m = lambda t: cp(t) if type(t) is Var else t
         return MulProp(None, m(self.a), m(self.b), m(self.c))
 
-    def _bounds(self, vm, t):
-        if type(t) is int:
-            return None, t, t
-        t = vm.store.deref(t, self.home)
-        if type(t) is int:
-            return None, t, t
-        d = lookup(self.home, t) or FULL
-        return t, d.min(), d.max()
-
     def run(self, vm):
         sp = self.home
-        av, alo, ahi = self._bounds(vm, self.a)
-        bv, blo, bhi = self._bounds(vm, self.b)
-        cv, clo, chi = self._bounds(vm, self.c)
-        if self._narrow_to(vm, cv, clo, chi, alo * blo, ahi * bhi) is FAILED:
-            return FAILED
-        # refresh c's bounds before dividing through
-        cv, clo, chi = self._bounds(vm, self.c)
-        lo = _ceil_div(clo, bhi) if bhi > 0 else (0 if clo == 0 else None)
-        hi = chi // blo if blo > 0 else None
-        if lo is None:
-            return FAILED          # c > 0 but b is stuck at 0
-        if self._narrow_to(vm, av, alo, ahi, lo, hi) is FAILED:
-            return FAILED
-        av, alo, ahi = self._bounds(vm, self.a)
-        lo = _ceil_div(clo, ahi) if ahi > 0 else (0 if clo == 0 else None)
-        hi = chi // alo if alo > 0 else None
-        if lo is None:
-            return FAILED
-        return self._narrow_to(vm, bv, blo, bhi, lo, hi)
-
-    def _narrow_to(self, vm, var, lo, hi, nlo, nhi):
-        if nhi is not None and nhi < nlo:
-            return FAILED
-        if var is None:
-            if lo < nlo or (nhi is not None and hi > nhi):
+        deref = vm.store.deref
+        a = deref(self.a, sp)
+        b = deref(self.b, sp)
+        c = deref(self.c, sp)
+        # an operand's domain, None for an integer, and its bounds; a step
+        # that narrows an operand refreshes every operand on the same var
+        if type(a) is int:
+            ad, alo, ahi = None, a, a
+        else:
+            ad = lookup(sp, a) or FULL
+            alo, ahi = ad.ivs[0][0], ad.ivs[-1][1]
+        if type(b) is int:
+            bd, blo, bhi = None, b, b
+        else:
+            bd = lookup(sp, b) or FULL
+            blo, bhi = bd.ivs[0][0], bd.ivs[-1][1]
+        if type(c) is int:
+            cd, clo, chi = None, c, c
+        else:
+            cd = lookup(sp, c) or FULL
+            clo, chi = cd.ivs[0][0], cd.ivs[-1][1]
+        # c within [alo*blo, ahi*bhi]
+        lo, hi = alo * blo, ahi * bhi
+        if lo > clo or hi < chi:
+            if cd is None:
                 return FAILED
-            return OK
-        if nlo <= lo and (nhi is None or nhi >= hi):
-            return OK
-        d = lookup(self.home, var) or FULL
-        return narrow(vm, self.home, var, d.narrow_bounds(nlo, nhi))
+            nd = cd.narrow_bounds(lo, hi)
+            if narrow(vm, sp, c, cd, nd) is FAILED:
+                return FAILED
+            cd, clo, chi = nd, nd.ivs[0][0], nd.ivs[-1][1]
+            if a is c:
+                ad, alo, ahi = cd, clo, chi
+            if b is c:
+                bd, blo, bhi = cd, clo, chi
+        # a within [clo/bhi, chi/blo]
+        if bhi > 0:
+            lo = -(-clo // bhi)
+        elif clo == 0:
+            lo = 0
+        else:
+            return FAILED          # c > 0 but b is stuck at 0
+        hi = chi // blo if blo > 0 else None
+        if lo > alo or (hi is not None and hi < ahi):
+            if ad is None:
+                return FAILED
+            nd = ad.narrow_bounds(lo, hi)
+            if narrow(vm, sp, a, ad, nd) is FAILED:
+                return FAILED
+            ad, alo, ahi = nd, nd.ivs[0][0], nd.ivs[-1][1]
+            if b is a:
+                bd, blo, bhi = ad, alo, ahi
+            if c is a:
+                cd, clo, chi = ad, alo, ahi
+        # b within [clo/ahi, chi/alo]
+        if ahi > 0:
+            lo = -(-clo // ahi)
+        elif clo == 0:
+            lo = 0
+        else:
+            return FAILED
+        hi = chi // alo if alo > 0 else None
+        if lo > blo or (hi is not None and hi < bhi):
+            if bd is None:
+                return FAILED
+            return narrow(vm, sp, b, bd, bd.narrow_bounds(lo, hi))
+        if ad is None and bd is None and cd is None:
+            sp.propagators.pop(self, None)     # entailed for good
+        return OK
 
 
 class DistinctProp:
@@ -462,18 +533,22 @@ class DistinctProp:
 
     def run(self, vm):
         sp = self.home
-        store = vm.store
+        deref = vm.store.deref
         fixed = []
         free = []
         for t in self.vars:
-            if type(t) is not int:
-                t = store.deref(t, sp)
+            t = deref(t, sp)
             if type(t) is int:
                 fixed.append(t)
             else:
                 free.append((t, lookup(sp, t) or FULL))
         if len(set(fixed)) != len(fixed):
             return FAILED
+        if not free:
+            sp.propagators.pop(self, None)     # entailed for good
+            return OK
+        if len({var for var, _d in free}) != len(free):
+            return FAILED          # two operands aliased to one var
         ivs = []
         for v in fixed:
             ivs.append((v, v))
@@ -485,7 +560,7 @@ class DistinctProp:
                     if nd is None:
                         return FAILED
             if nd is not d:
-                if narrow(vm, sp, var, nd) is FAILED:
+                if narrow(vm, sp, var, d, nd) is FAILED:
                     return FAILED
             ivs.extend(nd.ivs)
         # pigeonhole: the union must offer at least one value per operand
@@ -548,8 +623,7 @@ def adopt_into_parent(vm, s, parent):
         nd = dom if cur is None else cur.intersect(dom)
         if nd is None:
             continue
-        if cur is None or nd.ivs != cur.ivs:
-            narrow(vm, parent, var, nd)
+        narrow(vm, parent, var, cur, nd)
     for p in props:
         p.home = parent
         parent.propagators[p] = None
@@ -588,8 +662,8 @@ def _tell_interval(vm, th, sp, t, lo, hi):
         if not lo <= t <= hi:
             _fail_tell(vm)
         return
-    d = lookup(sp, t) or FULL
-    if narrow(vm, sp, t, d.narrow_bounds(lo, hi)) is FAILED:
+    d = lookup(sp, t)
+    if narrow(vm, sp, t, d, (d or FULL).narrow_bounds(lo, hi)) is FAILED:
         _fail_tell(vm)
 
 
@@ -781,7 +855,7 @@ def bi_fd_excl(vm, th, args, sp):
     d = lookup(sp, x) or FULL
     if not d.contains(v):
         return None
-    if narrow(vm, sp, x, d.remove(v)) is FAILED:
+    if narrow(vm, sp, x, d, d.remove(v)) is FAILED:
         _fail_tell(vm)
     return None
 

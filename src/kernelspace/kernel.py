@@ -271,9 +271,10 @@ class Desugarer:
         self.temps = {}         # fresh name -> its Slot
 
     def fresh(self, hint="T"):
-        """A new identifier with a slot in the current frame."""
+        """A new identifier with a slot in the current frame.  The `@` keeps
+        it apart from every identifier a program can write."""
         self.n += 1
-        name = f"_{hint}{self.n}"
+        name = f"{hint}@{self.n}"
         self.temps[name] = self.frame.new()
         return name
 

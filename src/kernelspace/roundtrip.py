@@ -2,8 +2,10 @@
 text, and compared modulo the names of bound identifiers.
 
 `pretty` emits parseable surface text, so desugar(parse(pretty(k))) is
-alpha-equivalent to k.  The tests use the pair as an oracle for the
-desugarer; the runtime does not import this module.
+alpha-equivalent to k, for a k whose identifiers a program can write: the
+desugarer's temporaries (`T@1`, ...) print as they are and do not parse.
+The tests use the pair as an oracle for the desugarer; the runtime does not
+import this module.
 """
 
 import re

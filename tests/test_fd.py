@@ -7,12 +7,15 @@ Three layers of checking, each against an independent oracle:
   - full search against brute-force enumeration of random models
 """
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import browse, load_decls
+from conftest import browse, kind_counter, load_decls
+from test_reclaim import ORDERED_FRACTIONS
 
 from kernelspace import fd, search
 from kernelspace.fd import FDomain
@@ -228,6 +231,20 @@ def test_unsatisfiable_post_is_catchable():
     assert out == ["failure(debug:unit)"]
 
 
+def test_child_bind_fails_when_the_parent_narrows_past_it():
+    # X is homed at top: the child's bind is speculative, and the parent's
+    # later narrowing must still reach it
+    assert browse("""
+    local X S A B in
+       X ::: 0#9
+       S = {NewSpace proc {$ R} X = 3 R = X end}
+       {Ask S A} {Wait A}
+       X ::: 5#9
+       {Ask S B} {Browse A#B}
+    end
+    """) == ["succeeded#failed"]
+
+
 def test_first_fail_picks_smallest_domain():
     src = """
     declare X Y S T in
@@ -246,6 +263,80 @@ def test_first_fail_picks_smallest_domain():
     assert picked == 2 or (type(picked) is Var
                            and picked.vid == tbl["Y"].vid)
     assert tbl["T"] == "done"
+
+
+# ----------------------------------------------------------------------
+# operands that share a variable, at posting or by a later alias
+
+
+SHARED = [
+    ("X*X=:Y", "X Y", lambda x, y: x * x == y),
+    ("X*Y=:X", "X Y", lambda x, y: x * y == x),
+    ("X+Y=:6  X=Y", "X Y", lambda x, y: x + y == 6 and x == y),
+    ("2*X+Y=:6  X=Y", "X Y", lambda x, y: 2 * x + y == 6 and x == y),
+    ("X*Y=:Z  X=Y", "X Y Z", lambda x, y, z: x * y == z and x == y),
+    ("X*Y=:Z  Y=Z", "X Y Z", lambda x, y, z: x * y == z and y == z),
+    ("2*Y=:2*X+2  X=Y", "X Y", lambda x, y: 2 * y == 2 * x + 2 and x == y),
+]
+SHARED_IDS = [post for post, _, _ in SHARED]
+
+
+def _brute_force(names, holds):
+    """Every assignment over 0..9 that satisfies holds, sorted."""
+    return sorted(p for p in itertools.product(range(10), repeat=len(names))
+                  if holds(*p))
+
+
+@pytest.mark.parametrize("post,vl,holds", SHARED, ids=SHARED_IDS)
+def test_shared_operands_at_top_level(post, vl, holds, monkeypatch):
+    installed = []
+    plain_narrow = fd.narrow
+
+    def narrow(vm, sp, var, *args):
+        installed.append((fd.lookup(sp, var) or fd.FULL, args[-1]))
+        return plain_narrow(vm, sp, var, *args)
+    monkeypatch.setattr(fd, "narrow", narrow)
+    names = vl.split()
+    sols = _brute_force(names, holds)
+    ok, tbl, vm = fd_state(f"declare {vl} in [{vl}]:::0#9 {post}")
+    # a run narrows the domain its earlier steps left, never an older one
+    for visible, nd in installed:
+        assert nd is None or visible.intersect(nd).ivs == nd.ivs
+    if not ok:
+        assert sols == []
+        return
+    for i, name in enumerate(names):
+        t = tbl[name]
+        if type(t) is Var:
+            assert_canonical(fd.lookup(vm.top, t))
+        visible = dom_values(vm, t)
+        # never wider than the posted domain, never missing a solution
+        assert {s[i] for s in sols} <= visible <= set(range(10)), name
+
+
+@pytest.mark.parametrize("post,vl,holds", SHARED, ids=SHARED_IDS)
+def test_shared_operands_under_search(post, vl, holds):
+    sols = _brute_force(vl.split(), holds)
+    src = (f"declare TheScript in\n"
+           f"proc {{TheScript Root}}\n   {vl} in\n   Root = sol({vl})\n"
+           f"   [{vl}]:::0#9 {post}\n   {{FD.distribute ff [{vl}]}}\nend")
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, src)
+    assert ok
+    got = sorted(tuple(vm.store.deref(v, vm.top) for _, v in s.feats)
+                 for s in search.dfs_all(vm, env, tbl["TheScript"]))
+    assert got == sols
+
+
+def test_ordered_fractions_search_shape():
+    # the number of clones pins how much the propagators prune: a change
+    # that weakens propagation makes the search tree larger
+    kinds, sink = kind_counter()
+    vm, env = search.fresh(trace=sink)
+    ok, tbl = load_decls(vm, env, ORDERED_FRACTIONS)
+    assert ok
+    assert len(search.to_pylist(vm, tbl["Sols"])) == 1
+    assert kinds["clone"] == 822
 
 
 # ----------------------------------------------------------------------

@@ -308,6 +308,34 @@ def test_search_at_top_level_leaves_only_the_top_space():
     assert _live(Space) == before + 1                 # vm.top
 
 
+FD_LOOP = """
+local Loop in
+   proc {Loop N}
+      if N > 0 then
+         local X Y in
+            [X Y]:::0#9
+            X+Y=:10
+            X=3
+            if Y == 7 then skip else raise wrong(Y) end end
+         end
+         {Loop N-1}
+      end
+   end
+   {Loop 1000}
+end
+"""
+
+
+def test_determined_fd_variables_leave_no_fd_state():
+    before = _live(Var)
+    out = run(FD_LOOP)
+    assert out.status == "ok", out.error
+    top = out.vm.top
+    assert top.fd_domains == {} and top.fd_watchers == {}
+    assert top.propagators == {}
+    assert _live(Var) == before
+
+
 def test_in_place_binding_survives_clone_and_merge():
     vm = VM()
     store = vm.store

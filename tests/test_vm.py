@@ -205,6 +205,15 @@ def test_pattern_variable_may_reuse_the_subject_name():
                   "end") == ["5"]
 
 
+@pytest.mark.parametrize("name", ["_T1", "_M2", "_W3", "_T4"])
+def test_desugarer_temporaries_never_capture_a_program_identifier(name):
+    # the record, the nested pattern, its wildcard and the pair each need a
+    # temporary, and none may take over the program's variable of that name
+    src = (f"local {name} X Y in {name} = 5 X = f(g({name})) "
+           f"case X of f(g(_)) then Y = {name} end {{Browse X#Y}} end")
+    assert browse(src) == ["f(g(5))#5"]
+
+
 # ----------------------------------------------------------------------
 # cells
 
