@@ -15,14 +15,15 @@ shared where the originals were.  A closure holds a tuple of captured
 values, copied when a subtree variable occurs in it.
 
 The copy gives each new variable the copy of its original's in-place
-binding, re-registers suspensions with the store, rebuilds each overlay with
-re-keyed entries, and reproduces a pending choice point, so the clone is
+binding and by-need trigger, parks each copied suspended thread on the copy
+of the variable its original waits on, rebuilds each overlay with re-keyed
+entries, and reproduces a pending choice point, so the clone is
 indistinguishable from the original to every primitive operation.
 """
 
 from __future__ import annotations
 
-from .spaces import Space
+from .spaces import Space, heir
 from .terms import Closure, Record, SpaceRef, Var
 from .codegen import CatchMarker
 from .vm import Thread
@@ -92,10 +93,10 @@ def clone_space(vm, s, caller_space):
     for var, nv in vmap.items():
         if var.ref is not None:
             nv.ref = cp(var.ref)
-        tr = store.triggers.get(var.vid)
-        if tr is not None:
-            proc, home, _ = tr
-            store.triggers[nv.vid] = (cp(proc), space_map.get(home, home), nv)
+        if var.trigger is not None:
+            proc, home = var.trigger
+            home = heir(home)
+            nv.trigger = (cp(proc), space_map.get(home, home))
 
     # overlays: re-keyed entries, all on variables homed above their space,
     # registered for ancestor revalidation
@@ -104,7 +105,7 @@ def clone_space(vm, s, caller_space):
         for var, value in old.bindings.items():
             nv = vmap.get(var, var)
             new.bindings[nv] = cp(value)
-            store.entry_spaces.setdefault(nv.vid, {})[new] = None
+            store.entry_spaces.setdefault(nv, {})[new] = None
         new.root_var = cp(old.root_var) if old.root_var is not None else None
 
     # threads: a stable space has only suspended and blocked ones.  Every
@@ -117,7 +118,6 @@ def clone_space(vm, s, caller_space):
             hit = memo[i] = [cp(v) for v in fr]
         return hit
 
-    wait_map = None          # old vid -> new vid, made on first use
     for old in old_spaces:
         new = space_map[old]
         tmap = {}
@@ -136,10 +136,8 @@ def clone_space(vm, s, caller_space):
             new.threads[nt] = None
             tmap[t] = nt
             if t.state == "suspended":
-                if wait_map is None:
-                    wait_map = {v.vid: nv.vid for v, nv in vmap.items()}
-                nt.wait_vid = wait_map.get(t.wait_vid, t.wait_vid)
-                store.suspend(nt.wait_vid, nt)
+                nt.wait_var = vmap.get(t.wait_var, t.wait_var)
+                store.suspend(nt.wait_var, nt)
             elif t.state != "blocked":
                 raise AssertionError(f"clone saw a {t.state} thread")
         if old.pending_choose is not None:

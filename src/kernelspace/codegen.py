@@ -3,11 +3,10 @@
 Each kernel statement compiles once, on its first run, into a Python
 closure (vm, th, frame) with its operands' slots and literals bound in
 (Feeley & Lapalme, "Using closures for code generation", 1987).  It returns
-None, the vid of a variable to suspend on, or what a builtin it applies
-returns.  An operand is read as frame[i] for an identifier and is a
-constant for a Lit.  The closures look up vm.tell_th, vm.store.deref and
-the store's methods at call time, so wrappers installed after import see
-every call.
+None, the variable to suspend on, or what a builtin it applies returns.
+An operand is read as frame[i] for an identifier and is a constant for a
+Lit.  The closures look up vm.tell_th, vm.store.deref and the store's
+methods at call time, so wrappers installed after import see every call.
 """
 
 from __future__ import annotations

@@ -32,15 +32,17 @@ them.
 When fd state is dropped: a variable bound in its home space loses its
 domain entry and watcher list there, since nothing can read them again.  A
 propagator that finds all its operands determined is entailed, and leaves
-its home's propagator set on that run.  A failed space's fd state is
-cleared and a merged space's moves to its parent.
+its home's propagator set and watcher lists on that run.  A failed space's
+fd state is cleared and a merged space's moves to its parent.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from . import spaces as spaces_mod
 from .errors import OzRaise, _error
-from .store import FAILED, Need, OK
+from .store import FAILED, OK
 from .terms import Builtin, Record, Var, record_get
 from .vm import FAILURE
 
@@ -204,10 +206,10 @@ def _bind_value(vm, sp, var, value):
             return FAILED
         spaces_mod.fail_space(vm, sp)
         return FAILED
-    if type(r) is Need:
+    if r is not OK:
         # a by-need variable got determined by propagation: fire the trigger
         # and let the supplier thread do the actual bind
-        vm.fire_need(r.vid)
+        vm.need(r)
     return OK
 
 
@@ -314,6 +316,7 @@ def ensure_installed(vm):
     if vm._fd_drain is not None:
         return
     vm._fd_drain = drain
+    vm = weakref.proxy(vm)         # the store must not keep the VM alive
     vm.store.fd_bind_fn = lambda var, value, space: _on_bind(vm, var, value, space)
     vm.store.fd_alias_fn = lambda src, dst, space: _on_alias(vm, src, dst, space)
 
@@ -395,7 +398,7 @@ class LinProp:
         if totlo > k or (eq and tothi < k):
             return FAILED
         if not free:
-            sp.propagators.pop(self, None)     # entailed for good
+            _entailed(self, self.vars)
             return OK
         cut = None             # var -> the domain this run installed
         for c, var, d, lo, hi in free:
@@ -512,7 +515,7 @@ class MulProp:
                 return FAILED
             return narrow(vm, sp, b, bd, bd.narrow_bounds(lo, hi))
         if ad is None and bd is None and cd is None:
-            sp.propagators.pop(self, None)     # entailed for good
+            _entailed(self, (self.a, self.b, self.c))
         return OK
 
 
@@ -545,7 +548,7 @@ class DistinctProp:
         if len(set(fixed)) != len(fixed):
             return FAILED
         if not free:
-            sp.propagators.pop(self, None)     # entailed for good
+            _entailed(self, self.vars)
             return OK
         if len({var for var, _d in free}) != len(free):
             return FAILED          # two operands aliased to one var
@@ -579,6 +582,33 @@ class DistinctProp:
         if total < len(self.vars):
             return FAILED
         return OK
+
+
+def _entailed(prop, operands):
+    """prop found its operands all determined: it leaves its home's
+    propagator set and watcher lists for good.  An alias moves watchers to
+    the variable it binds to, so each operand's alias chain is followed."""
+    home = prop.home
+    home.propagators.pop(prop, None)
+    watchers = home.fd_watchers
+    for t in operands:
+        while type(t) is Var:
+            ws = watchers.get(t)
+            if ws is not None:
+                ws.pop(prop, None)
+                if not ws:
+                    del watchers[t]
+            t = _bound_to(home, t)
+
+
+def _bound_to(sp, var):
+    """What var is bound to as seen from sp, one step: no dereferencing."""
+    while sp is not None:
+        val = sp.bindings.get(var)
+        if val is not None:
+            return val
+        sp = sp.parent
+    return var.ref
 
 
 def _register(vm, prop, operands):

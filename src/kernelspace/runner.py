@@ -64,7 +64,7 @@ def _deadlock_report(vm):
     lines = ["quiescent with suspended threads:"]
     for t in vm.top.threads:
         if t.state == "suspended":
-            lines.append(f"  thread T{t.tid} waits on variable v{t.wait_vid}")
+            lines.append(f"  thread T{t.tid} waits on variable v{t.wait_var.vid}")
     return "\n".join(lines)
 
 

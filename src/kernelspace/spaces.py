@@ -73,11 +73,15 @@ class Space:
         return f"Space({self.sid})"
 
 
+def heir(sp):
+    """sp, or the space that merges handed sp's work to."""
+    while sp.merged:
+        sp = sp.parent
+    return sp
+
+
 def _check_child(caller_space, s, op):
-    parent = s.parent
-    while parent.merged:             # a merge handed s to the merger's parent
-        parent = parent.parent
-    if parent is not caller_space:
+    if heir(s.parent) is not caller_space:
         raise UsageError(f"{op}: space is not a child of the calling space")
 
 
@@ -150,7 +154,7 @@ def classify(vm, sp):
             return STATUS_SUSPENDED       # propagation still pending
         for t in cur.threads:
             if t.state == "suspended":
-                home = homes[t.wait_vid]
+                home = homes[t.wait_var.vid]
                 if home is not sp and is_ancestor(home, sp):
                     return STATUS_SUSPENDED
         stack.extend(cur.children)

@@ -17,9 +17,15 @@ none.  The overlays come first because a descendant's speculation must
 shadow a later in-place binding by an ancestor until revalidation has
 checked that the two agree, or failed the descendant.
 
+A variable also carries what waits on it: `Var.waiters`, the list the
+owner parks on it, woken when it is bound, and `Var.trigger`, its by-need
+trigger until that fires.  A tell that would determine a variable with a
+trigger stops and returns that variable, so the caller can fire the
+trigger and park.
+
 A binding made in an ancestor must be pushed into descendant overlays that
 speculated about the same variable.  `entry_spaces` indexes those overlays
-by vid; every overlay entry is in it, because every overlay entry is on a
+by Var; every overlay entry is in it, because every overlay entry is on a
 variable homed in a proper ancestor.  When a space fails or merges,
 `release` drops its index entries, and its own variables lose their home
 (the `homes` slot becomes None), binding, waiters and by-need trigger.
@@ -47,20 +53,6 @@ OK = "ok"
 FAILED = "failed"
 
 
-class Need:
-    """Unification stopped because it would bind a by-need variable.
-
-    The caller should suspend on the variable and fire its trigger; the tell
-    is retried once the trigger has produced a value.  Bindings already made
-    stay in place (incremental tell).
-    """
-
-    __slots__ = ("vid",)
-
-    def __init__(self, vid):
-        self.vid = vid
-
-
 def is_ancestor(a, b) -> bool:
     """True iff space `a` is `b` or a proper ancestor of `b`."""
     while b is not None:
@@ -73,9 +65,7 @@ def is_ancestor(a, b) -> bool:
 class Store:
     def __init__(self):
         self.homes = []            # vid -> home space, None once it failed
-        self.susp = {}             # vid -> list of waiters, sparse
-        self.triggers = {}         # vid -> (proc, home space, Var) until fired
-        self.entry_spaces = {}     # vid -> spaces below its home with an entry
+        self.entry_spaces = {}     # Var -> spaces below its home with an entry
         self.wake_fn = None
         self.fail_space_fn = None
         # fd hooks, installed by the fd module when domains are in play
@@ -127,16 +117,14 @@ class Store:
     # ------------------------------------------------------------------
     # suspensions
 
-    def suspend(self, vid, waiter):
-        self.susp.setdefault(vid, []).append(waiter)
+    def suspend(self, var, waiter):
+        if var.waiters is None:
+            var.waiters = [waiter]
+        else:
+            var.waiters.append(waiter)
 
     # ------------------------------------------------------------------
     # binding
-
-    def _wake(self, vid):
-        waiters = self.susp.pop(vid, None)
-        if waiters and self.wake_fn is not None:
-            self.wake_fn(waiters)
 
     def bind(self, var, value, space):
         """Bind var to value as seen from `space` and wake its watchers.
@@ -151,18 +139,21 @@ class Store:
         if self.fd_bind_fn is not None and type(value) is not Var:
             if self.fd_bind_fn(var, value, space) is FAILED:
                 return FAILED
-        vid = var.vid
-        if self.homes[vid] is space:
+        if self.homes[var.vid] is space:
             assert var.ref is None, "binding monotonicity violated"
             var.ref = value
         else:
             assert var not in space.bindings, "binding monotonicity violated"
             space.bindings[var] = value
-            self.entry_spaces.setdefault(vid, {})[space] = None
-        self._wake(vid)
+            self.entry_spaces.setdefault(var, {})[space] = None
+        waiters = var.waiters
+        if waiters:
+            var.waiters = None
+            if self.wake_fn is not None:
+                self.wake_fn(waiters)
         # a new ancestor binding must be pushed into descendant overlays that
         # speculated about the same variable
-        entries = self.entry_spaces.get(vid)
+        entries = self.entry_spaces.get(var)
         if entries:
             for sp in list(entries):
                 if sp.discarded:
@@ -179,22 +170,20 @@ class Store:
         triggers."""
         index = self.entry_spaces
         for var in space.bindings:
-            entries = index.get(var.vid)
+            entries = index.get(var)
             if entries is not None:
                 entries.pop(space, None)
                 if not entries:
-                    del index[var.vid]
+                    del index[var]
         space.bindings.clear()
         for var in space.own_vars:
-            var.ref = None
+            var.ref = var.waiters = var.trigger = None
             self.homes[var.vid] = None
-            self.susp.pop(var.vid, None)
-            self.triggers.pop(var.vid, None)
         space.own_vars = []
 
     def _alias(self, u, v, space):
-        """Bind one unbound var to another; returns OK/FAILED or Need."""
-        ut, vt = u.vid in self.triggers, v.vid in self.triggers
+        """Bind one unbound var to another; returns OK or FAILED."""
+        ut, vt = u.trigger is not None, v.trigger is not None
         if ut != vt:
             src, dst = (v, u) if ut else (u, v)      # keep the trigger var free
         else:
@@ -215,9 +204,11 @@ class Store:
     def unify(self, a, b, space, fire=True):
         """Tell a = b in `space`.
 
-        Returns OK, FAILED, or Need(vid) when the tell would determine a
-        by-need variable (only when `fire` is true; revalidation and
-        propagator-driven tells bind through triggers).
+        Returns OK, FAILED, or the by-need Var when the tell would determine
+        one (only when `fire` is true; revalidation and propagator-driven
+        tells bind through triggers).  The caller should fire its trigger
+        and park on it; the tell is retried once the trigger has produced a
+        value.  Bindings already made stay in place (incremental tell).
         """
         stack = [(a, b)]
         seen = None
@@ -234,15 +225,15 @@ class Store:
                 if tb is Var:
                     r = self._alias(a, b, space)
                 else:
-                    if fire and a.vid in self.triggers:
-                        return Need(a.vid)
+                    if fire and a.trigger is not None:
+                        return a
                     r = self.bind(a, b, space)
                 if r is not OK:
                     return r
                 continue
             if tb is Var:
-                if fire and b.vid in self.triggers:
-                    return Need(b.vid)
+                if fire and b.trigger is not None:
+                    return b
                 if self.bind(b, a, space) is FAILED:
                     return FAILED
                 continue

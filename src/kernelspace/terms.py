@@ -21,15 +21,19 @@ CONS = "|"
 class Var:
     """A store variable; one object per variable, compared by identity.
 
-    `vid` numbers it for the store's tables and for trace events.  `ref` is
-    its binding made in its home space, or None (see store.py).
+    `vid` numbers it for trace events and indexes `Store.homes`.  `ref` is
+    its binding made in its home space, or None (see store.py).  `waiters`
+    is the list of what is parked on it until it is bound, or None, and
+    `trigger` its by-need trigger (proc, home space) until that fires.
     """
 
-    __slots__ = ("vid", "ref")
+    __slots__ = ("vid", "ref", "waiters", "trigger")
 
     def __init__(self, vid: int):
         self.vid = vid
         self.ref = None
+        self.waiters = None
+        self.trigger = None
 
     def __repr__(self):
         return f"Var({self.vid})"

@@ -12,10 +12,11 @@ reduction.  A thread keeps the processor for up to `slice_` reductions,
 then goes to the back of the queue, which gives weak fairness.
 
 Suspension is by retry: a statement that finds an undetermined variable
-where a value is needed returns its vid; the pair is pushed back and the
-thread parks on that variable.  Binding the variable wakes every parked
-thread and each re-executes its statement from scratch, so statements must
-keep their side effects after their last possible suspension point.
+where a value is needed returns the variable; the pair is pushed back and
+the thread parks on it (`Var.waiters`).  Binding the variable wakes every
+parked thread and each re-executes its statement from scratch, so
+statements must keep their side effects after their last possible
+suspension point.
 
 Exceptions unwind the stack to the nearest catch marker, which writes the
 raised value into its variable's slot.  A failed tell raises the catchable
@@ -35,6 +36,8 @@ Without a trace nothing is recorded.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from collections import deque
 
 from .codegen import CatchMarker, call_stmt, compile_stmt
@@ -52,14 +55,14 @@ BLOCKED = object()      # sentinel returned by Choose: thread parked on commit
 
 
 class Thread:
-    __slots__ = ("tid", "space", "stack", "state", "wait_vid", "resume_value")
+    __slots__ = ("tid", "space", "stack", "state", "wait_var", "resume_value")
 
     def __init__(self, tid, space):
         self.tid = tid
         self.space = space
         self.stack = []
         self.state = "runnable"
-        self.wait_vid = None
+        self.wait_var = None
         self.resume_value = None
 
     def __repr__(self):
@@ -70,8 +73,12 @@ class VM:
     def __init__(self, slice_=1000, max_reductions=None, reverse_queue=False,
                  trace=None, on_browse=None):
         self.store = Store()
-        self.store.wake_fn = self.wake_all
-        self.store.fail_space_fn = lambda sp: spaces.fail_space(self, sp)
+        # the store's hooks reach the VM through a weak reference, so a
+        # finished VM is freed without the cyclic collector; wake_all and
+        # fail_space are looked up at call time
+        vm = weakref.proxy(self)
+        self.store.wake_fn = lambda waiters: vm.wake_all(waiters)
+        self.store.fail_space_fn = lambda sp: spaces.fail_space(vm, sp)
         self.top = spaces.Space(None, sid=0)
         self.queue = deque()
         # woken and new threads go to the back, or the front when reversed
@@ -143,11 +150,11 @@ class VM:
         self.event(th, "exit")
         self._dec_runnable(th.space)
 
-    def suspend_thread(self, th, vid):
+    def suspend_thread(self, th, var):
         th.state = "suspended"
-        th.wait_vid = vid
-        self.store.suspend(vid, th)
-        self.event(th, "suspend", vid)
+        th.wait_var = var
+        self.store.suspend(var, th)
+        self.event(th, "suspend", var.vid)
         self._dec_runnable(th.space)
 
     def block_thread(self, th):
@@ -164,8 +171,8 @@ class VM:
         if th.state == "runnable":
             self._dec_runnable(th.space)
         elif th.state == "suspended":
-            waiters = self.store.susp.get(th.wait_vid, ())
-            if th in waiters:
+            waiters = th.wait_var.waiters
+            if waiters and th in waiters:
                 waiters.remove(th)
         th.state = "killed"
         th.stack.clear()
@@ -174,7 +181,7 @@ class VM:
         for th in waiters:
             if th.state == "suspended" and th.space.alive():
                 th.state = "runnable"
-                th.wait_vid = None
+                th.wait_var = None
                 self._inc_runnable(th.space)
                 self.enqueue(th)
                 self.event(th, "wake")
@@ -202,7 +209,7 @@ class VM:
         return r
 
     def tell_th(self, th, a, b):
-        """Tell from a running thread: OK -> None, Need -> suspend vid.
+        """Tell from a running thread: None, or the by-need Var to park on.
 
         Binding an unbound variable with no by-need trigger to a value
         that is not a variable is the common case; it binds directly."""
@@ -210,7 +217,7 @@ class VM:
         sp = th.space
         if type(b) is not Var:
             a = store.deref(a, sp)
-            if type(a) is Var and a.vid not in store.triggers:
+            if type(a) is Var and a.trigger is None:
                 if store.bind(a, b, sp) is FAILED:
                     raise OzRaise(FAILURE)
                 return None
@@ -219,20 +226,19 @@ class VM:
             return None
         if r is FAILED:
             raise OzRaise(FAILURE)
-        return self.fire_need(r.vid)
+        return self.need(r)
 
-    def fire_need(self, vid):
-        """Fire vid's by-need trigger if present; returns vid to park on."""
-        tr = self.store.triggers.pop(vid, None)
+    def need(self, var):
+        """Fire var's by-need trigger if it has one; returns var to park on."""
+        tr = var.trigger
         if tr is not None:
-            proc, home, var = tr
-            if not home.discarded:
+            var.trigger = None
+            proc, home = tr
+            home = spaces.heir(home)
+            if not home.failed:
                 self.triggers_fired += 1
                 self.spawn_call(proc, [var], home)
-        return vid
-
-    def need(self, var_term):
-        return self.fire_need(var_term.vid)
+        return var
 
     # ------------------------------------------------------------------
     # tracing and output
@@ -342,51 +348,19 @@ def _exc_label(term):
 # core builtins
 
 
-def _int2(vm, args, sp):
-    x = vm.store.deref(args[0], sp)
-    if type(x) is Var:
-        return None, vm.need(x)
-    y = vm.store.deref(args[1], sp)
-    if type(y) is Var:
-        return None, vm.need(y)
-    if type(x) is not int or type(y) is not int:
-        raise OzRaise(_error("type"))
-    return (x, y), None
-
-
-def bi_intplus(vm, th, args, sp):
-    xy, susp = _int2(vm, args, sp)
-    if xy is None:
-        return susp
-    return vm.tell_th(th, args[2], xy[0] + xy[1])
-
-
-def bi_intminus(vm, th, args, sp):
-    xy, susp = _int2(vm, args, sp)
-    if xy is None:
-        return susp
-    return vm.tell_th(th, args[2], xy[0] - xy[1])
-
-
-def bi_inttimes(vm, th, args, sp):
-    xy, susp = _int2(vm, args, sp)
-    if xy is None:
-        return susp
-    return vm.tell_th(th, args[2], xy[0] * xy[1])
-
-
-def bi_less(vm, th, args, sp):
-    xy, susp = _int2(vm, args, sp)
-    if xy is None:
-        return susp
-    return vm.tell_th(th, args[2], "true" if xy[0] < xy[1] else "false")
-
-
-def bi_leq(vm, th, args, sp):
-    xy, susp = _int2(vm, args, sp)
-    if xy is None:
-        return susp
-    return vm.tell_th(th, args[2], "true" if xy[0] <= xy[1] else "false")
+def _int_op(op):
+    """The builtin {F X Y Z}: Z = op(X, Y) once X and Y are integers."""
+    def bi(vm, th, args, sp):
+        x = vm.store.deref(args[0], sp)
+        if type(x) is Var:
+            return vm.need(x)
+        y = vm.store.deref(args[1], sp)
+        if type(y) is Var:
+            return vm.need(y)
+        if type(x) is not int or type(y) is not int:
+            raise OzRaise(_error("type"))
+        return vm.tell_th(th, args[2], op(x, y))
+    return bi
 
 
 def bi_equal(vm, th, args, sp):
@@ -494,9 +468,9 @@ def bi_send(vm, th, args, sp):
 def bi_byneed(vm, th, args, sp):
     x = args[1]
     xd = vm.store.deref(x, sp)
-    if type(xd) is not Var or xd.vid in vm.store.triggers:
+    if type(xd) is not Var or xd.trigger is not None:
         raise OzRaise(_error("byNeed"))
-    vm.store.triggers[xd.vid] = (args[0], sp, xd)
+    xd.trigger = (args[0], sp)
     vm.triggers_installed += 1
     return None
 
@@ -523,35 +497,24 @@ def _catch_usage(fn):
     return wrapped
 
 
+def _arg(vm, t, sp, *types):
+    """(value, None) once t is determined, (None, the Var) until then; a
+    value of none of `types` raises error(kind:type)."""
+    d = vm.store.deref(t, sp)
+    if type(d) is Var:
+        return None, d
+    if type(d) not in types:
+        raise OzRaise(_error("type"))
+    return d, None
+
+
 def _space_arg(vm, t, sp):
-    d = vm.store.deref(t, sp)
-    if type(d) is Var:
-        return None, d
-    if type(d) is not SpaceRef:
-        raise OzRaise(_error("type"))
-    return d.space, None
-
-
-def _proc_arg(vm, t, sp):
-    d = vm.store.deref(t, sp)
-    if type(d) is Var:
-        return None, d
-    if type(d) is not Closure and type(d) is not Builtin:
-        raise OzRaise(_error("type"))
-    return d, None
-
-
-def _int_arg(vm, t, sp):
-    d = vm.store.deref(t, sp)
-    if type(d) is Var:
-        return None, d
-    if type(d) is not int:
-        raise OzRaise(_error("type"))
-    return d, None
+    ref, v = _arg(vm, t, sp, SpaceRef)
+    return (None if ref is None else ref.space), v
 
 
 def _await_stable(vm, s, sp):
-    """Vid to suspend on until s is stable, or None if it already is.
+    """Var to suspend on until s is stable, or None if it already is.
 
     Clone, commit, and merge synchronize on stability; the caller parks on a
     hidden status variable that maybe_answer binds."""
@@ -559,12 +522,12 @@ def _await_stable(vm, s, sp):
         return None
     w = vm.store.new_var(sp)
     s.ask_waiters.append((w, sp))
-    return w.vid
+    return w
 
 
 @_catch_usage
 def bi_newspace(vm, th, args, sp):
-    p, v = _proc_arg(vm, args[0], sp)
+    p, v = _arg(vm, args[0], sp, Closure, Builtin)
     if p is None:
         return vm.need(v)
     ref = spaces.new_space(vm, p, sp)
@@ -578,7 +541,7 @@ def bi_choose(vm, th, args, sp):
         i = th.resume_value
         th.resume_value = None
         return vm.tell_th(th, args[1], i)
-    n, v = _int_arg(vm, args[0], sp)
+    n, v = _arg(vm, args[0], sp, int)
     if n is None:
         return vm.need(v)
     spaces.choose(vm, th, n)
@@ -600,7 +563,7 @@ def bi_commit(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
         return vm.need(v)
-    i, v = _int_arg(vm, args[1], sp)
+    i, v = _arg(vm, args[1], sp, int)
     if i is None:
         return vm.need(v)
     if s.alive():
@@ -630,7 +593,7 @@ def bi_inject(vm, th, args, sp):
     s, v = _space_arg(vm, args[0], sp)
     if s is None:
         return vm.need(v)
-    p, v = _proc_arg(vm, args[1], sp)
+    p, v = _arg(vm, args[1], sp, Closure, Builtin)
     if p is None:
         return vm.need(v)
     vm.event(th, "inject", s.sid)
@@ -656,11 +619,11 @@ def bi_merge(vm, th, args, sp):
 
 CORE_BUILTINS = {}
 for _name, _arity, _fn in [
-    ("IntPlus", 3, bi_intplus),
-    ("IntMinus", 3, bi_intminus),
-    ("IntTimes", 3, bi_inttimes),
-    ("Less", 3, bi_less),
-    ("Leq", 3, bi_leq),
+    ("IntPlus", 3, _int_op(operator.add)),
+    ("IntMinus", 3, _int_op(operator.sub)),
+    ("IntTimes", 3, _int_op(operator.mul)),
+    ("Less", 3, _int_op(lambda x, y: "true" if x < y else "false")),
+    ("Leq", 3, _int_op(lambda x, y: "true" if x <= y else "false")),
     ("Equal", 3, bi_equal),
     ("Wait", 1, bi_wait),
     ("IsDet", 2, bi_isdet),

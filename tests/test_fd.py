@@ -19,6 +19,7 @@ from test_reclaim import ORDERED_FRACTIONS
 
 from kernelspace import fd, search
 from kernelspace.fd import FDomain
+from kernelspace.runner import run_text
 from kernelspace.terms import Var, record_get
 
 
@@ -243,6 +244,28 @@ def test_child_bind_fails_when_the_parent_narrows_past_it():
        {Ask S B} {Browse A#B}
     end
     """) == ["succeeded#failed"]
+
+
+@pytest.mark.parametrize("decl, post, binds", [
+    ("X", "X+Y=:10", "X=3"),
+    # X aliased to Z after posting: the child's watchers move to Z
+    ("Z X", "X+Y=:10", "X=Z Z=3"),
+    ("Z X", "X*Y=:Z", "X=3 Z=6"),
+    ("Z X", "{FDDistinct [X Y Z]} Y=1", "X=3 Z=6"),
+])
+def test_entailed_propagator_leaves_its_watcher_lists(decl, post, binds):
+    # the child's propagator is entailed once the parent binds its operands
+    # homed at top; it must leave the child's watcher lists as well as its
+    # propagator set
+    out = run_text(f"""
+    declare {decl} S B B2 in X:::0#9 {'Z:::0#9' if 'Z' in decl else ''}
+    S={{NewSpace proc {{$ R}} Y in Y:::0#9 {post} R=Y end}}
+    {{Ask S B}} {{Wait B}} {binds} {{Ask S B2}} {{Browse B#B2}}
+    """)
+    assert out.browse == ["succeeded#succeeded"]
+    child = out.vm.spaces[1]
+    assert child.propagators == {}
+    assert child.fd_watchers == {}
 
 
 def test_first_fail_picks_smallest_domain():

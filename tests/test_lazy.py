@@ -169,3 +169,79 @@ def test_second_trigger_on_same_variable_rejected():
     out = run(src)
     assert out.browse == ["error(kind:byNeed)"]
     assert counters(out) == (1, 0)
+
+
+def test_clone_copies_an_unfired_trigger_and_parked_threads():
+    # S holds a by-need L that has not fired and a thread parked on its own
+    # W.  Its clone C must get its own trigger and its own parked thread:
+    # demanding L fires each copy's trigger once, and binding W in one
+    # space wakes only that space's threads.
+    src = """
+    declare S C Demand A1 A2 A3 A4 A5 M1 M2 in
+    S = {NewSpace proc {$ R} L W Out in
+           {ByNeed proc {$ V} V = W + 100 end L}
+           thread Out = W * 10 end
+           R = r(L W Out)
+        end}
+    {Ask S A1} {Wait A1}
+    C = {Clone S}
+    proc {Demand R} case R of r(L _ _) then {Wait L} end end
+    {Inject S Demand} {Ask S A2} {Wait A2}
+    {Inject C Demand} {Ask C A3} {Wait A3}
+    {Inject S proc {$ R} case R of r(_ W _) then W = 1 end end}
+    {Ask S A4} {Wait A4}
+    {Inject C proc {$ R} case R of r(_ W _) then W = 2 end end}
+    {Ask C A5} {Wait A5}
+    M1 = {Merge S} M2 = {Merge C}
+    {Browse A1#A5} {Browse M1#M2}
+    """
+    events = []
+    out = run(src, trace=events.append)
+    assert out.status == "ok", out.error
+    assert out.browse == ["succeeded#succeeded", "r(101 1 10)#r(102 2 20)"]
+    assert counters(out) == (1, 2)
+    (s, c), = [ev[3:] for ev in events if ev[0] == "clone"]
+    wakes = {}
+    for ev in events:
+        if ev[0] == "wake" and ev[2] != 0:
+            wakes[ev[2]] = wakes.get(ev[2], 0) + 1
+    # in each space: the Out thread, the trigger's thread (parked on W)
+    # and the demanding thread (parked on L) wake once each
+    assert wakes == {s: 3, c: 3}
+
+
+def test_trigger_installed_in_a_merged_space_fires_in_its_heir():
+    # the space that ran ByNeed has merged: its work, the trigger's
+    # included, now belongs to the parent
+    src = """
+    declare S R A in
+    S = {NewSpace proc {$ R} L in {ByNeed proc {$ V} V = 5 end L} R = L end}
+    {Ask S A} {Wait A}
+    R = {Merge S}
+    {Browse R}
+    """
+    out = run(src)
+    assert out.status == "ok", out.error
+    assert out.browse == ["5"]
+    assert counters(out) == (1, 1)
+
+
+def test_clone_maps_a_trigger_installed_in_a_merged_child():
+    # T installs the trigger on L, homed in S, and merges into S; the clone
+    # of S must fire its copy in the clone, not in S
+    src = """
+    declare S C A M in
+    S = {NewSpace proc {$ R} L T A in
+           T = {NewSpace proc {$ _} {ByNeed proc {$ V} V = 5 end L} end}
+           {Ask T A} {Wait A} {Merge T _}
+           R = r(L)
+        end}
+    {Ask S A} {Wait A}
+    C = {Clone S}
+    M = {Merge C}
+    case M of r(X) then {Browse X} end
+    """
+    out = run(src)
+    assert out.status == "ok", out.error
+    assert out.browse == ["5"]
+    assert counters(out) == (1, 1)

@@ -15,6 +15,7 @@ far longer and deeper than the host's recursion limit.
 import gc
 import itertools
 import random
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,11 +65,13 @@ def _check_reclaimed(vm, made):
         assert not sp.fd_watchers and not sp.threads and not sp.children
 
     store = vm.store
-    for vid, entries in store.entry_spaces.items():
-        assert entries and all(sp.alive() for sp in entries), vid
+    for var, entries in store.entry_spaces.items():
+        assert entries and all(sp.alive() for sp in entries), var
     assert all(h is None or h.alive() for h in store.homes)
-    for waiters in store.susp.values():
-        assert all(th.space.alive() for th in waiters)
+    gc.collect()
+    for var in gc.get_objects():
+        if type(var) is Var and var.waiters:
+            assert all(th.space.alive() for th in var.waiters), var
 
 
 def test_choice_tree_search_reclaims_dead_spaces(monkeypatch):
@@ -215,10 +218,10 @@ def test_index_registers_only_variables_homed_above():
     own = store.new_var(child)
     assert store.unify(x, 1, child) is OK
     assert store.unify(own, 2, child) is OK
-    assert list(store.entry_spaces) == [x.vid]
-    assert list(store.entry_spaces[x.vid]) == [child]
+    assert list(store.entry_spaces) == [x]
+    assert list(store.entry_spaces[x]) == [child]
     assert store.unify(x, 1, top) is OK          # top entries: never indexed
-    assert list(store.entry_spaces[x.vid]) == [child]
+    assert list(store.entry_spaces[x]) == [child]
 
 
 def test_sibling_failure_prunes_only_its_own_entries():
@@ -228,11 +231,11 @@ def test_sibling_failure_prunes_only_its_own_entries():
     assert vm.store.unify(x, 1, s1) is OK
     assert vm.store.unify(x, 2, s2) is OK
     spaces.fail_space(vm, s2)
-    assert list(vm.store.entry_spaces[x.vid]) == [s1]
+    assert list(vm.store.entry_spaces[x]) == [s1]
     assert list(vm.top.children) == [s1]
     assert vm.store.unify(x, 2, vm.top) is OK
     assert not s1.alive()
-    assert x.vid not in vm.store.entry_spaces
+    assert x not in vm.store.entry_spaces
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +337,41 @@ def test_determined_fd_variables_leave_no_fd_state():
     assert top.fd_domains == {} and top.fd_watchers == {}
     assert top.propagators == {}
     assert _live(Var) == before
+
+
+FD_POST = """
+declare X Y in
+X ::: 0#9 Y ::: 0#9
+X + Y =: 10
+X = 3
+{Browse Y}
+"""
+
+SPACE_USE = """
+declare S A R in
+S = {NewSpace proc {$ R} X in R = f(X) X = 1 end}
+{Ask S A} {Wait A}
+R = {Merge S}
+{Browse A#R}
+"""
+
+
+def test_finished_vm_is_freed_without_the_cyclic_collector():
+    # the store's hooks must not hold the VM: once the Outcome is dropped,
+    # reference counting alone frees it
+    gc.collect()
+    gc.disable()
+    try:
+        for src, shown in ((EAGER_STREAM, [str(sum(range(3000)))]),
+                           (FD_POST, ["7"]),
+                           (SPACE_USE, ["succeeded#f(1)"])):
+            out = run(src)
+            assert out.browse == shown
+            vm = weakref.ref(out.vm)
+            del out
+            assert vm() is None, src
+    finally:
+        gc.enable()
 
 
 def test_in_place_binding_survives_clone_and_merge():

@@ -253,7 +253,7 @@ def test_incremental_tell_keeps_prefix_and_wakes():
     woken = []
     store.wake_fn = woken.extend
     x, y = store.new_var(top), store.new_var(top)
-    store.suspend(x.vid, "waiter-x")
+    store.suspend(x, "waiter-x")
     t1 = Record("f", ((1, x), (2, y), (3, "a")))
     t2 = Record("f", ((1, 1), (2, 2), (3, "b")))
     assert store.unify(t1, t2, top) is FAILED
