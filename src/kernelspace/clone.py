@@ -32,14 +32,12 @@ from .vm import Thread
 def clone_space(vm, s, caller_space):
     store = vm.store
 
-    old_spaces = []
-
-    def collect(sp):
+    old_spaces = []          # preorder, children in creation order
+    stack = [s]
+    while stack:
+        sp = stack.pop()
         old_spaces.append(sp)
-        for c in sp.children:
-            collect(c)
-
-    collect(s)
+        stack.extend(reversed(sp.children))
 
     space_map = {}           # old Space -> new Space
     for old in old_spaces:

@@ -27,6 +27,10 @@ class OzRaise(Exception):
         self.term = term
 
 
+# the value a failed tell raises
+FAILURE = Record("failure", (("debug", "unit"),))
+
+
 def _error(kind):
     """The record error(kind:Kind) that a misused primitive raises."""
     return Record("error", (("kind", kind),))

@@ -25,9 +25,13 @@ alias made after posting); `narrow` takes that domain from its caller.
 Who re-queues whom: a narrowing, or a tell that binds a variable with a
 domain, queues every watcher of the variable in the space's subtree.  That
 includes the propagator that is running, since it left the agenda when it
-started, so a propagator reaches its own fixpoint by running again.  An
-alias moves the watchers of the bound variable to the other one and queues
-them.
+started, so a propagator reaches its own fixpoint by running again.
+
+An alias folds through `narrow` like any other domain change: in the
+aliasing space and in every descendant with an entry for the bound
+variable, the other variable is narrowed to its visible domain intersected
+with that entry, and the bound variable's watchers move to it and are
+queued.
 
 When fd state is dropped: a variable bound in its home space loses its
 domain entry and watcher list there, since nothing can read them again.  A
@@ -41,10 +45,9 @@ from __future__ import annotations
 import weakref
 
 from . import spaces as spaces_mod
-from .errors import OzRaise, _error
+from .errors import FAILURE, OzRaise, _error
 from .store import FAILED, OK
 from .terms import Builtin, Record, Var, record_get
-from .vm import FAILURE
 
 SUP = 134217726
 
@@ -265,57 +268,39 @@ def _on_bind(vm, var, value, space):
 
 
 def _on_alias(vm, src, dst, space):
-    """src is being aliased to dst in space: fold src's domain state into
-    dst's, visible from space downward."""
-    vs = lookup(space, src)
-    if vs is not None:
-        vd = lookup(space, dst)
-        nd = vs if vd is None else vd.intersect(vs)
-        if nd is None:
-            return FAILED
-        if vd is None or nd.ivs != vd.ivs:
-            space.fd_domains[dst] = nd
-            _wake_and_revalidate(vm, space, dst, nd)
-    # Walk the subtree top-down folding per-space src entries into the dst
-    # view (entries written higher up are already visible through lookup)
-    # and migrating watcher registrations from src to dst.
-    stack = [space]
+    """src is being aliased to dst in space: narrow dst by the domain src
+    has in space, then by src's entry in each descendant that has one,
+    top-down, and move src's watchers to dst.  A failed narrowing fails that
+    descendant, or is reported if it is in space."""
+    folded = None                  # what space installed for dst
+    stack = [(space, lookup(space, src))]
     while stack:
-        cur = stack.pop()
-        ent = cur.fd_domains.pop(src, None)
-        if cur is not space and ent is not None:
-            vis = lookup(cur, dst)
-            tgt = ent if vis is None else vis.intersect(ent)
-            if tgt is None:
+        cur, ent = stack.pop()
+        if ent is not None:
+            # narrowing dst to a value in its home binds it in place and
+            # drops its entry there; below, fold against that value
+            vis = lookup(cur, dst) or folded
+            nd = ent if vis is None else vis.intersect(ent)
+            if narrow(vm, cur, dst, vis, nd) is FAILED:
+                if cur is space:
+                    return FAILED
                 spaces_mod.fail_space(vm, cur)
                 continue
-            if vis is None or tgt.ivs != vis.ivs:
-                cur.fd_domains[dst] = tgt
-                if tgt.is_singleton():
-                    _bind_value(vm, cur, dst, tgt.value())
-                    if not cur.alive():
-                        continue
-                _wake_and_revalidate(vm, cur, dst, tgt)
+            if cur is space:
+                folded = nd
+            cur.fd_domains.pop(src, None)
         ws = cur.fd_watchers.pop(src, None)
         if ws:
             cur.fd_watchers.setdefault(dst, {}).update(ws)
             for p in ws:
                 _enqueue(vm, p)
-        stack.extend(cur.children)
-    if vs is not None:
-        final = lookup(space, dst)
-        if final is not None and final.is_singleton() and \
-                not vm.store.is_det(dst, space):
-            # the alias bind (src -> dst) is still in flight; settle dst now
-            if _bind_value(vm, space, dst, final.value()) is FAILED:
-                return FAILED
+        stack.extend((c, c.fd_domains.get(src)) for c in cur.children)
     return OK
 
 
 def ensure_installed(vm):
-    if vm._fd_drain is not None:
+    if vm.store.fd_bind_fn is not None:
         return
-    vm._fd_drain = drain
     vm = weakref.proxy(vm)         # the store must not keep the VM alive
     vm.store.fd_bind_fn = lambda var, value, space: _on_bind(vm, var, value, space)
     vm.store.fd_alias_fn = lambda src, dst, space: _on_alias(vm, src, dst, space)

@@ -816,11 +816,11 @@ def _int_list(ints):
     return out
 
 
-def desugar(phrase, base_names, extra_names=()):
-    """The kernel statement for a program phrase.  Names in base_names and
-    extra_names are outer: the program's frame starts with those it uses,
-    listed with the frame size in the statement's `root`."""
-    d = Desugarer(set(base_names) | set(extra_names))
+def desugar(phrase, base_names):
+    """The kernel statement for a program phrase.  Names in base_names are
+    outer: the program's frame starts with those it uses, listed with the
+    frame size in the statement's `root`."""
+    d = Desugarer(set(base_names))
     k = d.walk(phrase, {})
     outer, _, size = d.frame.close()
     k.root = (outer, size)

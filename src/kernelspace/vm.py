@@ -41,15 +41,13 @@ import weakref
 from collections import deque
 
 from .codegen import CatchMarker, call_stmt, compile_stmt
-from .errors import OzRaise, UsageError, _error
-from . import spaces
+from .errors import FAILURE, OzRaise, UsageError, _error
+from . import fd, spaces
 from .store import FAILED, OK, Store
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
 )
-
-FAILURE = Record("failure", (("debug", "unit"),))
 
 BLOCKED = object()      # sentinel returned by Choose: thread parked on commit
 
@@ -98,7 +96,6 @@ class VM:
         self.triggers_installed = 0
         self.triggers_fired = 0
         self.fd_agenda = deque()
-        self._fd_drain = None       # installed by the fd module on first use
         self.current = None
 
     # ------------------------------------------------------------------
@@ -311,7 +308,9 @@ class VM:
                 try:
                     r = code(self, th, frame)
                     if fd_agenda:
-                        self._fd_drain(self)
+                        # looked up per call, so a wrapper put on the module
+                        # (the bench tracer's) sees every drain
+                        fd.drain(self)
                         # propagation may have failed th's own space, which
                         # killed th and already took it off the counts
                         if th.state != "runnable":
@@ -466,13 +465,20 @@ def bi_send(vm, th, args, sp):
 
 
 def bi_byneed(vm, th, args, sp):
-    x = args[1]
-    xd = vm.store.deref(x, sp)
-    if type(xd) is not Var or xd.trigger is not None:
+    store = vm.store
+    x = store.deref(args[1], sp)
+    if type(x) is not Var or x.trigger is not None:
         raise OzRaise(_error("byNeed"))
-    xd.trigger = (args[0], sp)
     vm.triggers_installed += 1
-    return None
+    if store.homes[x.vid] is sp:
+        x.trigger = (args[0], sp)
+        return None
+    # every space sees a variable's trigger, so for one homed above sp the
+    # trigger goes on a variable of sp's, and x is told equal to it in sp's
+    # overlay (an alias keeps the variable with the trigger free)
+    y = store.new_var(sp)
+    y.trigger = (args[0], sp)
+    return vm.tell_th(th, x, y)
 
 
 def bi_browse(vm, th, args, sp):

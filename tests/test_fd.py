@@ -105,12 +105,15 @@ def fd_state(src):
     return ok, table, vm
 
 
-def dom_values(vm, t):
-    """Visible domain of a model variable as a Python set."""
+def dom_values(vm, t, sp=None):
+    """Domain of a model variable as a Python set, as seen from space sp
+    (the top space by default)."""
+    sp = sp or vm.top
+    t = vm.store.deref(t, sp)
     if isinstance(t, int):
         return {t}
     assert type(t) is Var
-    d = fd.lookup(vm.top, t)
+    d = fd.lookup(sp, t)
     assert d is not None, "variable has no domain"
     return set_of(d)
 
@@ -244,6 +247,54 @@ def test_child_bind_fails_when_the_parent_narrows_past_it():
        {Ask S B} {Browse A#B}
     end
     """) == ["succeeded#failed"]
+
+
+def _interval(rng):
+    lo = rng.randint(0, 9)
+    return lo, rng.randint(lo, 9)
+
+
+def check_alias_fold(seed):
+    # the alias binds the later-declared variable to the earlier one, so the
+    # declaration order decides whether the child's entry is on the
+    # variable that goes away or the one that stays
+    rng = random.Random(seed)
+    (xl, xh), (zl, zh), (cl, ch) = (_interval(rng) for _ in range(3))
+    order = rng.choice(["X Z", "Z X"])
+    narrowed = rng.choice("XZ")
+    xs, zs, cs = (set(range(lo, hi + 1))
+                  for lo, hi in ((xl, xh), (zl, zh), (cl, ch)))
+    ok, tbl, vm = fd_state(f"""
+    declare {order} S A B T in
+    X ::: {xl}#{xh}  Z ::: {zl}#{zh}
+    S = {{NewSpace proc {{$ R}} {narrowed} ::: {cl}#{ch} end}}
+    {{Ask S A}} {{Wait A}}
+    try X = Z T = ok catch E then T = failed end
+    {{Ask S B}} {{Wait B}}
+    """)
+    why = f"seed {seed}: {tbl}"
+    assert ok, why
+    child = tbl["S"].space
+    before = (xs if narrowed == "X" else zs) & cs
+    assert tbl["A"] == ("succeeded" if before else "failed"), why
+    top = xs & zs
+    if not top:
+        assert tbl["T"] == "failed", why
+        assert tbl["B"] == tbl["A"], why
+        assert dom_values(vm, tbl["Z"]) == zs, why
+        return
+    assert tbl["T"] == "ok", why
+    assert dom_values(vm, tbl["Z"]) == top, why
+    assert tbl["B"] == ("succeeded" if top & cs else "failed"), why
+    if tbl["B"] == "succeeded":
+        assert dom_values(vm, tbl["Z"], child) == top & cs, why
+
+
+def test_alias_folds_domains_in_every_space():
+    # a top-level X = Z against Python set arithmetic, with a child space
+    # holding its own narrower entry for one of the two
+    for seed in range(200):
+        check_alias_fold(seed)
 
 
 @pytest.mark.parametrize("decl, post, binds", [

@@ -245,3 +245,56 @@ def test_clone_maps_a_trigger_installed_in_a_merged_child():
     assert out.status == "ok", out.error
     assert out.browse == ["5"]
     assert counters(out) == (1, 1)
+
+
+
+# A trigger that a space installs on a variable homed above it belongs to
+# that space: a demand at top level or in a sibling neither sees nor fires it
+BYNEED_IN_CHILD = """
+declare X S A in
+S = {NewSpace proc {$ R} {ByNeed proc {$ V} V = 1 end X} end}
+{Ask S A} {Wait A}
+"""
+
+
+def test_top_level_can_install_its_own_trigger_after_a_child():
+    out = run(BYNEED_IN_CHILD + "{ByNeed proc {$ V} V = 2 end X} {Browse X}")
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["2"]
+    assert counters(out) == (2, 1)
+
+
+def test_top_level_demand_does_not_fire_a_child_trigger():
+    out = run(BYNEED_IN_CHILD + "{Browse X}")
+    assert out.exit_code == 4
+    assert counters(out) == (1, 0)
+
+
+def test_sibling_demand_does_not_fire_a_child_trigger():
+    out = run(BYNEED_IN_CHILD + """
+    declare T in
+    T = {NewSpace proc {$ R} {Wait X} R = X end}
+    {Browse done}
+    """)
+    assert out.exit_code == 0, out.error
+    assert counters(out) == (1, 0)
+
+
+def test_child_demand_survives_merge():
+    out = run("""
+    declare X S A R in
+    S = {NewSpace proc {$ R} {ByNeed proc {$ V} V = 1 end X} R = X + 0 end}
+    {Ask S A} {Wait A}
+    R = {Merge S}
+    {Browse X#R}
+    """)
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["1#1"]
+    assert counters(out) == (1, 1)
+
+
+def test_unfired_child_trigger_fires_at_top_level_after_merge():
+    out = run(BYNEED_IN_CHILD + "{Merge S _} {Browse X}")
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["1"]
+    assert counters(out) == (1, 1)

@@ -123,6 +123,52 @@ def test_failure_in_clone_leaves_original_intact():
     assert browse(src) == ["failed", "alternatives(2)"]
 
 
+def _preorder_sids(sp):
+    out, stack = [], [sp]
+    while stack:
+        sp = stack.pop()
+        out.append(sp.sid)
+        stack.extend(reversed(sp.children))
+    return out
+
+
+def test_clone_of_deeply_nested_spaces():
+    # 1,200 nested spaces are far past the host's recursion limit
+    out = run("""
+    declare Nest S C A B in
+    proc {Nest N}
+       if N > 0 then {NewSpace proc {$ R} {Nest N - 1} end _} end
+    end
+    S = {NewSpace proc {$ R} {Nest 1200} end}
+    {Ask S A} {Wait A}
+    C = {Clone S}
+    {Ask C B} {Browse A#B}
+    """)
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["succeeded#succeeded"]
+    assert len(out.vm.spaces) == 1 + 2 * 1201
+
+
+def test_clone_numbers_its_spaces_in_preorder():
+    # the copy of the subtree S, T(U), V gets consecutive sids in preorder,
+    # children in creation order
+    out = run("""
+    declare S C A in
+    S = {NewSpace proc {$ R}
+       {NewSpace proc {$ _} {NewSpace proc {$ _} skip end _} end _}
+       {NewSpace proc {$ _} skip end _}
+    end}
+    {Ask S A} {Wait A}
+    C = {Clone S}
+    {Browse done}
+    """)
+    assert out.exit_code == 0, out.error
+    # the originals were numbered as their threads ran: V before U
+    orig, copy = out.vm.top.children
+    assert _preorder_sids(orig) == [1, 2, 4, 3]
+    assert _preorder_sids(copy) == [5, 6, 7, 8]
+
+
 def _frames(space):
     """The frame of each stack entry of each thread of `space`, in order."""
     return [entry[1] if type(entry) is tuple else entry.frame

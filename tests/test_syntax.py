@@ -24,8 +24,8 @@ from kernelspace.syntax import parse
 from kernelspace.terms import Record
 
 
-def ds(src, base=(), extra=()):
-    return desugar(parse(src), base, extra)
+def ds(src, base=()):
+    return desugar(parse(src), base)
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +351,7 @@ def test_fd_domain_tell():
 
 
 def test_dotted_identifier_is_one_name():
-    k = ds("{Search.base.all P X}", base=("Search.base.all",),
-           extra=("P", "X"))
+    k = ds("{Search.base.all P X}", base=("Search.base.all", "P", "X"))
     assert alpha_equivalent(k, KApply("Search.base.all", ["P", "X"]))
 
 
