@@ -23,7 +23,7 @@ indistinguishable from the original to every primitive operation.
 
 from __future__ import annotations
 
-from .spaces import Space, heir
+from .spaces import Space, heir, subtree
 from .terms import Closure, Record, SpaceRef, Var
 from .codegen import CatchMarker
 from .vm import Thread
@@ -32,12 +32,7 @@ from .vm import Thread
 def clone_space(vm, s, caller_space):
     store = vm.store
 
-    old_spaces = []          # preorder, children in creation order
-    stack = [s]
-    while stack:
-        sp = stack.pop()
-        old_spaces.append(sp)
-        stack.extend(reversed(sp.children))
+    old_spaces = list(subtree(s))
 
     space_map = {}           # old Space -> new Space
     for old in old_spaces:

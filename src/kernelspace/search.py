@@ -24,19 +24,24 @@ def fresh(slice_=1000, **vm_kwargs):
     return vm, env
 
 
-def call(vm, env, proc, args):
-    """Apply proc to args plus a fresh output variable; run; deref it."""
-    if isinstance(proc, str):
-        proc = env[proc]
-    out = vm.store.new_var(vm.top)
-    vm.spawn_call(proc, list(args) + [out], vm.top)
+def _run(vm, what):
+    """Run vm; an uncaught exception or an unfinished run raises EngineError."""
     status = vm.run()
     if vm.uncaught is not None:
         term = vm.uncaught
         vm.uncaught = None
         raise EngineError("uncaught: " + render(vm, term, vm.top))
     if status != "done":
-        raise EngineError(f"engine did not finish: {status}")
+        raise EngineError(f"{what} did not finish: {status}")
+
+
+def call(vm, env, proc, args):
+    """Apply proc to args plus a fresh output variable; run; deref it."""
+    if isinstance(proc, str):
+        proc = env[proc]
+    out = vm.store.new_var(vm.top)
+    vm.spawn_call(proc, list(args) + [out], vm.top)
+    _run(vm, "engine")
     return vm.store.deref(out, vm.top)
 
 
@@ -89,11 +94,5 @@ class SearchObject:
 
     def close(self):
         self.vm.spawn_call(self._close, [], self.vm.top)
-        status = self.vm.run()
-        if self.vm.uncaught is not None:
-            term = self.vm.uncaught
-            self.vm.uncaught = None
-            raise EngineError("uncaught: " + render(self.vm, term, self.vm.top))
-        if status != "done":
-            raise EngineError(f"close did not finish: {status}")
+        _run(self.vm, "close")
 

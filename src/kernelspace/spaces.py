@@ -1,19 +1,21 @@
-"""First-class computation spaces.
+"""First-class computation spaces: the space tree, the seven operations,
+and the builtins that expose them (`SPACE_BUILTINS`).
 
 A space is a node in a tree rooted at the top-level space.  It owns the
 variables homed in it, which it binds in place, an overlay of speculative
 bindings of variables homed above it (see store.py), the threads whose home
 it is, the propagators posted in it, and at most one pending choice point.
-Stability is a property of the whole subtree: a space is stable when
-nothing outside the subtree can ever wake it, which operationally means no
-thread in the subtree is runnable, no propagator is queued, and no thread in
-the subtree is suspended on a variable homed in a proper ancestor of the
-space.
+Stability is a property of the whole subtree (`subtree` is the one walk of
+it): a space is stable when nothing outside the subtree can ever wake it,
+which operationally means no thread in the subtree is runnable, no
+propagator is queued, and no thread in the subtree is suspended on a
+variable homed in a proper ancestor of the space.  `status` reads it.
 
-The seven primitive operations (new_space, choose, ask, commit, clone,
-inject, merge) are exposed both as host functions here and as language
-builtins wired up in stdlib.py.  `ask` registers an answer variable that is
-bound when the space becomes stable.
+Ask, commit, clone, inject and merge share one operand check: the space is
+a child of the caller and has neither failed nor merged (ask still answers
+`failed`).  Misuse raises UsageError, which a builtin turns into
+error(kind:space).  A builtin decodes all its arguments, then commit, clone
+and merge wait for stability, parked like an ask on a hidden variable.
 
 Lifecycle: a space is created by new_space or clone, runs until it is stable,
 and ends failed or merged, or stays alive for as long as the VM runs.  A space
@@ -21,23 +23,25 @@ that fails takes its subtree with it; a space that merges hands its
 variables (bound in place or not), threads, live children and fd state to
 its parent, and tells its overlay entries there.  Either way the dead space
 is detached from its parent's `children` (which therefore holds live spaces
-only) and emptied: overlay, domains, watchers, propagators, own variables
-and threads.  What remains is a small record
+only), flagged `discarded` and emptied: overlay, domains, watchers,
+propagators, own variables and threads.  What remains is a small record
 (sid, parent, flags) that a SpaceRef may still hold, so Ask on it still
 answers `failed` and the other operations still raise.
 """
 
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import FAILURE, OzRaise, UsageError, _error
 from .store import FAILED, is_ancestor
-from .terms import Record, SpaceRef
+from .terms import Builtin, Closure, Record, SpaceRef, Var
 
 STATUS_FAILED = "failed"
 STATUS_SUCCEEDED = "succeeded"
 STATUS_MERGED = "merged"
 STATUS_ALTERNATIVES = "alternatives"   # record alternatives(n)
 STATUS_SUSPENDED = "suspended"         # not stable; never given to ask waiters
+
+BLOCKED = object()      # returned by Choose: the thread is parked on commit
 
 
 class Space:
@@ -67,10 +71,20 @@ class Space:
             parent.children[self] = None
 
     def alive(self):
-        return not self.failed and not self.merged
+        return not self.discarded
 
     def __repr__(self):
         return f"Space({self.sid})"
+
+
+def subtree(sp):
+    """sp and its descendants, preorder, children in creation order; the
+    caller may detach the children of a space it is given."""
+    stack = [sp]
+    while stack:
+        cur = stack.pop()
+        stack.extend(reversed(cur.children))
+        yield cur
 
 
 def heir(sp):
@@ -80,9 +94,14 @@ def heir(sp):
     return sp
 
 
-def _check_child(caller_space, s, op):
+def _check_operand(s, caller_space, op, failed_ok=False):
+    """s must be a child of the calling space that has not merged, nor
+    failed unless `failed_ok`."""
     if heir(s.parent) is not caller_space:
         raise UsageError(f"{op}: space is not a child of the calling space")
+    if s.merged or (s.failed and not failed_ok):
+        raise UsageError(f"{op} on a {'merged' if s.merged else 'failed'} "
+                         "space")
 
 
 def fail_space(vm, sp):
@@ -99,11 +118,8 @@ def fail_space(vm, sp):
     if sp.parent is None:
         raise UsageError("the top-level space cannot fail")
     del sp.parent.children[sp]
-    dead, stack = [], [sp]
-    while stack:                     # preorder, children in creation order
-        d = stack.pop()
-        dead.append(d)
-        stack.extend(reversed(d.children))
+    dead = list(subtree(sp))
+    for d in dead:
         d.failed = d.discarded = True
         d.pending_choose = None
         d.children = {}
@@ -121,35 +137,32 @@ def fail_space(vm, sp):
 
 
 def _answer_waiters(vm, sp, status):
+    if status is STATUS_ALTERNATIVES:
+        status = Record("alternatives", ((1, sp.pending_choose[1]),))
     waiters, sp.ask_waiters = sp.ask_waiters, []
     for ans_var, ans_space in waiters:
         if ans_space.alive():
-            vm.tell(ans_var, _status_term(status, sp), ans_space)
-
-
-def _status_term(status, sp):
-    if status is STATUS_ALTERNATIVES:
-        return Record("alternatives", ((1, sp.pending_choose[1]),))
-    return status
+            vm.tell(ans_var, status, ans_space)
 
 
 # ----------------------------------------------------------------------
 # stability
 
-def classify(vm, sp):
-    """Status of a quiescent space, or STATUS_SUSPENDED if not stable.
+def status(vm, sp):
+    """sp's status, or STATUS_SUSPENDED while it is not stable."""
+    if sp.runnable != 0:
+        return STATUS_SUSPENDED
+    return classify(vm, sp)
 
-    Precondition: no runnable thread in the subtree (sp.runnable == 0) and
-    propagation has reached its fixpoint.
-    """
+
+def classify(vm, sp):
+    """status(vm, sp) once no thread in sp's subtree is runnable."""
     if sp.failed:
         return STATUS_FAILED
     if sp.merged:
         return STATUS_MERGED
     homes = vm.store.homes
-    stack = [sp]
-    while stack:
-        cur = stack.pop()
+    for cur in subtree(sp):
         if cur.fd_queued:
             return STATUS_SUSPENDED       # propagation still pending
         for t in cur.threads:
@@ -157,7 +170,6 @@ def classify(vm, sp):
                 home = homes[t.wait_var.vid]
                 if home is not sp and is_ancestor(home, sp):
                     return STATUS_SUSPENDED
-        stack.extend(cur.children)
     if sp.pending_choose is not None:
         return STATUS_ALTERNATIVES
     return STATUS_SUCCEEDED
@@ -165,12 +177,10 @@ def classify(vm, sp):
 
 def maybe_answer(vm, sp):
     """Answer pending asks if sp has become stable."""
-    if sp.runnable != 0 or not sp.ask_waiters or not sp.alive():
-        return
-    status = classify(vm, sp)
-    if status is STATUS_SUSPENDED:
-        return
-    _answer_waiters(vm, sp, status)
+    if sp.ask_waiters:
+        st = status(vm, sp)
+        if st is not STATUS_SUSPENDED:
+            _answer_waiters(vm, sp, st)
 
 
 # ----------------------------------------------------------------------
@@ -206,25 +216,17 @@ def choose(vm, thread, n):
 
 
 def ask(vm, s, ans_var, caller_space):
-    """Bind ans_var to s's status once s is stable."""
-    _check_child(caller_space, s, "ask")
-    if s.merged:
-        raise UsageError("ask on a merged space")
-    if s.failed:
-        vm.tell(ans_var, STATUS_FAILED, caller_space)
-        return
+    """Bind ans_var to s's status once s is stable; a failed s answers at
+    once."""
+    _check_operand(s, caller_space, "ask", failed_ok=True)
     s.ask_waiters.append((ans_var, caller_space))
     maybe_answer(vm, s)
 
 
 def commit(vm, s, i, caller_space):
     """Pick alternative i of a distributable space; wakes its choice thread."""
-    _check_child(caller_space, s, "commit")
-    if s.merged:
-        raise UsageError("commit on a merged space")
-    if s.failed:
-        raise UsageError("commit on a failed space")
-    if s.runnable != 0 or classify(vm, s) is not STATUS_ALTERNATIVES:
+    _check_operand(s, caller_space, "commit")
+    if status(vm, s) is not STATUS_ALTERNATIVES:
         raise UsageError("commit on a space that is not distributable")
     thread, n = s.pending_choose
     if not 1 <= i <= n:
@@ -236,12 +238,8 @@ def commit(vm, s, i, caller_space):
 
 def clone(vm, s, caller_space):
     """Deep copy of a stable space; returns the new space's SpaceRef."""
-    _check_child(caller_space, s, "clone")
-    if s.merged:
-        raise UsageError("clone on a merged space")
-    if s.failed:
-        raise UsageError("clone on a failed space")
-    if s.runnable != 0 or classify(vm, s) is STATUS_SUSPENDED:
+    _check_operand(s, caller_space, "clone")
+    if status(vm, s) is STATUS_SUSPENDED:
         raise UsageError("clone on a space that is not stable")
     from .clone import clone_space
     return SpaceRef(clone_space(vm, s, caller_space))
@@ -249,11 +247,7 @@ def clone(vm, s, caller_space):
 
 def inject(vm, s, proc_term, caller_space):
     """Run {proc Root} in an existing space; may wake a stable space."""
-    _check_child(caller_space, s, "inject")
-    if s.merged:
-        raise UsageError("inject on a merged space")
-    if s.failed:
-        raise UsageError("inject on a failed space")
+    _check_operand(s, caller_space, "inject")
     vm.spawn_call(proc_term, [s.root_var], s)
 
 
@@ -264,16 +258,10 @@ def merge(vm, s, caller_space):
     threads are adopted by the parent; overlay entries, all on ancestor
     variables, are told in the parent, where they may fail like any tell.
     """
-    _check_child(caller_space, s, "merge")
-    if s.merged:
-        raise UsageError("merge on a merged space")
-    if s.failed:
-        raise UsageError("merge on a failed space")
-    if s.runnable != 0:
-        raise UsageError("merge on a space that is not stable")
-    status = classify(vm, s)
-    if status is not STATUS_SUCCEEDED:
-        raise UsageError(f"merge on a space with status {status}")
+    _check_operand(s, caller_space, "merge")
+    st = status(vm, s)
+    if st is not STATUS_SUCCEEDED:
+        raise UsageError(f"merge on a space with status {st}")
     parent = s.parent
     store = vm.store
     # adopt local variables and threads
@@ -311,3 +299,133 @@ def merge(vm, s, caller_space):
             break
     _answer_waiters(vm, s, STATUS_MERGED)
     return s.root_var, failure
+
+
+# ----------------------------------------------------------------------
+# the builtins
+
+
+def _catch_usage(fn):
+    """Space-operation misuse surfaces as a catchable error(kind:space)."""
+    def wrapped(vm, th, args, sp):
+        try:
+            return fn(vm, th, args, sp)
+        except UsageError:
+            raise OzRaise(_error("space")) from None
+    return wrapped
+
+
+def _arg(vm, t, sp, *types):
+    """(value, None) once t is determined, (None, the Var) until then; a
+    value of none of `types` raises error(kind:type)."""
+    d = vm.store.deref(t, sp)
+    if type(d) is Var:
+        return None, d
+    if type(d) not in types:
+        raise OzRaise(_error("type"))
+    return d, None
+
+
+def _await_stable(vm, s, sp):
+    """None once s is stable, else a hidden status Var, bound by
+    maybe_answer, for the caller to park on."""
+    if status(vm, s) is not STATUS_SUSPENDED:
+        return None
+    w = vm.store.new_var(sp)
+    s.ask_waiters.append((w, sp))
+    return w
+
+
+def bi_newspace(vm, th, args, sp):
+    p, v = _arg(vm, args[0], sp, Closure, Builtin)
+    if p is None:
+        return vm.need(v)
+    ref = new_space(vm, p, sp)
+    vm.event(th, "newspace", ref.space.sid)
+    return vm.tell_th(th, args[1], ref)
+
+
+def bi_choose(vm, th, args, sp):
+    if th.resume_value is not None:
+        i = th.resume_value
+        th.resume_value = None
+        return vm.tell_th(th, args[1], i)
+    n, v = _arg(vm, args[0], sp, int)
+    if n is None:
+        return vm.need(v)
+    choose(vm, th, n)
+    return BLOCKED
+
+
+def bi_ask(vm, th, args, sp):
+    ref, v = _arg(vm, args[0], sp, SpaceRef)
+    if ref is None:
+        return vm.need(v)
+    vm.event(th, "ask", ref.space.sid)
+    ask(vm, ref.space, args[1], sp)
+    return None
+
+
+def bi_commit(vm, th, args, sp):
+    ref, v = _arg(vm, args[0], sp, SpaceRef)
+    if ref is None:
+        return vm.need(v)
+    i, v = _arg(vm, args[1], sp, int)
+    if i is None:
+        return vm.need(v)
+    w = _await_stable(vm, ref.space, sp)
+    if w is not None:
+        return w
+    commit(vm, ref.space, i, sp)
+    return None
+
+
+def bi_clone(vm, th, args, sp):
+    ref, v = _arg(vm, args[0], sp, SpaceRef)
+    if ref is None:
+        return vm.need(v)
+    w = _await_stable(vm, ref.space, sp)
+    if w is not None:
+        return w
+    new = clone(vm, ref.space, sp)
+    vm.event(th, "clone", ref.space.sid, new.space.sid)
+    return vm.tell_th(th, args[1], new)
+
+
+def bi_inject(vm, th, args, sp):
+    ref, v = _arg(vm, args[0], sp, SpaceRef)
+    if ref is None:
+        return vm.need(v)
+    p, v = _arg(vm, args[1], sp, Closure, Builtin)
+    if p is None:
+        return vm.need(v)
+    vm.event(th, "inject", ref.space.sid)
+    inject(vm, ref.space, p, sp)
+    return None
+
+
+def bi_merge(vm, th, args, sp):
+    ref, v = _arg(vm, args[0], sp, SpaceRef)
+    if ref is None:
+        return vm.need(v)
+    w = _await_stable(vm, ref.space, sp)
+    if w is not None:
+        return w
+    vm.event(th, "merge", ref.space.sid)
+    root, failed = merge(vm, ref.space, sp)
+    if failed:
+        raise OzRaise(FAILURE)
+    return vm.tell_th(th, args[1], root)
+
+
+SPACE_BUILTINS = {}
+for _name, _arity, _fn in [
+    ("NewSpace", 2, bi_newspace),
+    ("Choose", 2, bi_choose),
+    ("Ask", 2, bi_ask),
+    ("Commit", 2, bi_commit),
+    ("Clone", 2, bi_clone),
+    ("Inject", 2, bi_inject),
+    ("Merge", 2, bi_merge),
+]:
+    SPACE_BUILTINS[_name] = Builtin(_name, _arity, _catch_usage(_fn))

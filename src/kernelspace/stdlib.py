@@ -11,6 +11,7 @@ from pathlib import Path
 
 from . import kernel, syntax
 from .fd import FD_BUILTINS
+from .spaces import SPACE_BUILTINS
 from .vm import CORE_BUILTINS
 
 _HERE = Path(__file__).parent
@@ -18,7 +19,7 @@ _HERE = Path(__file__).parent
 
 def builtins():
     """Name -> Builtin table for every host-implemented operation."""
-    table = {**CORE_BUILTINS, **FD_BUILTINS}
+    table = {**CORE_BUILTINS, **SPACE_BUILTINS, **FD_BUILTINS}
     # dotted aliases used by programs
     table["FD.decl"] = table["FDDecl"]
     table["FD.distinct"] = table["FDDistinct"]

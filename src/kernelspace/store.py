@@ -37,10 +37,11 @@ same trick gives coinductive equality for free: two cyclic terms unify iff
 their infinite unfoldings agree.
 
 The store knows nothing about threads or propagators.  The owner installs
-callbacks: `wake_fn` receives the waiter list of a newly bound variable,
-`fail_space_fn` is invoked when a binding made in an ancestor contradicts a
-descendant overlay entry, and the fd hooks keep finite domains consistent
-with bindings.
+callbacks: `wake_fn` receives a newly bound variable, its waiter list
+(taken off the variable, for the owner to wake or park again) and the
+binding space, `fail_space_fn` is invoked when a binding made in an
+ancestor contradicts a descendant overlay entry, and the fd hooks keep
+finite domains consistent with bindings.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class Store:
         if waiters:
             var.waiters = None
             if self.wake_fn is not None:
-                self.wake_fn(waiters)
+                self.wake_fn(var, waiters, space)
         # a new ancestor binding must be pushed into descendant overlays that
         # speculated about the same variable
         entries = self.entry_spaces.get(var)

@@ -1,4 +1,5 @@
-"""The abstract machine: threads, scheduler, compiled statements, builtins.
+"""The abstract machine: threads, scheduler, compiled statements, and the
+core builtins (the space builtins are in spaces.py, the fd ones in fd.py).
 
 Execution is a round-robin over a FIFO queue of runnable threads.  A thread
 holds a stack of (statement, frame) pairs.  A frame is a Python list with
@@ -13,10 +14,10 @@ then goes to the back of the queue, which gives weak fairness.
 
 Suspension is by retry: a statement that finds an undetermined variable
 where a value is needed returns the variable; the pair is pushed back and
-the thread parks on it (`Var.waiters`).  Binding the variable wakes every
-parked thread and each re-executes its statement from scratch, so
-statements must keep their side effects after their last possible
-suspension point.
+the thread parks on it (`Var.waiters`).  Binding the variable wakes each
+parked thread homed in the binding space or below it, and each re-executes
+its statement from scratch, so statements must keep their side effects
+after their last possible suspension point.
 
 Exceptions unwind the stack to the nearest catch marker, which writes the
 raised value into its variable's slot.  A failed tell raises the catchable
@@ -41,15 +42,13 @@ import weakref
 from collections import deque
 
 from .codegen import CatchMarker, call_stmt, compile_stmt
-from .errors import FAILURE, OzRaise, UsageError, _error
+from .errors import FAILURE, OzRaise, _error
 from . import fd, spaces
-from .store import FAILED, OK, Store
+from .store import FAILED, OK, Store, is_ancestor
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
 )
-
-BLOCKED = object()      # sentinel returned by Choose: thread parked on commit
 
 
 class Thread:
@@ -72,10 +71,10 @@ class VM:
                  trace=None, on_browse=None):
         self.store = Store()
         # the store's hooks reach the VM through a weak reference, so a
-        # finished VM is freed without the cyclic collector; wake_all and
+        # finished VM is freed without the cyclic collector; wake_bound and
         # fail_space are looked up at call time
         vm = weakref.proxy(self)
-        self.store.wake_fn = lambda waiters: vm.wake_all(waiters)
+        self.store.wake_fn = lambda *bound: vm.wake_bound(*bound)
         self.store.fail_space_fn = lambda sp: spaces.fail_space(vm, sp)
         self.top = spaces.Space(None, sid=0)
         self.queue = deque()
@@ -96,7 +95,6 @@ class VM:
         self.triggers_installed = 0
         self.triggers_fired = 0
         self.fd_agenda = deque()
-        self.current = None
 
     # ------------------------------------------------------------------
     # spaces
@@ -108,13 +106,7 @@ class VM:
     @property
     def spaces(self):
         """The live spaces by sid, read off the space tree (a fresh dict)."""
-        out = {}
-        stack = [self.top]
-        while stack:
-            sp = stack.pop()
-            out[sp.sid] = sp
-            stack.extend(sp.children)
-        return out
+        return {sp.sid: sp for sp in spaces.subtree(self.top)}
 
     # ------------------------------------------------------------------
     # thread lifecycle
@@ -173,6 +165,16 @@ class VM:
                 waiters.remove(th)
         th.state = "killed"
         th.stack.clear()
+
+    def wake_bound(self, var, waiters, space):
+        """Wake the waiters of var that see its new binding in `space`; an
+        overlay binding leaves the others parked on var."""
+        if self.store.homes[var.vid] is not space:
+            keep = [th for th in waiters if not is_ancestor(space, th.space)]
+            if keep:
+                var.waiters = keep
+                waiters = [th for th in waiters if is_ancestor(space, th.space)]
+        self.wake_all(waiters)
 
     def wake_all(self, waiters):
         for th in waiters:
@@ -282,7 +284,6 @@ class VM:
             th = queue.popleft()
             if th.state != "runnable":
                 continue
-            self.current = th
             stack = th.stack
             pop = stack.pop
             end = red + self.slice
@@ -323,7 +324,7 @@ class VM:
                 if r is None:
                     continue
                 stack.append(entry)
-                if r is not BLOCKED:
+                if r is not spaces.BLOCKED:
                     self.suspend_thread(th, r)
                 break
             else:
@@ -489,140 +490,6 @@ def bi_browse(vm, th, args, sp):
     return None
 
 
-# ----------------------------------------------------------------------
-# space operation builtins
-
-
-def _catch_usage(fn):
-    """Space-operation misuse surfaces as a catchable error(kind:space)."""
-    def wrapped(vm, th, args, sp):
-        try:
-            return fn(vm, th, args, sp)
-        except UsageError:
-            raise OzRaise(_error("space")) from None
-    return wrapped
-
-
-def _arg(vm, t, sp, *types):
-    """(value, None) once t is determined, (None, the Var) until then; a
-    value of none of `types` raises error(kind:type)."""
-    d = vm.store.deref(t, sp)
-    if type(d) is Var:
-        return None, d
-    if type(d) not in types:
-        raise OzRaise(_error("type"))
-    return d, None
-
-
-def _space_arg(vm, t, sp):
-    ref, v = _arg(vm, t, sp, SpaceRef)
-    return (None if ref is None else ref.space), v
-
-
-def _await_stable(vm, s, sp):
-    """Var to suspend on until s is stable, or None if it already is.
-
-    Clone, commit, and merge synchronize on stability; the caller parks on a
-    hidden status variable that maybe_answer binds."""
-    if s.runnable == 0 and spaces.classify(vm, s) is not spaces.STATUS_SUSPENDED:
-        return None
-    w = vm.store.new_var(sp)
-    s.ask_waiters.append((w, sp))
-    return w
-
-
-@_catch_usage
-def bi_newspace(vm, th, args, sp):
-    p, v = _arg(vm, args[0], sp, Closure, Builtin)
-    if p is None:
-        return vm.need(v)
-    ref = spaces.new_space(vm, p, sp)
-    vm.event(th, "newspace", ref.space.sid)
-    return vm.tell_th(th, args[1], ref)
-
-
-@_catch_usage
-def bi_choose(vm, th, args, sp):
-    if th.resume_value is not None:
-        i = th.resume_value
-        th.resume_value = None
-        return vm.tell_th(th, args[1], i)
-    n, v = _arg(vm, args[0], sp, int)
-    if n is None:
-        return vm.need(v)
-    spaces.choose(vm, th, n)
-    return BLOCKED
-
-
-@_catch_usage
-def bi_ask(vm, th, args, sp):
-    s, v = _space_arg(vm, args[0], sp)
-    if s is None:
-        return vm.need(v)
-    vm.event(th, "ask", s.sid)
-    spaces.ask(vm, s, args[1], sp)
-    return None
-
-
-@_catch_usage
-def bi_commit(vm, th, args, sp):
-    s, v = _space_arg(vm, args[0], sp)
-    if s is None:
-        return vm.need(v)
-    i, v = _arg(vm, args[1], sp, int)
-    if i is None:
-        return vm.need(v)
-    if s.alive():
-        r = _await_stable(vm, s, sp)
-        if r is not None:
-            return r
-    spaces.commit(vm, s, i, sp)
-    return None
-
-
-@_catch_usage
-def bi_clone(vm, th, args, sp):
-    s, v = _space_arg(vm, args[0], sp)
-    if s is None:
-        return vm.need(v)
-    if s.alive():
-        r = _await_stable(vm, s, sp)
-        if r is not None:
-            return r
-    ref = spaces.clone(vm, s, sp)
-    vm.event(th, "clone", s.sid, ref.space.sid)
-    return vm.tell_th(th, args[1], ref)
-
-
-@_catch_usage
-def bi_inject(vm, th, args, sp):
-    s, v = _space_arg(vm, args[0], sp)
-    if s is None:
-        return vm.need(v)
-    p, v = _arg(vm, args[1], sp, Closure, Builtin)
-    if p is None:
-        return vm.need(v)
-    vm.event(th, "inject", s.sid)
-    spaces.inject(vm, s, p, sp)
-    return None
-
-
-@_catch_usage
-def bi_merge(vm, th, args, sp):
-    s, v = _space_arg(vm, args[0], sp)
-    if s is None:
-        return vm.need(v)
-    if s.alive():
-        r = _await_stable(vm, s, sp)
-        if r is not None:
-            return r
-    vm.event(th, "merge", s.sid)
-    root, failed = spaces.merge(vm, s, sp)
-    if failed:
-        raise OzRaise(FAILURE)
-    return vm.tell_th(th, args[1], root)
-
-
 CORE_BUILTINS = {}
 for _name, _arity, _fn in [
     ("IntPlus", 3, _int_op(operator.add)),
@@ -640,13 +507,6 @@ for _name, _arity, _fn in [
     ("Send", 2, bi_send),
     ("ByNeed", 2, bi_byneed),
     ("Browse", 1, bi_browse),
-    ("NewSpace", 2, bi_newspace),
-    ("Choose", 2, bi_choose),
-    ("Ask", 2, bi_ask),
-    ("Commit", 2, bi_commit),
-    ("Clone", 2, bi_clone),
-    ("Inject", 2, bi_inject),
-    ("Merge", 2, bi_merge),
 ]:
     CORE_BUILTINS[_name] = Builtin(_name, _arity, _fn)
 

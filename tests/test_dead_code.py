@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package is used somewhere.
+"""Every module-level function and class in the package is used somewhere,
+and the builtin tables do not overlap.
 
 A definition counts as used when its name appears as a name or as an
 attribute anywhere in src/, tests/ or bench/ outside its own body; imports
@@ -53,3 +54,17 @@ def test_every_module_level_definition_is_referenced():
         if not used.get(name, set()) - {node}:
             unused.append(qualname)
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_builtin_tables_are_disjoint_and_all_loaded():
+    # stdlib.builtins merges the tables with {**a, **b}, where one table
+    # would silently shadow another's name
+    from kernelspace import fd, spaces, stdlib, vm
+    tables = [vm.CORE_BUILTINS, spaces.SPACE_BUILTINS, fd.FD_BUILTINS]
+    names = [name for table in tables for name in table]
+    assert len(names) == len(set(names))
+    loaded = stdlib.builtins()
+    for table in tables:
+        for name, bi in table.items():
+            assert bi.name == name
+            assert loaded[name] is bi

@@ -390,6 +390,50 @@ def test_merge_of_failed_space_is_an_error():
     assert browse(src) == ["error(kind:space)"]
 
 
+def test_builtin_decodes_its_arguments_before_waiting_for_stability():
+    # S never becomes stable, so a builtin that waited first would park
+    # for good instead of raising the type error
+    for call in ("{Commit S foo}", "{Inject S 3}"):
+        src = f"""
+        declare X S in
+        S = {{NewSpace proc {{$ R}} {{Wait X}} end}}
+        try {call} catch E then {{Browse E}} end
+        """
+        out = run(src)
+        assert (out.exit_code, out.browse) == (0, ["error(kind:type)"]), call
+
+
+# ----------------------------------------------------------------------
+# wakes
+
+
+def test_overlay_binding_wakes_only_the_waiters_that_see_it():
+    # X = 1 binds X in S's overlay; the top-level waiter cannot see it, so
+    # it is not woken and the top deadlocks
+    src = """
+    declare X S A in
+    thread {Wait X} {Browse woke} end
+    S = {NewSpace proc {$ R} X = 1 end}
+    {Ask S A} {Wait A}
+    """
+    kinds, sink = kind_counter()
+    out = run(src, trace=sink)
+    assert (out.exit_code, out.browse) == (4, [])
+    assert (kinds["wake"], kinds["suspend"]) == (1, 2)
+
+
+def test_parked_waiter_wakes_when_the_binding_reaches_its_space():
+    src = """
+    declare X S A R in
+    thread {Wait X} {Browse woke} end
+    S = {NewSpace proc {$ R} X = 1 end}
+    {Ask S A} {Wait A} {Browse A}
+    R = {Merge S}
+    """
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["succeeded", "woke"])
+
+
 # ----------------------------------------------------------------------
 # operation audit
 

@@ -251,7 +251,7 @@ def test_incremental_tell_keeps_prefix_and_wakes():
     # inconsistency stay, and their suspensions are woken
     store, top = fresh()
     woken = []
-    store.wake_fn = woken.extend
+    store.wake_fn = lambda var, waiters, space: woken.extend(waiters)
     x, y = store.new_var(top), store.new_var(top)
     store.suspend(x, "waiter-x")
     t1 = Record("f", ((1, x), (2, y), (3, "a")))
