@@ -3,9 +3,10 @@
 Everything homed inside the subtree gets a fresh identity: spaces, variables,
 threads, propagators, and by-need triggers.  Everything homed outside is
 shared: ancestor variables, cells, ports, names, and builtins are the same
-objects.  Record spines are copied with sharing preserved
-(memoized on object identity) and left untouched when no subtree variable
-occurs inside, so large ground structures cost nothing.
+objects.  Records are copied with sharing preserved (memoized on object
+identity) and left untouched when no subtree variable occurs inside.  A
+record's last field, a list's tail, is followed by a loop, so a list of
+any length copies in constant host stack.
 
 Thread state is copied the same way.  A frame (the slot list of one
 procedure activation, see vm.py) is mutable and may be shared by several
@@ -24,7 +25,7 @@ indistinguishable from the original to every primitive operation.
 from __future__ import annotations
 
 from .spaces import Space, heir, subtree
-from .terms import Closure, Record, SpaceRef, Var
+from .terms import Closure, Record, SpaceRef, Var, canonical_record
 from .codegen import CatchMarker
 from .vm import Thread
 
@@ -52,19 +53,24 @@ def clone_space(vm, s, caller_space):
         if tt is Var:
             return vmap.get(t, t)
         if tt is Record:
-            i = id(t)
-            hit = memo.get(i)
-            if hit is not None:
-                return hit
-            changed = False
-            feats = []
-            for f, v in t.feats:
-                v2 = cp(v)
-                if v2 is not v:
-                    changed = True
-                feats.append((f, v2))
-            out = Record(t.label, feats) if changed else t
-            memo[i] = out
+            # down the last fields (a list's tail) by a loop, then copy the
+            # records from there back up
+            spine = []
+            while type(t) is Record and t.feats and id(t) not in memo:
+                spine.append(t)
+                t = t.feats[-1][1]
+            out = memo.get(id(t), t) if type(t) is Record else cp(t)
+            for r in reversed(spine):
+                *front, (f, v) = r.feats
+                changed = out is not v
+                feats = []
+                for f2, v in front:
+                    v2 = cp(v)
+                    changed = changed or v2 is not v
+                    feats.append((f2, v2))
+                feats.append((f, out))
+                out = canonical_record(r.label, tuple(feats)) if changed else r
+                memo[id(r)] = out
             return out
         if tt is Closure:
             i = id(t)

@@ -38,6 +38,12 @@ domain entry and watcher list there, since nothing can read them again.  A
 propagator that finds all its operands determined is entailed, and leaves
 its home's propagator set and watcher lists on that run.  A failed space's
 fd state is cleared and a merged space's moves to its parent.
+
+A builtin decodes every argument it may wait for before it narrows or
+posts, as the space builtins do, so a builtin woken again starts afresh:
+it parks on one that is not determined yet (a domain spec or its bounds, a
+list spine or coefficient, a relation or constant), and raises
+error(kind:type) on a wrong one.
 """
 
 from __future__ import annotations
@@ -45,9 +51,10 @@ from __future__ import annotations
 import weakref
 
 from . import spaces as spaces_mod
+from .spaces import _arg
 from .errors import FAILURE, OzRaise, _error
 from .store import FAILED, OK
-from .terms import Builtin, Record, Var, record_get
+from .terms import Builtin, Record, Var, is_cons
 
 SUP = 134217726
 
@@ -687,16 +694,18 @@ def bi_fd_dom_tell_vec(vm, th, args, sp):
     variable) to an interval given as lo#hi or a single integer."""
     ensure_installed(vm)
     store = vm.store
-    spec = store.deref(args[1], sp)
-    if type(spec) is int:
-        lo = hi = spec
-    elif type(spec) is Record and spec.label == "#" and len(spec.feats) == 2:
-        lo = store.deref(record_get(spec, 1), sp)
-        hi = store.deref(record_get(spec, 2), sp)
-        if type(lo) is not int or type(hi) is not int:
+    spec, v = _arg(vm, args[1], sp, int, Record)
+    if v is not None:
+        return vm.need(v)
+    lo = hi = spec
+    if type(spec) is Record:
+        if spec.label != "#" or spec.arity() != (1, 2):
             _type_err()
-    else:
-        _type_err()
+        lo, v = _arg(vm, spec.feats[0][1], sp, int)
+        if v is None:
+            hi, v = _arg(vm, spec.feats[1][1], sp, int)
+        if v is not None:
+            return vm.need(v)
     if lo < 0 or hi > SUP or lo > hi:
         _fail_tell(vm)
     stack = [args[0]]
@@ -715,30 +724,33 @@ def bi_fd_dom_tell_vec(vm, th, args, sp):
 
 
 def _walk_list(vm, t, sp):
-    """Deref a determined cons list into a Python list of elements."""
+    """(the elements of cons list t, None) once its spine is determined,
+    else (None, the Var the spine waits on)."""
     store = vm.store
     out = []
     t = store.deref(t, sp)
-    while True:
-        if type(t) is Record and t.label == "|" and len(t.feats) == 2:
-            out.append(record_get(t, 1))
-            t = store.deref(record_get(t, 2), sp)
-        elif t == "nil":
-            return out
-        else:
-            _type_err()
+    while is_cons(t):
+        out.append(t.feats[0][1])
+        t = store.deref(t.feats[1][1], sp)
+    if type(t) is Var:
+        return None, t
+    if t == "nil":
+        return out, None
+    _type_err()
 
 
 def _vec_terms(vm, t, sp):
-    """Elements of a vector: a cons list, nil, or any record's field values."""
-    store = vm.store
-    t = store.deref(t, sp)
-    if t == "nil":
-        return []
-    if type(t) is Record and t.label == "|" and len(t.feats) == 2:
+    """(elements, None) of a vector: a cons list, nil, or any record's
+    field values; (None, a Var) while the vector or its spine waits."""
+    t = vm.store.deref(t, sp)
+    if is_cons(t):
         return _walk_list(vm, t, sp)
     if type(t) is Record:
-        return [v for _f, v in t.feats]
+        return [v for _f, v in t.feats], None
+    if type(t) is Var:
+        return None, t
+    if t == "nil":
+        return [], None
     _type_err()
 
 
@@ -747,12 +759,21 @@ def bi_fd_lin_rel(vm, th, args, sp):
     list, the relation (eq, lt, leq) and the constant."""
     ensure_installed(vm)
     store = vm.store
-    coeffs = [store.deref(c, sp) for c in _walk_list(vm, args[0], sp)]
-    terms = [store.deref(t, sp) for t in _walk_list(vm, args[1], sp)]
-    rel = store.deref(args[2], sp)
-    k = store.deref(args[3], sp)
-    if type(k) is not int or rel not in ("eq", "lt", "leq") or \
-            len(coeffs) != len(terms) or \
+    coeffs, v = _walk_list(vm, args[0], sp)
+    if v is None:
+        terms, v = _walk_list(vm, args[1], sp)
+    if v is None:
+        rel, v = _arg(vm, args[2], sp, str)
+    if v is None:
+        k, v = _arg(vm, args[3], sp, int)
+    if v is not None:
+        return vm.need(v)
+    coeffs = [store.deref(c, sp) for c in coeffs]
+    for c in coeffs:
+        if type(c) is Var:
+            return vm.need(c)
+    terms = [store.deref(t, sp) for t in terms]
+    if rel not in ("eq", "lt", "leq") or len(coeffs) != len(terms) or \
             any(type(c) is not int for c in coeffs):
         _type_err()
     if rel == "lt":
@@ -819,7 +840,10 @@ def bi_fd_distinct(vm, th, args, sp):
     """Post pairwise disequality over a list of variables and integers."""
     ensure_installed(vm)
     store = vm.store
-    ts = [store.deref(t, sp) for t in _vec_terms(vm, args[0], sp)]
+    ts, v = _vec_terms(vm, args[0], sp)
+    if v is not None:
+        return vm.need(v)
+    ts = [store.deref(t, sp) for t in ts]
     for t in ts:
         if type(t) is not int and type(t) is not Var:
             _type_err()
@@ -833,9 +857,12 @@ def bi_fd_select_ff(vm, th, args, sp):
     undetermined variable with the smallest domain in the list and V its
     least value, or to done when every element is determined."""
     store = vm.store
+    ts, v = _vec_terms(vm, args[0], sp)
+    if v is not None:
+        return vm.need(v)
     best = None
     best_size = None
-    for t in _vec_terms(vm, args[0], sp):
+    for t in ts:
         t = store.deref(t, sp)
         if type(t) is Var:
             d = lookup(sp, t)

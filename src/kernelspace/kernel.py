@@ -21,6 +21,9 @@ Each desugaring job is done by one walk, which also resolves.
 `Desugarer.walk` translates a phrase in either position, chosen by its
 target: with no target the phrase is a statement; with one it is an
 expression, and the kernel binds the target identifier to its value.
+`Desugarer.record` is the one walk that decides whether a record is
+ground, folding it into a Lit, for operands and for expressions alike; it
+follows a list's spine, and `walk` an elseif chain, by a loop.
 `compile_pat` compiles every pattern, nested sub-patterns included;
 `number_feats` numbers the positional features of records and patterns.
 """
@@ -232,7 +235,8 @@ class KRaise(KStmt):
 # ----------------------------------------------------------------------
 # desugaring
 
-_ARITH = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes"}
+_BINOPS = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes", "<": "Less",
+           ">": "Less", "=<": "Leq", "==": "Equal"}     # > swaps operands
 
 
 class _Frame:
@@ -266,7 +270,6 @@ class Desugarer:
     def __init__(self, base_names):
         self.base = frozenset(base_names)
         self.n = 0
-        self.ground = {}        # try_ground's answer for each record phrase
         self.frame = _Frame(None)
         self.temps = {}         # fresh name -> its Slot
 
@@ -360,9 +363,11 @@ class Desugarer:
         if t is S.SAtom:
             return Lit(p.name)
         if t is S.SRecordCons:
-            g = try_ground(p, self.ground)
-            if g is not None:
-                return Lit(g)
+            op, k = self.record(p, sc)
+            if k is not None:
+                temps.append(op)
+                stmts.append(k)
+            return op
         if t is S.SWild:
             name = self.fresh("W")
             temps.append(name)
@@ -371,6 +376,41 @@ class Desugarer:
         temps.append(name)
         stmts.append(self.walk(p, sc, name))
         return name
+
+    def record(self, p, sc, target=None):
+        """(operand, kernel that binds it) for record phrase p: a Lit and
+        None when every field is a Lit, else target, or a new temporary
+        when there is none, and its KTellRec.  A target gets a Lit by a
+        KEq.  Fields but the last go through operand, which MAX_NESTING
+        bounds; the last fields (a list's spine) are read by a loop down
+        to one that is not a record, and folded from there back up."""
+        spine, q = [], p
+        while type(q) is S.SRecordCons:
+            pairs, dup = number_feats(q.feats)
+            temps, stmts = [], []
+            ops = [self.operand(x, sc, temps, stmts) for _, x in pairs[:-1]]
+            spine.append((q, pairs, dup, ops, temps, stmts))
+            q = pairs[-1][1] if pairs else None
+        op = None if q is None else self.operand(q, sc, temps, stmts)
+        k = None
+        for i in range(len(spine) - 1, -1, -1):
+            p, pairs, dup, ops, temps, stmts = spine[i]
+            if k is not None:       # the cell below, bound to op
+                temps.append(op)
+                stmts.append(k)
+            if dup is not None:
+                self.err(f"duplicate feature {dup}", p)
+            feats = [(f, o) for (f, _), o in zip(pairs, ops + [op])]
+            if feats and all(type(o) is Lit for _, o in feats):
+                op, k = Lit(Record(p.label, [(f, o.v) for f, o in feats])), None
+                continue
+            op = target if i == 0 and target is not None else self.fresh()
+            k = KTellRec(op, p.label, feats)
+            stmts.append(self.resolved(k, sc, op, *(o for _, o in k.feats)))
+            k = self.wrap(temps, stmts)
+        if k is None and target is not None:
+            k = self.resolved(KEq(target, op), sc, target, op)
+        return op, k
 
     def wrap(self, temps, stmts):
         body = kseq(stmts)
@@ -407,14 +447,21 @@ class Desugarer:
                                        ops[0], *args))
             return self.wrap(temps, stmts)
         if t is S.SIf:
-            if p.els is None and target is not None:
-                self.err("an if used as an expression needs an else", p)
-            temps, stmts = [], []
-            c = self.operand(p.cond, sc, temps, stmts)
-            then = self.walk(p.then, sc, target)
-            els = KSkip() if p.els is None else self.walk(p.els, sc, target)
-            stmts.append(self.resolved(KIf(c, then, els), sc, c))
-            return self.wrap(temps, stmts)
+            arms = []           # an elseif chain, read by a loop
+            while True:
+                if p.els is None and target is not None:
+                    self.err("an if used as an expression needs an else", p)
+                temps, stmts = [], []
+                c = self.operand(p.cond, sc, temps, stmts)
+                arms.append((c, self.walk(p.then, sc, target), temps, stmts))
+                if type(p.els) is not S.SIf:
+                    break
+                p = p.els
+            k = KSkip() if p.els is None else self.walk(p.els, sc, target)
+            for c, then, temps, stmts in reversed(arms):
+                stmts.append(self.resolved(KIf(c, then, k), sc, c))
+                k = self.wrap(temps, stmts)
+            return k
         if t is S.SCase:
             return self.case(p, sc, target)
         if t is S.SProc:
@@ -450,46 +497,19 @@ class Desugarer:
                 return self.dis(p, sc)
             self.err("this expression cannot stand alone as a statement", p)
         # constructs legal in expression position only
-        if t is S.SVar:
-            name = self.use(p.name, sc, p)
-            return self.resolved(KEq(target, name), sc, target, name)
-        if t is S.SInt or t is S.SAtom:
-            lit = Lit(p.value if t is S.SInt else p.name)
-            return self.resolved(KEq(target, lit), sc, target, lit)
+        if t is S.SVar or t is S.SInt or t is S.SAtom:
+            o = self.operand(p, sc, None, None)
+            return self.resolved(KEq(target, o), sc, target, o)
         if t is S.SWild:
             return KSkip()
         if t is S.SRecordCons:
-            temps, stmts = [], []
-            pairs, dup = number_feats(p.feats)
-            feats = []
-            for f, q in pairs:
-                feats.append((f, self.operand(q, sc, temps, stmts)))
-            if dup is not None:
-                self.err(f"duplicate feature {dup}", p)
-            if feats and all(type(o) is Lit for _, o in feats):
-                lit = Lit(Record(p.label, [(f, o.v) for f, o in feats]))
-                return self.resolved(KEq(target, lit), sc, target, lit)
-            k = KTellRec(target, p.label, feats)
-            stmts.append(self.resolved(k, sc, target,
-                                       *(o for _, o in k.feats)))
-            return self.wrap(temps, stmts)
+            return self.record(p, sc, target)[1]
         if t is S.SOp:
             temps, stmts = [], []
             a = self.operand(p.lhs, sc, temps, stmts)
             b = self.operand(p.rhs, sc, temps, stmts)
-            op = p.op
-            if op in _ARITH:
-                f, args = _ARITH[op], [a, b, target]
-            elif op == "<":
-                f, args = "Less", [a, b, target]
-            elif op == "=<":
-                f, args = "Leq", [a, b, target]
-            elif op == ">":
-                f, args = "Less", [b, a, target]
-            elif op == "==":
-                f, args = "Equal", [a, b, target]
-            else:
-                self.err(f"operator {op} has no value", p)
+            f = _BINOPS[p.op]       # `#` and `|` make records, not SOps
+            args = [b, a, target] if p.op == ">" else [a, b, target]
             stmts.append(self.resolved(KApply(f, args), sc, f, *args))
             return self.wrap(temps, stmts)
         self.err("this construct has no value", p)
@@ -682,16 +702,11 @@ class Desugarer:
         monos = lm + [(-c, vs) for (c, vs) in rm]
         # combine like terms (same ordered factor tuple)
         combined = {}
-        order = []
         for c, vs in monos:
-            if vs not in combined:
-                combined[vs] = 0
-                order.append(vs)
-            combined[vs] += c
+            combined[vs] = combined.get(vs, 0) + c
         pair_memo = {}
         coeffs, vars_ = [], []
-        for vs in order:
-            c = combined[vs]
+        for vs, c in combined.items():
             if c == 0:
                 continue
             v = self.mono_var(vs, pair_memo, sc, temps, stmts)
@@ -765,36 +780,6 @@ def number_feats(feats):
         seen.add(f)
         out.append((f, q))
     return out, None
-
-
-def try_ground(p, memo):
-    """The ground term a phrase denotes, or None if it is not ground.
-
-    `memo` keeps the answer for every record phrase it walked, so the
-    operand path, which asks again for each field of a record that is not
-    ground, walks each sub-phrase once."""
-    t = type(p)
-    if t is S.SInt:
-        return p.value
-    if t is S.SAtom:
-        return p.name
-    if t is not S.SRecordCons:
-        return None
-    if p in memo:
-        return memo[p]
-    g = None
-    feats = []
-    for f, q in p.feats:
-        sub = try_ground(q, memo)
-        if sub is None:
-            break
-        feats.append((f, sub))
-    else:
-        feats, dup = number_feats(feats)
-        if dup is None and feats:   # the operand path reports a duplicate
-            g = Record(p.label, feats)
-    memo[p] = g
-    return g
 
 
 def pat_vars(pat):

@@ -100,8 +100,9 @@ class Session:
         self.env = stdlib.base_env(self.vm)
 
     def feed(self, src):
+        """Run one input; its result holds the lines it browsed, which the
+        session does not keep."""
         vm = self.vm
-        seen = len(vm.browse)
         try:
             phrase = syntax.parse(src)
             if isinstance(phrase, syntax.SDeclare):
@@ -116,7 +117,7 @@ class Session:
         self.env.update(new_vars)
         vm.spawn(k, self.env, vm.top)
         status = vm.run()
-        out = vm.browse[seen:]
+        out, vm.browse = vm.browse, []
         if vm.uncaught is not None:
             msg = "uncaught exception: " + render(vm, vm.uncaught, vm.top)
             vm.uncaught = None

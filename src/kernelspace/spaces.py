@@ -15,7 +15,9 @@ Ask, commit, clone, inject and merge share one operand check: the space is
 a child of the caller and has neither failed nor merged (ask still answers
 `failed`).  Misuse raises UsageError, which a builtin turns into
 error(kind:space).  A builtin decodes all its arguments, then commit, clone
-and merge wait for stability, parked like an ask on a hidden variable.
+and merge wait for stability, parked like an ask on a hidden variable, and
+hand the status they read to the host operation, which does not read it
+again.
 
 Lifecycle: a space is created by new_space or clone, runs until it is stable,
 and ends failed or merged, or stays alive for as long as the VM runs.  A space
@@ -223,10 +225,11 @@ def ask(vm, s, ans_var, caller_space):
     maybe_answer(vm, s)
 
 
-def commit(vm, s, i, caller_space):
-    """Pick alternative i of a distributable space; wakes its choice thread."""
+def commit(vm, s, i, caller_space, st):
+    """Pick alternative i of a distributable space, whose status is st;
+    wakes its choice thread."""
     _check_operand(s, caller_space, "commit")
-    if status(vm, s) is not STATUS_ALTERNATIVES:
+    if st is not STATUS_ALTERNATIVES:
         raise UsageError("commit on a space that is not distributable")
     thread, n = s.pending_choose
     if not 1 <= i <= n:
@@ -236,10 +239,11 @@ def commit(vm, s, i, caller_space):
     vm.resume_thread(thread, i)
 
 
-def clone(vm, s, caller_space):
-    """Deep copy of a stable space; returns the new space's SpaceRef."""
+def clone(vm, s, caller_space, st):
+    """Deep copy of a stable space, whose status is st; returns the new
+    space's SpaceRef."""
     _check_operand(s, caller_space, "clone")
-    if status(vm, s) is STATUS_SUSPENDED:
+    if st is STATUS_SUSPENDED:
         raise UsageError("clone on a space that is not stable")
     from .clone import clone_space
     return SpaceRef(clone_space(vm, s, caller_space))
@@ -251,15 +255,15 @@ def inject(vm, s, proc_term, caller_space):
     vm.spawn_call(proc_term, [s.root_var], s)
 
 
-def merge(vm, s, caller_space):
-    """Fold a succeeded space into its parent; returns the root term.
+def merge(vm, s, caller_space, st):
+    """Fold a succeeded space, whose status is st, into its parent; returns
+    the root term.
 
     Local variables, with their in-place bindings, and residual suspended
     threads are adopted by the parent; overlay entries, all on ancestor
     variables, are told in the parent, where they may fail like any tell.
     """
     _check_operand(s, caller_space, "merge")
-    st = status(vm, s)
     if st is not STATUS_SUCCEEDED:
         raise UsageError(f"merge on a space with status {st}")
     parent = s.parent
@@ -327,13 +331,14 @@ def _arg(vm, t, sp, *types):
 
 
 def _await_stable(vm, s, sp):
-    """None once s is stable, else a hidden status Var, bound by
-    maybe_answer, for the caller to park on."""
-    if status(vm, s) is not STATUS_SUSPENDED:
-        return None
+    """(s's status, None) once s is stable, else (None, a hidden status
+    Var, bound by maybe_answer, for the caller to park on)."""
+    st = status(vm, s)
+    if st is not STATUS_SUSPENDED:
+        return st, None
     w = vm.store.new_var(sp)
     s.ask_waiters.append((w, sp))
-    return w
+    return None, w
 
 
 def bi_newspace(vm, th, args, sp):
@@ -373,10 +378,10 @@ def bi_commit(vm, th, args, sp):
     i, v = _arg(vm, args[1], sp, int)
     if i is None:
         return vm.need(v)
-    w = _await_stable(vm, ref.space, sp)
+    st, w = _await_stable(vm, ref.space, sp)
     if w is not None:
         return w
-    commit(vm, ref.space, i, sp)
+    commit(vm, ref.space, i, sp, st)
     return None
 
 
@@ -384,10 +389,10 @@ def bi_clone(vm, th, args, sp):
     ref, v = _arg(vm, args[0], sp, SpaceRef)
     if ref is None:
         return vm.need(v)
-    w = _await_stable(vm, ref.space, sp)
+    st, w = _await_stable(vm, ref.space, sp)
     if w is not None:
         return w
-    new = clone(vm, ref.space, sp)
+    new = clone(vm, ref.space, sp, st)
     vm.event(th, "clone", ref.space.sid, new.space.sid)
     return vm.tell_th(th, args[1], new)
 
@@ -408,11 +413,11 @@ def bi_merge(vm, th, args, sp):
     ref, v = _arg(vm, args[0], sp, SpaceRef)
     if ref is None:
         return vm.need(v)
-    w = _await_stable(vm, ref.space, sp)
+    st, w = _await_stable(vm, ref.space, sp)
     if w is not None:
         return w
     vm.event(th, "merge", ref.space.sid)
-    root, failed = merge(vm, ref.space, sp)
+    root, failed = merge(vm, ref.space, sp, st)
     if failed:
         raise OzRaise(FAILURE)
     return vm.tell_th(th, args[1], root)

@@ -134,6 +134,13 @@ def test_session_blocked_thread_finishes_after_a_later_input():
     assert (r2.status, r2.browse, r2.blocked) == ("ok", ["42"], 0)
 
 
+def test_session_keeps_no_browse_history():
+    s = Session()
+    for _ in range(1000):
+        assert s.feed("{Browse 1}").browse == ["1"]
+    assert s.vm.browse == []
+
+
 def test_repl_reports_blocked_threads(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(
         "declare X in\nthread {Browse X + 1} end\n\nX = 41\n"))

@@ -115,6 +115,19 @@ _SYNTHETIC = {
        R = I#J
     end}}
     """,
+    # fd builtins wait for an argument that is not determined yet
+    "fd-bound-from-thread": """
+    declare X N in
+    thread X ::: 0#N X = 3 {Browse X} end
+    {Length [a b c d e] N}
+    """,
+    "fd-distinct-open-tail": """
+    declare X Y T in
+    X ::: 0#3 Y ::: 0#1
+    thread {FD.distinct X|T} end
+    {Append [Y] nil T}
+    X = 1 {Browse Y}
+    """,
 }
 
 
@@ -147,4 +160,4 @@ def run_matrix():
 
 
 def test_schedule_invariance():
-    assert run_matrix() == 23
+    assert run_matrix() == 25

@@ -235,6 +235,19 @@ def test_unsatisfiable_post_is_catchable():
     assert out == ["failure(debug:unit)"]
 
 
+@pytest.mark.parametrize("post", [
+    "{FD.distinct '|'(a:X b:nil)}",
+    "X ::: '#'(a:1 b:2)",
+], ids=["named-cons-vector", "named-interval"])
+def test_a_record_shaped_like_a_list_or_interval_is_a_type_error(post):
+    out = browse(f"""
+    local X in
+       try {post} catch E then {{Browse E}} end
+    end
+    """)
+    assert out == ["error(kind:type)"]
+
+
 def test_child_bind_fails_when_the_parent_narrows_past_it():
     # X is homed at top: the child's bind is speculative, and the parent's
     # later narrowing must still reach it

@@ -381,7 +381,7 @@ def test_in_place_binding_survives_clone_and_merge():
     x, y = store.new_var(s), store.new_var(s)
     assert store.unify(x, Record("f", ((1, y),)), s) is OK
     assert type(x.ref) is Record and not s.bindings      # bound in place
-    c = spaces.clone(vm, s, vm.top).space
+    c = spaces.clone(vm, s, vm.top, spaces.status(vm, s)).space
     xc, yc = c.own_vars
     assert render(vm, xc, c) == "f(_)"
     # the copies are independent of the originals, both ways
@@ -389,7 +389,7 @@ def test_in_place_binding_survives_clone_and_merge():
     assert store.unify(y, 2, s) is OK
     assert render(vm, x, s) == "f(2)" and render(vm, xc, c) == "f(1)"
     # merge hands the in-place bindings over as they are
-    root, failure = spaces.merge(vm, s, vm.top)
+    root, failure = spaces.merge(vm, s, vm.top, spaces.status(vm, s))
     assert not failure and not vm.top.bindings
     assert render(vm, x, vm.top) == "f(2)"
     assert store.unify(x, Record("f", ((1, 2),)), vm.top) is OK

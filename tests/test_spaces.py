@@ -194,7 +194,8 @@ def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
     """)
     assert ok
     orig = tbl["S"].space
-    copy = spaces.clone(vm, orig, vm.top).space
+    copy = spaces.clone(vm, orig, vm.top,
+                        spaces.status(vm, orig)).space
     before, after = _frames(orig), _frames(copy)
     assert len(before) == len(after) and len(before) >= 3
     # the spawned thread and the script's thread share one frame

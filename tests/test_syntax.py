@@ -413,16 +413,16 @@ def test_anonymous_proc_needs_expression_position():
 
 @pytest.mark.parametrize("where", ["last", "first"])
 def test_list_literal_groundness_is_decided_once_per_cell(monkeypatch, where):
-    """A list literal with one variable is not ground, and the operand
-    path asks about each of its suffixes; every cell is still walked a
-    bounded number of times, so desugaring stays linear in its length."""
+    """A list literal with one variable is not ground; every cell is still
+    walked a bounded number of times (counted by its features being
+    numbered), so desugaring stays linear in its length."""
     calls = []
-    orig = kernel.try_ground
+    orig = kernel.number_feats
 
     def counting(*args):
         calls.append(None)
         return orig(*args)
-    monkeypatch.setattr(kernel, "try_ground", counting)
+    monkeypatch.setattr(kernel, "number_feats", counting)
     n = 400
     elems = "1 " * n + "Y" if where == "last" else "Y " + "1 " * n
     ds(f"local X Y in X = [{elems}] end")
@@ -473,13 +473,53 @@ def _nested_procs(n):
     return f"local Z in {inner} end"
 
 
-@pytest.mark.parametrize("src", [
-    "local X Y in X = [" + "1 " * 450 + "Y] Y = nil {Browse X} end",
-    _nested_procs(60),
-], ids=["list-450-variable-last", "procs-60"])
-def test_deep_programs_still_run(src):
+def _ones(n):
+    return " ".join(["1"] * n)
+
+
+def _elseif_chain(n):
+    arms = "".join(f"elseif X == {i} then {{Browse {i}}} " for i in range(1, n))
+    return f"local X in X = {n - 1} if X == 0 then {{Browse 0}} {arms}end end"
+
+
+# a space whose suspended script's frame holds a long ground list; its
+# clone is merged so the copy is browsed
+_CLONE_LIST = """
+declare S C A B M in
+S = {NewSpace proc {$ R} L X in L = [ONES] R = X#L {Wait X} end}
+{Ask S A} {Wait A}
+C = {Clone S}
+{Inject C proc {$ R} case R of X#_ then X = done end end}
+{Ask C B} {Wait B}
+M = {Merge C}
+{Browse M}
+"""
+
+
+@pytest.mark.parametrize("src, browse", [
+    ("local X Y in X = [" + "1 " * 450 + "Y] Y = nil {Browse X} end", None),
+    (_nested_procs(60), None),
+    ("local X in X = [" + _ones(3000) + "] {Browse X} end",
+     ["[" + _ones(3000) + "]"]),
+    ("local X Y in X = [Y " + _ones(2999) + "] Y = 2 {Browse X} end",
+     ["[2 " + _ones(2999) + "]"]),
+    ("local X Y in X = [" + _ones(2999) + " Y] Y = 2 {Browse X} end",
+     ["[" + _ones(2999) + " 2]"]),
+    ("local X in X = " + "1|" * 2000 + "nil {Browse X} end",
+     ["[" + _ones(2000) + "]"]),
+    (_elseif_chain(2000), ["1999"]),
+    (_CLONE_LIST.replace("ONES", _ones(3000)),
+     ["done#[" + _ones(3000) + "]"]),
+], ids=["list-450-variable-last", "procs-60", "list-3000-ground",
+        "list-3000-variable-first", "list-3000-variable-last",
+        "bar-chain-2000", "elseif-2000", "clone-list-3000"])
+def test_deep_programs_still_run(src, browse):
+    """Lists, | chains and elseif chains of any length are read by loops,
+    in the parser, the desugarer and clone alike."""
     out = run_text(src)
     assert out.exit_code == 0, out.error
+    if browse is not None:
+        assert out.browse == browse
 
 
 @pytest.mark.parametrize("src", [
