@@ -3,7 +3,8 @@
 Each kernel statement compiles once, on its first run, into a Python
 closure (vm, th, frame) with its operands' slots and literals bound in
 (Feeley & Lapalme, "Using closures for code generation", 1987).  It returns
-None, the variable to suspend on, or what a builtin it applies returns.
+None, the variable to suspend on, or what a builtin it applies returns; a
+builtin may also raise Wait (errors.py), which the scheduler reads alike.
 An operand is read as frame[i] for an identifier and is a constant for a
 Lit.  The closures look up vm.tell_th, vm.store.deref and the store's
 methods at call time, so wrappers installed after import see every call.
@@ -114,7 +115,7 @@ def _c_if(s):
         elif c == "false":
             th.stack.append((els, fr))
         elif type(c) is Var:
-            return vm.need(c)
+            return c
         else:
             raise OzRaise(_error("type"))
     return if_
@@ -132,7 +133,7 @@ def _c_case(s):
             if type(t) is kind and t == lit:
                 th.stack.append((then, fr))
             elif type(t) is Var:
-                return vm.need(t)
+                return t
             else:
                 th.stack.append((els, fr))
         return case_lit
@@ -148,7 +149,7 @@ def _c_case(s):
                 fr[i] = v
             th.stack.append((then, fr))
         elif tt is Var:
-            return vm.need(t)
+            return t
         else:
             th.stack.append((els, fr))
     return case_rec
@@ -186,7 +187,7 @@ def _c_apply(s):
                 raise OzRaise(_error("arity"))
             return f.fn(vm, th, get(fr), th.space)
         if tf is Var:
-            return vm.need(f)
+            return f
         raise OzRaise(_error("apply"))
     return apply
 

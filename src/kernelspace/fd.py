@@ -40,10 +40,13 @@ its home's propagator set and watcher lists on that run.  A failed space's
 fd state is cleared and a merged space's moves to its parent.
 
 A builtin decodes every argument it may wait for before it narrows or
-posts, as the space builtins do, so a builtin woken again starts afresh:
-it parks on one that is not determined yet (a domain spec or its bounds, a
-list spine or coefficient, a relation or constant), and raises
-error(kind:type) on a wrong one.
+posts, as the space builtins do, so a builtin woken again starts afresh.
+It raises Wait (errors.py) on one that is not determined yet (a domain
+spec or its bounds, a list spine or coefficient, a relation or constant),
+and the scheduler parks the thread on it, which makes it needed; it
+raises error(kind:type) on a wrong one.  `_bind_value` is the one place
+here that makes a variable needed itself: propagation determines a
+by-need variable without any thread parking on it.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from __future__ import annotations
 import weakref
 
 from . import spaces as spaces_mod
-from .spaces import _arg
-from .errors import FAILURE, OzRaise, _error
+from .errors import FAILURE, OzRaise, Wait, _error, arg
 from .store import FAILED, OK
 from .terms import Builtin, Record, Var, is_cons
 
@@ -658,23 +660,15 @@ def adopt_into_parent(vm, s, parent):
 # ----------------------------------------------------------------------
 # builtins
 
-def _fail_tell(vm):
-    raise OzRaise(FAILURE)
-
-
-def _type_err():
-    raise OzRaise(_error("type"))
-
-
 def bi_fd_decl(vm, th, args, sp):
     ensure_installed(vm)
     x = vm.store.deref(args[0], sp)
     if type(x) is int:
         if not 0 <= x <= SUP:
-            _fail_tell(vm)
+            raise OzRaise(FAILURE)
         return None
     if type(x) is not Var:
-        _type_err()
+        raise OzRaise(_error("type"))
     _dom_or_declare(vm, sp, x)
     return None
 
@@ -682,50 +676,56 @@ def bi_fd_decl(vm, th, args, sp):
 def _tell_interval(vm, th, sp, t, lo, hi):
     if type(t) is int:
         if not lo <= t <= hi:
-            _fail_tell(vm)
+            raise OzRaise(FAILURE)
         return
     d = lookup(sp, t)
     if narrow(vm, sp, t, d, (d or FULL).narrow_bounds(lo, hi)) is FAILED:
-        _fail_tell(vm)
+        raise OzRaise(FAILURE)
 
 
 def bi_fd_dom_tell_vec(vm, th, args, sp):
-    """Constrain every element of a vector (list, record, or single
-    variable) to an interval given as lo#hi or a single integer."""
+    """Constrain every variable or integer of a vector (a list, a record,
+    or a single variable, nested to any depth) to an interval given as
+    lo#hi or a single integer.  A list's spine is decoded like
+    `_walk_list`'s: an open tail is waited on, not constrained.  The
+    vector is decoded before any element is constrained, and an element
+    that occurs twice is constrained once (the second time was a no-op)."""
     ensure_installed(vm)
     store = vm.store
-    spec, v = _arg(vm, args[1], sp, int, Record)
-    if v is not None:
-        return vm.need(v)
-    lo = hi = spec
+    lo = hi = spec = arg(vm, args[1], sp, int, Record)
     if type(spec) is Record:
         if spec.label != "#" or spec.arity() != (1, 2):
-            _type_err()
-        lo, v = _arg(vm, spec.feats[0][1], sp, int)
-        if v is None:
-            hi, v = _arg(vm, spec.feats[1][1], sp, int)
-        if v is not None:
-            return vm.need(v)
+            raise OzRaise(_error("type"))
+        lo = arg(vm, spec.feats[0][1], sp, int)
+        hi = arg(vm, spec.feats[1][1], sp, int)
     if lo < 0 or hi > SUP or lo > hi:
-        _fail_tell(vm)
-    stack = [args[0]]
+        raise OzRaise(FAILURE)
+    leaves = []
+    stack = [(args[0], False)]          # (term, whether a list's tail)
     while stack:
-        t = store.deref(stack.pop(), sp)
-        if type(t) is Var or type(t) is int:
-            _tell_interval(vm, th, sp, t, lo, hi)
-        elif t == "nil":
-            continue
+        t, tail = stack.pop()
+        t = store.deref(t, sp)
+        if is_cons(t):
+            stack.append((t.feats[0][1], False))
+            stack.append((t.feats[1][1], True))
+        elif tail and type(t) is Var:
+            raise Wait(t)
+        elif tail and t != "nil":
+            raise OzRaise(_error("type"))
+        elif type(t) is Var or type(t) is int:
+            leaves.append(t)
         elif type(t) is Record:
-            for _f, v in t.feats:
-                stack.append(v)
-        else:
-            _type_err()
+            stack.extend([(v, False) for _f, v in t.feats])
+        elif t != "nil":
+            raise OzRaise(_error("type"))
+    for t in dict.fromkeys(leaves):
+        _tell_interval(vm, th, sp, t, lo, hi)
     return None
 
 
 def _walk_list(vm, t, sp):
-    """(the elements of cons list t, None) once its spine is determined,
-    else (None, the Var the spine waits on)."""
+    """The elements of cons list t once its spine is determined; raises
+    Wait on the spine's unbound tail until then."""
     store = vm.store
     out = []
     t = store.deref(t, sp)
@@ -733,25 +733,21 @@ def _walk_list(vm, t, sp):
         out.append(t.feats[0][1])
         t = store.deref(t.feats[1][1], sp)
     if type(t) is Var:
-        return None, t
-    if t == "nil":
-        return out, None
-    _type_err()
+        raise Wait(t)
+    if t != "nil":
+        raise OzRaise(_error("type"))
+    return out
 
 
 def _vec_terms(vm, t, sp):
-    """(elements, None) of a vector: a cons list, nil, or any record's
-    field values; (None, a Var) while the vector or its spine waits."""
-    t = vm.store.deref(t, sp)
-    if is_cons(t):
+    """The elements of a vector: a cons list, nil, or any record's field
+    values; raises Wait while the vector or its spine is unbound."""
+    t = arg(vm, t, sp)
+    if is_cons(t) or t == "nil":
         return _walk_list(vm, t, sp)
-    if type(t) is Record:
-        return [v for _f, v in t.feats], None
-    if type(t) is Var:
-        return None, t
-    if t == "nil":
-        return [], None
-    _type_err()
+    if type(t) is not Record:
+        raise OzRaise(_error("type"))
+    return [v for _f, v in t.feats]
 
 
 def bi_fd_lin_rel(vm, th, args, sp):
@@ -759,23 +755,15 @@ def bi_fd_lin_rel(vm, th, args, sp):
     list, the relation (eq, lt, leq) and the constant."""
     ensure_installed(vm)
     store = vm.store
-    coeffs, v = _walk_list(vm, args[0], sp)
-    if v is None:
-        terms, v = _walk_list(vm, args[1], sp)
-    if v is None:
-        rel, v = _arg(vm, args[2], sp, str)
-    if v is None:
-        k, v = _arg(vm, args[3], sp, int)
-    if v is not None:
-        return vm.need(v)
-    coeffs = [store.deref(c, sp) for c in coeffs]
-    for c in coeffs:
-        if type(c) is Var:
-            return vm.need(c)
+    coeffs = _walk_list(vm, args[0], sp)
+    terms = _walk_list(vm, args[1], sp)
+    rel = arg(vm, args[2], sp, str)
+    k = arg(vm, args[3], sp, int)
+    coeffs = [arg(vm, c, sp) for c in coeffs]
     terms = [store.deref(t, sp) for t in terms]
     if rel not in ("eq", "lt", "leq") or len(coeffs) != len(terms) or \
             any(type(c) is not int for c in coeffs):
-        _type_err()
+        raise OzRaise(_error("type"))
     if rel == "lt":
         rel, k = "leq", k - 1
     index = {}
@@ -792,13 +780,13 @@ def bi_fd_lin_rel(vm, th, args, sp):
                 vs.append(t)
                 cs.append(c)
         else:
-            _type_err()
+            raise OzRaise(_error("type"))
     keep_v = [v for v, c in zip(vs, cs) if c != 0]
     keep_c = [c for c in cs if c != 0]
     if not keep_v:
         sat = (k == 0) if rel == "eq" else (0 <= k)
         if not sat:
-            _fail_tell(vm)
+            raise OzRaise(FAILURE)
         return None
     prop = LinProp(sp, tuple(keep_c), tuple(keep_v), rel, k)
     _register(vm, prop, keep_v)
@@ -814,9 +802,9 @@ def bi_fd_mul_prop(vm, th, args, sp):
     c = store.deref(args[2], sp)
     for t in (a, b, c):
         if type(t) is not int and type(t) is not Var:
-            _type_err()
+            raise OzRaise(_error("type"))
         if type(t) is int and t < 0:
-            _fail_tell(vm)
+            raise OzRaise(FAILURE)
     if type(a) is int and type(b) is int:
         return vm.tell_th(th, c, a * b)
     if type(a) is int or type(b) is int:
@@ -840,13 +828,10 @@ def bi_fd_distinct(vm, th, args, sp):
     """Post pairwise disequality over a list of variables and integers."""
     ensure_installed(vm)
     store = vm.store
-    ts, v = _vec_terms(vm, args[0], sp)
-    if v is not None:
-        return vm.need(v)
-    ts = [store.deref(t, sp) for t in ts]
+    ts = [store.deref(t, sp) for t in _vec_terms(vm, args[0], sp)]
     for t in ts:
         if type(t) is not int and type(t) is not Var:
-            _type_err()
+            raise OzRaise(_error("type"))
     prop = DistinctProp(sp, tuple(ts))
     _register(vm, prop, prop.vars)
     return None
@@ -857,18 +842,15 @@ def bi_fd_select_ff(vm, th, args, sp):
     undetermined variable with the smallest domain in the list and V its
     least value, or to done when every element is determined."""
     store = vm.store
-    ts, v = _vec_terms(vm, args[0], sp)
-    if v is not None:
-        return vm.need(v)
     best = None
     best_size = None
-    for t in ts:
+    for t in _vec_terms(vm, args[0], sp):
         t = store.deref(t, sp)
         if type(t) is Var:
             d = lookup(sp, t)
             if d is None or d.is_singleton():
                 # an undeclared or not-yet-bound singleton is still pending
-                return vm.need(t)
+                return t
             sz = d.size()
             if best_size is None or sz < best_size:
                 best, best_size = (t, d), sz
@@ -883,22 +865,16 @@ def bi_fd_excl(vm, th, args, sp):
     ensure_installed(vm)
     store = vm.store
     x = store.deref(args[0], sp)
-    v = store.deref(args[1], sp)
-    if type(v) is not int:
-        if type(v) is Var:
-            return vm.need(v)
-        _type_err()
+    v = arg(vm, args[1], sp, int)
     if type(x) is int:
         if x == v:
-            _fail_tell(vm)
+            raise OzRaise(FAILURE)
         return None
     if type(x) is not Var:
-        _type_err()
+        raise OzRaise(_error("type"))
     d = lookup(sp, x) or FULL
-    if not d.contains(v):
-        return None
-    if narrow(vm, sp, x, d, d.remove(v)) is FAILED:
-        _fail_tell(vm)
+    if d.contains(v) and narrow(vm, sp, x, d, d.remove(v)) is FAILED:
+        raise OzRaise(FAILURE)
     return None
 
 

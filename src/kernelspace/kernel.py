@@ -598,45 +598,56 @@ class Desugarer:
         """Test subj (read from subj_slot) against pat, whose variables have
         slots in sc: on a match run the kernel body() makes, otherwise els.
         body() is called after the pattern's own feature names are made and
-        before its nested sub-patterns are compiled."""
+        before its nested sub-patterns are compiled.  A record's last nested
+        sub-pattern (a list pattern's tail) is followed by a loop; the
+        others recurse, which MAX_NESTING bounds."""
+        tests = []      # (subj, its slot, record pattern, feats, nested)
+        while type(pat) is S.PRecord:
+            pairs, dup = number_feats(pat.feats)
+            if dup is not None:
+                self.err(f"duplicate feature {dup} in pattern", pat)
+            feats = []
+            nested = []
+            for f, sub in pairs:
+                st = type(sub)
+                if st is S.PVar:
+                    feats.append((f, sub.name))
+                elif st is S.PWild:
+                    feats.append((f, self.fresh("W")))
+                else:
+                    name = self.fresh("M")
+                    feats.append((f, name))
+                    nested.append((name, sub))
+            if not tests:
+                inner = body()
+                body = lambda: inner
+            tests.append((subj, subj_slot, pat, feats, nested))
+            pat = None
+            if nested:
+                subj, pat = nested.pop()
+                subj_slot = self.temps[subj]
         t = type(pat)
-        if t is S.PWild:
-            return body()
         if t is S.PVar:
             slot = sc[pat.name]
             eq = KEq(pat.name, subj)
             eq.slots = (slot, subj_slot)
-            k = KLocal([pat.name], kseq([eq, body()]))
-            k.slots = (slot,)
-            return k
-        if t is S.PLit:
-            k = KCase(subj, KPatLit(pat.value), body(), els)
-            k.slots = (subj_slot,)
-            return k
-        pairs, dup = number_feats(pat.feats)
-        if dup is not None:
-            self.err(f"duplicate feature {dup} in pattern", pat)
-        feats = []
-        nested = []
-        for f, sub in pairs:
-            st = type(sub)
-            if st is S.PVar:
-                feats.append((f, sub.name))
-            elif st is S.PWild:
-                feats.append((f, self.fresh("W")))
-            else:
-                name = self.fresh("M")
-                feats.append((f, name))
-                nested.append((name, sub))
-        # innermost: the body; wrap nested sub-pattern tests outside in
-        cur = body()
-        for name, sub in reversed(nested):
-            cur = self.compile_pat(name, self.temps[name], sub, sc,
-                                   lambda k=cur: k, els)
-        k = KCase(subj, KPatRec(pat.label, feats), cur, els)
-        k.slots = (subj_slot,) + tuple([self.ref(n, sc)
-                                        for _, n in k.pat.feats])
-        return k
+            cur = KLocal([pat.name], kseq([eq, body()]))
+            cur.slots = (slot,)
+        elif t is S.PLit:
+            cur = KCase(subj, KPatLit(pat.value), body(), els)
+            cur.slots = (subj_slot,)
+        else:           # a wildcard, or no pattern left
+            cur = body()
+        # wrap the other nested sub-pattern tests and each record's test
+        # around it, inside out
+        for subj, subj_slot, pat, feats, nested in reversed(tests):
+            for name, sub in reversed(nested):
+                cur = self.compile_pat(name, self.temps[name], sub, sc,
+                                       lambda k=cur: k, els)
+            cur = KCase(subj, KPatRec(pat.label, feats), cur, els)
+            cur.slots = (subj_slot,) + tuple([self.ref(n, sc)
+                                              for _, n in cur.pat.feats])
+        return cur
 
     # -- choice / dis ---------------------------------------------------------
 
@@ -783,15 +794,16 @@ def number_feats(feats):
 
 
 def pat_vars(pat):
-    t = type(pat)
-    if t is S.PVar:
-        return {pat.name}
-    if t is S.PRecord:
-        out = set()
-        for _, sub in pat.feats:
-            out |= pat_vars(sub)
-        return out
-    return set()
+    """The names of the variables pattern pat binds."""
+    out = set()
+    stack = [pat]
+    while stack:
+        p = stack.pop()
+        if type(p) is S.PVar:
+            out.add(p.name)
+        elif type(p) is S.PRecord:
+            stack.extend(sub for _, sub in p.feats)
+    return out
 
 
 def _int_list(ints):

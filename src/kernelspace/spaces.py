@@ -14,10 +14,11 @@ variable homed in a proper ancestor of the space.  `status` reads it.
 Ask, commit, clone, inject and merge share one operand check: the space is
 a child of the caller and has neither failed nor merged (ask still answers
 `failed`).  Misuse raises UsageError, which a builtin turns into
-error(kind:space).  A builtin decodes all its arguments, then commit, clone
-and merge wait for stability, parked like an ask on a hidden variable, and
-hand the status they read to the host operation, which does not read it
-again.
+error(kind:space).  A builtin decodes all its arguments with `arg`, which
+raises Wait on one that is not determined yet (the scheduler parks the
+thread on it, which makes it needed), then commit, clone and merge wait
+for stability, parked like an ask on a hidden variable, and hand the
+status they read to the host operation, which does not read it again.
 
 Lifecycle: a space is created by new_space or clone, runs until it is stable,
 and ends failed or merged, or stays alive for as long as the VM runs.  A space
@@ -33,9 +34,9 @@ answers `failed` and the other operations still raise.
 
 from __future__ import annotations
 
-from .errors import FAILURE, OzRaise, UsageError, _error
+from .errors import FAILURE, OzRaise, UsageError, Wait, _error, arg
 from .store import FAILED, is_ancestor
-from .terms import Builtin, Closure, Record, SpaceRef, Var
+from .terms import Builtin, Closure, Record, SpaceRef
 
 STATUS_FAILED = "failed"
 STATUS_SUCCEEDED = "succeeded"
@@ -319,33 +320,19 @@ def _catch_usage(fn):
     return wrapped
 
 
-def _arg(vm, t, sp, *types):
-    """(value, None) once t is determined, (None, the Var) until then; a
-    value of none of `types` raises error(kind:type)."""
-    d = vm.store.deref(t, sp)
-    if type(d) is Var:
-        return None, d
-    if type(d) not in types:
-        raise OzRaise(_error("type"))
-    return d, None
-
-
 def _await_stable(vm, s, sp):
-    """(s's status, None) once s is stable, else (None, a hidden status
-    Var, bound by maybe_answer, for the caller to park on)."""
+    """s's status once s is stable; until then raises Wait with a hidden
+    status Var, which maybe_answer binds."""
     st = status(vm, s)
     if st is not STATUS_SUSPENDED:
-        return st, None
+        return st
     w = vm.store.new_var(sp)
     s.ask_waiters.append((w, sp))
-    return None, w
+    raise Wait(w)
 
 
 def bi_newspace(vm, th, args, sp):
-    p, v = _arg(vm, args[0], sp, Closure, Builtin)
-    if p is None:
-        return vm.need(v)
-    ref = new_space(vm, p, sp)
+    ref = new_space(vm, arg(vm, args[0], sp, Closure, Builtin), sp)
     vm.event(th, "newspace", ref.space.sid)
     return vm.tell_th(th, args[1], ref)
 
@@ -355,69 +342,41 @@ def bi_choose(vm, th, args, sp):
         i = th.resume_value
         th.resume_value = None
         return vm.tell_th(th, args[1], i)
-    n, v = _arg(vm, args[0], sp, int)
-    if n is None:
-        return vm.need(v)
-    choose(vm, th, n)
+    choose(vm, th, arg(vm, args[0], sp, int))
     return BLOCKED
 
 
 def bi_ask(vm, th, args, sp):
-    ref, v = _arg(vm, args[0], sp, SpaceRef)
-    if ref is None:
-        return vm.need(v)
-    vm.event(th, "ask", ref.space.sid)
-    ask(vm, ref.space, args[1], sp)
-    return None
+    s = arg(vm, args[0], sp, SpaceRef).space
+    vm.event(th, "ask", s.sid)
+    ask(vm, s, args[1], sp)
 
 
 def bi_commit(vm, th, args, sp):
-    ref, v = _arg(vm, args[0], sp, SpaceRef)
-    if ref is None:
-        return vm.need(v)
-    i, v = _arg(vm, args[1], sp, int)
-    if i is None:
-        return vm.need(v)
-    st, w = _await_stable(vm, ref.space, sp)
-    if w is not None:
-        return w
-    commit(vm, ref.space, i, sp, st)
-    return None
+    s = arg(vm, args[0], sp, SpaceRef).space
+    i = arg(vm, args[1], sp, int)
+    commit(vm, s, i, sp, _await_stable(vm, s, sp))
 
 
 def bi_clone(vm, th, args, sp):
-    ref, v = _arg(vm, args[0], sp, SpaceRef)
-    if ref is None:
-        return vm.need(v)
-    st, w = _await_stable(vm, ref.space, sp)
-    if w is not None:
-        return w
-    new = clone(vm, ref.space, sp, st)
-    vm.event(th, "clone", ref.space.sid, new.space.sid)
+    s = arg(vm, args[0], sp, SpaceRef).space
+    new = clone(vm, s, sp, _await_stable(vm, s, sp))
+    vm.event(th, "clone", s.sid, new.space.sid)
     return vm.tell_th(th, args[1], new)
 
 
 def bi_inject(vm, th, args, sp):
-    ref, v = _arg(vm, args[0], sp, SpaceRef)
-    if ref is None:
-        return vm.need(v)
-    p, v = _arg(vm, args[1], sp, Closure, Builtin)
-    if p is None:
-        return vm.need(v)
-    vm.event(th, "inject", ref.space.sid)
-    inject(vm, ref.space, p, sp)
-    return None
+    s = arg(vm, args[0], sp, SpaceRef).space
+    p = arg(vm, args[1], sp, Closure, Builtin)
+    vm.event(th, "inject", s.sid)
+    inject(vm, s, p, sp)
 
 
 def bi_merge(vm, th, args, sp):
-    ref, v = _arg(vm, args[0], sp, SpaceRef)
-    if ref is None:
-        return vm.need(v)
-    st, w = _await_stable(vm, ref.space, sp)
-    if w is not None:
-        return w
-    vm.event(th, "merge", ref.space.sid)
-    root, failed = merge(vm, ref.space, sp, st)
+    s = arg(vm, args[0], sp, SpaceRef).space
+    st = _await_stable(vm, s, sp)
+    vm.event(th, "merge", s.sid)
+    root, failed = merge(vm, s, sp, st)
     if failed:
         raise OzRaise(FAILURE)
     return vm.tell_th(th, args[1], root)

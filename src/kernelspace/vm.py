@@ -13,11 +13,14 @@ reduction.  A thread keeps the processor for up to `slice_` reductions,
 then goes to the back of the queue, which gives weak fairness.
 
 Suspension is by retry: a statement that finds an undetermined variable
-where a value is needed returns the variable; the pair is pushed back and
-the thread parks on it (`Var.waiters`).  Binding the variable wakes each
-parked thread homed in the binding space or below it, and each re-executes
-its statement from scratch, so statements must keep their side effects
-after their last possible suspension point.
+where a value is needed returns the variable, or, in a builtin, raises
+Wait with it (errors.py); the pair is pushed back and the thread parks on
+it (`Var.waiters`).  Parking is the one place that makes a variable
+needed: `suspend_thread` fires its by-need trigger, so no statement or
+builtin fires one itself.  Binding the variable wakes each parked thread
+homed in the binding space or below it, and each re-executes its
+statement from scratch, so statements must keep their side effects after
+their last possible suspension point.
 
 Exceptions unwind the stack to the nearest catch marker, which writes the
 raised value into its variable's slot.  A failed tell raises the catchable
@@ -42,7 +45,7 @@ import weakref
 from collections import deque
 
 from .codegen import CatchMarker, call_stmt, compile_stmt
-from .errors import FAILURE, OzRaise, _error
+from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
 from .store import FAILED, OK, Store, is_ancestor
 from .terms import (
@@ -140,6 +143,8 @@ class VM:
         self._dec_runnable(th.space)
 
     def suspend_thread(self, th, var):
+        """Park th on var, which makes var needed."""
+        self.need(var)
         th.state = "suspended"
         th.wait_var = var
         self.store.suspend(var, th)
@@ -208,7 +213,8 @@ class VM:
         return r
 
     def tell_th(self, th, a, b):
-        """Tell from a running thread: None, or the by-need Var to park on.
+        """Tell from a running thread: None, or the by-need Var to park on
+        (parking fires its trigger).
 
         Binding an unbound variable with no by-need trigger to a value
         that is not a variable is the common case; it binds directly."""
@@ -225,10 +231,11 @@ class VM:
             return None
         if r is FAILED:
             raise OzRaise(FAILURE)
-        return self.need(r)
+        return r
 
     def need(self, var):
-        """Fire var's by-need trigger if it has one; returns var to park on."""
+        """Fire var's by-need trigger if it has one: when a thread parks on
+        var, and when propagation determines it (fd._bind_value)."""
         tr = var.trigger
         if tr is not None:
             var.trigger = None
@@ -237,7 +244,6 @@ class VM:
             if not home.failed:
                 self.triggers_fired += 1
                 self.spawn_call(proc, [var], home)
-        return var
 
     # ------------------------------------------------------------------
     # tracing and output
@@ -321,6 +327,8 @@ class VM:
                     if th.state != "runnable":
                         break
                     continue
+                except Wait as w:
+                    r = w.var
                 if r is None:
                     continue
                 stack.append(entry)
@@ -353,10 +361,10 @@ def _int_op(op):
     def bi(vm, th, args, sp):
         x = vm.store.deref(args[0], sp)
         if type(x) is Var:
-            return vm.need(x)
+            return x
         y = vm.store.deref(args[1], sp)
         if type(y) is Var:
-            return vm.need(y)
+            return y
         if type(x) is not int or type(y) is not int:
             raise OzRaise(_error("type"))
         return vm.tell_th(th, args[2], op(x, y))
@@ -364,10 +372,13 @@ def _int_op(op):
 
 
 def bi_equal(vm, th, args, sp):
-    """Structural equality test; waits until it is decided."""
+    """Structural equality test: false as soon as any pair of subterms
+    differs, else it waits on the first unbound variable it met, else
+    true."""
     deref = vm.store.deref
     stack = [(args[0], args[1])]
     seen = set()
+    wait = None
     while stack:
         a, b = stack.pop()
         a = deref(a, sp)
@@ -375,10 +386,10 @@ def bi_equal(vm, th, args, sp):
         if a is b:
             continue
         ta, tb = type(a), type(b)
-        if ta is Var:
-            return vm.need(a)
-        if tb is Var:
-            return vm.need(b)
+        if ta is Var or tb is Var:
+            if wait is None:
+                wait = a if ta is Var else b
+            continue
         if ta is not tb:
             return vm.tell_th(th, args[2], "false")
         if ta is int or ta is str:
@@ -399,14 +410,13 @@ def bi_equal(vm, th, args, sp):
                 or (ta is SpaceRef and a.space is b.space))
         if not same:
             return vm.tell_th(th, args[2], "false")
+    if wait is not None:
+        return wait
     return vm.tell_th(th, args[2], "true")
 
 
 def bi_wait(vm, th, args, sp):
-    x = vm.store.deref(args[0], sp)
-    if type(x) is Var:
-        return vm.need(x)
-    return None
+    arg(vm, args[0], sp)
 
 
 def bi_isdet(vm, th, args, sp):
@@ -431,11 +441,7 @@ def bi_newcell(vm, th, args, sp):
 
 def bi_exchange(vm, th, args, sp):
     _top_only(sp, "cell")
-    c = vm.store.deref(args[0], sp)
-    if type(c) is Var:
-        return vm.need(c)
-    if type(c) is not CellRef:
-        raise OzRaise(_error("type"))
+    c = arg(vm, args[0], sp, CellRef)
     # one reduction: read and replace together
     old, c.content = c.content, args[2]
     return vm.tell_th(th, args[1], old)
@@ -452,11 +458,7 @@ def bi_newport(vm, th, args, sp):
 
 def bi_send(vm, th, args, sp):
     _top_only(sp, "port")
-    p = vm.store.deref(args[0], sp)
-    if type(p) is Var:
-        return vm.need(p)
-    if type(p) is not PortRef:
-        raise OzRaise(_error("type"))
+    p = arg(vm, args[0], sp, PortRef)
     new_tail = vm.store.new_var(sp)
     r = vm.tell_th(th, p.tail, cons(args[1], new_tail))
     if r is not None:
@@ -483,11 +485,7 @@ def bi_byneed(vm, th, args, sp):
 
 
 def bi_browse(vm, th, args, sp):
-    x = vm.store.deref(args[0], sp)
-    if type(x) is Var:
-        return vm.need(x)
-    vm.emit(render(vm, x, sp))
-    return None
+    vm.emit(render(vm, arg(vm, args[0], sp), sp))
 
 
 CORE_BUILTINS = {}

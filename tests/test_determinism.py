@@ -128,6 +128,12 @@ _SYNTHETIC = {
     {Append [Y] nil T}
     X = 1 {Browse Y}
     """,
+    # ::: waits on an open list tail instead of constraining it
+    "fd-dom-open-tail": """
+    declare A T in
+    thread T = nil end
+    A|T ::: 0#5 A = 3 {Browse A}
+    """,
 }
 
 
@@ -160,4 +166,4 @@ def run_matrix():
 
 
 def test_schedule_invariance():
-    assert run_matrix() == 25
+    assert run_matrix() == 26

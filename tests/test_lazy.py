@@ -1,5 +1,7 @@
 """By-need triggers: installed lazily, fired at most once, only on demand."""
 
+import pytest
+
 from conftest import browse, run
 
 
@@ -297,4 +299,63 @@ def test_unfired_child_trigger_fires_at_top_level_after_merge():
     out = run(BYNEED_IN_CHILD + "{Merge S _} {Browse X}")
     assert out.exit_code == 0, out.error
     assert out.browse == ["1"]
+    assert counters(out) == (1, 1)
+
+
+# Each builtin argument a thread may wait on, as (the by-need variable, the
+# value its supplier binds, a program that passes it, the last browse line).
+# S0, C0 and P0 are a space, a cell and a port the program makes itself.
+_BYNEED_ARGS = {
+    "NewSpace": ("P", "proc {$ R} R = 1 end",
+                 "S0 = {NewSpace P} {Ask S0 A} {Browse A}", "succeeded"),
+    "Ask": ("S", "{NewSpace proc {$ R} R = 1 end}",
+            "{Ask S A} {Browse A}", "succeeded"),
+    "Commit-space": ("S", "S0", "S0 = {NewSpace proc {$ R} {Choose 2 R} end}"
+                     " {Commit S 2} {Browse {Merge S0}}", "2"),
+    "Commit-index": ("I", "2", "S0 = {NewSpace proc {$ R} {Choose 2 R} end}"
+                     " {Commit S0 I} {Browse {Merge S0}}", "2"),
+    "Clone": ("S", "S0", "S0 = {NewSpace proc {$ R} R = 1 end}"
+              " {Browse {Merge {Clone S}}}", "1"),
+    "Inject-space": ("S", "S0", "S0 = {NewSpace proc {$ R} skip end}"
+                     " {Inject S proc {$ R} R = 1 end} {Browse {Merge S0}}",
+                     "1"),
+    "Inject-proc": ("P", "proc {$ R} R = 1 end",
+                    "S0 = {NewSpace proc {$ R} skip end}"
+                    " {Inject S0 P} {Browse {Merge S0}}", "1"),
+    "Merge": ("S", "S0", "S0 = {NewSpace proc {$ R} R = 1 end}"
+              " {Browse {Merge S}}", "1"),
+    "Choose": ("N", "2", "S0 = {NewSpace proc {$ R} {Choose N R} end}"
+               " {Commit S0 2} {Browse {Merge S0}}", "2"),
+    "Exchange": ("C", "C0", "{NewCell old C0} {Exchange C A new} {Browse A}",
+                 "old"),
+    "Send": ("P", "P0", "{NewPort Xs P0} {Send P hi}"
+             " case Xs of M|_ then {Browse M} end", "hi"),
+    "fd-spec": ("D", "0#5", "X ::: D X = 3 {Browse X}", "3"),
+    "fd-spec-bound": ("H", "5", "X ::: 0#H X = 3 {Browse X}", "3"),
+    "FDLinRel-coeffs": ("Cs", "[1 1]", "[X Y] ::: 0#9"
+                        " {FDLinRel Cs [X Y] eq 4} X = 1 {Browse Y}", "3"),
+    "FDLinRel-coeff": ("C", "1", "[X Y] ::: 0#9"
+                       " {FDLinRel [C 1] [X Y] eq 4} X = 1 {Browse Y}", "3"),
+    "FDLinRel-vars": ("Vs", "[X Y]", "[X Y] ::: 0#9"
+                      " {FDLinRel [1 1] Vs eq 4} X = 1 {Browse Y}", "3"),
+    "FDLinRel-tail": ("T", "[Y]", "[X Y] ::: 0#9"
+                      " {FDLinRel [1 1] X|T eq 4} X = 1 {Browse Y}", "3"),
+    "FD.distinct": ("L", "[X Y]", "[X Y] ::: 0#1"
+                    " {FD.distinct L} X = 0 {Browse Y}", "1"),
+    "FDExcl": ("N", "0", "X ::: 0#1 {FDExcl X N} {Browse X}", "1"),
+}
+
+
+@pytest.mark.parametrize("var, value, body, last", _BYNEED_ARGS.values(),
+                         ids=list(_BYNEED_ARGS))
+def test_byneed_argument_of_a_builtin_is_supplied_once(var, value, body, last):
+    """A builtin waiting on a by-need argument makes it needed: the
+    supplier runs once and the call then completes."""
+    out = run(f"""
+    declare {var} S0 C0 P0 Xs A X Y in
+    {{ByNeed proc {{$ V}} {{Browse supplied}} V = {value} end {var}}}
+    {body}
+    """)
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["supplied", last]
     assert counters(out) == (1, 1)

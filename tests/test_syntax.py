@@ -482,6 +482,14 @@ def _elseif_chain(n):
     return f"local X in X = {n - 1} if X == 0 then {{Browse 0}} {arms}end end"
 
 
+def _case_list(n):
+    """A case on an n-element list pattern that browses the list reversed."""
+    names = [f"A{i}" for i in range(n)]
+    return (f"local X in X = [{' '.join(map(str, range(n)))}] "
+            f"case X of [{' '.join(names)}] then "
+            f"{{Browse [{' '.join(reversed(names))}]}} end end")
+
+
 # a space whose suspended script's frame holds a long ground list; its
 # clone is merged so the copy is browsed
 _CLONE_LIST = """
@@ -510,12 +518,13 @@ M = {Merge C}
     (_elseif_chain(2000), ["1999"]),
     (_CLONE_LIST.replace("ONES", _ones(3000)),
      ["done#[" + _ones(3000) + "]"]),
+    (_case_list(2000), ["[" + " ".join(map(str, range(1999, -1, -1))) + "]"]),
 ], ids=["list-450-variable-last", "procs-60", "list-3000-ground",
         "list-3000-variable-first", "list-3000-variable-last",
-        "bar-chain-2000", "elseif-2000", "clone-list-3000"])
+        "bar-chain-2000", "elseif-2000", "clone-list-3000", "case-list-2000"])
 def test_deep_programs_still_run(src, browse):
-    """Lists, | chains and elseif chains of any length are read by loops,
-    in the parser, the desugarer and clone alike."""
+    """Lists, | chains, elseif chains and list patterns of any length are
+    read by loops, in the parser, the desugarer and clone alike."""
     out = run_text(src)
     assert out.exit_code == 0, out.error
     if browse is not None:

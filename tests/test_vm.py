@@ -365,6 +365,18 @@ def test_newname_distinct_and_equal_to_itself():
     assert browse(src) == ["true", "false"]
 
 
+@pytest.mark.parametrize("expr", ["f(a X) == f(b Y)", "f(X a) == f(Y b)"])
+def test_equal_is_false_when_any_pair_differs(expr):
+    """A differing pair decides Equal on either side of an unbound pair."""
+    assert browse(f"declare X Y in {{Browse {expr}}}") == ["false"]
+
+
+def test_equal_waits_only_while_no_pair_differs():
+    out = run("declare X Y in {Browse f(X a) == f(Y a)}")
+    assert (out.status, out.exit_code) == ("deadlock", 4)
+    assert browse("declare X in {Browse X == X}") == ["true"]
+
+
 def test_isdet():
     src = """
     local X A B in
