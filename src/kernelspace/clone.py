@@ -24,7 +24,7 @@ indistinguishable from the original to every primitive operation.
 
 from __future__ import annotations
 
-from .spaces import Space, heir, subtree
+from .spaces import Space, subtree
 from .terms import Closure, Record, SpaceRef, Var, canonical_record
 from .codegen import CatchMarker
 from .vm import Thread
@@ -93,9 +93,7 @@ def clone_space(vm, s, caller_space):
         if var.ref is not None:
             nv.ref = cp(var.ref)
         if var.trigger is not None:
-            proc, home = var.trigger
-            home = heir(home)
-            nv.trigger = (cp(proc), space_map.get(home, home))
+            nv.trigger = cp(var.trigger)
 
     # overlays: re-keyed entries, all on variables homed above their space,
     # registered for ancestor revalidation

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from . import syntax as S
+from .store import pairs
 from .terms import Record, _feat_key
 
 
@@ -54,13 +55,8 @@ class Lit:
 
 
 def _term_eq(a, b):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Record):
-        if a.label != b.label or a.arity() != b.arity():
-            return False
-        return all(_term_eq(x, y) for (_, x), (_, y) in zip(a.feats, b.feats))
-    return a == b
+    """Ground terms a and b are the same structure (see store.pairs)."""
+    return next(pairs(a, b, lambda t, _: t, None), None) is None
 
 
 class Slot:

@@ -23,8 +23,13 @@ status they read to the host operation, which does not read it again.
 Lifecycle: a space is created by new_space or clone, runs until it is stable,
 and ends failed or merged, or stays alive for as long as the VM runs.  A space
 that fails takes its subtree with it; a space that merges hands its
-variables (bound in place or not), threads, live children and fd state to
-its parent, and tells its overlay entries there.  Either way the dead space
+variables (bound in place or not, by-need triggers included), threads,
+live children and fd state to its parent, and tells its overlay entries
+there.  The parent is then the merged space's heir (`heir`, used only in
+this module).  Operations on the merged space's children expect the heir
+as their caller, and the answer to an Ask the merged space made, or to the
+stability wait of its Commit, Clone or Merge, is told in the heir, where
+the adopted threads wait for it.  Either way the dead space
 is detached from its parent's `children` (which therefore holds live spaces
 only), flagged `discarded` and emptied: overlay, domains, watchers,
 propagators, own variables and threads.  What remains is a small record
@@ -51,7 +56,6 @@ class Space:
     def __init__(self, parent, sid=0):
         self.sid = sid                # a label for trace events
         self.parent = parent
-        self.depth = 0 if parent is None else parent.depth + 1
         self.children = {}            # live child spaces (ordered set)
         self.bindings = {}            # Var -> term: speculative bindings of
                                       # Vars homed in proper ancestors
@@ -144,7 +148,9 @@ def _answer_waiters(vm, sp, status):
         status = Record("alternatives", ((1, sp.pending_choose[1]),))
     waiters, sp.ask_waiters = sp.ask_waiters, []
     for ans_var, ans_space in waiters:
-        if ans_space.alive():
+        # an asker that merged has handed its waiting threads to its heir
+        ans_space = heir(ans_space)
+        if not ans_space.failed:
             vm.tell(ans_var, status, ans_space)
 
 
@@ -279,9 +285,7 @@ def merge(vm, s, caller_space, st):
         t.space = parent
         parent.threads[t] = None
     s.threads.clear()
-    # live child spaces are re-parented; depth fields go stale by one but
-    # relative order along any ancestor chain is preserved, which is all the
-    # alias heuristic needs
+    # live child spaces are re-parented
     del parent.children[s]
     for c in s.children:
         c.parent = parent

@@ -31,10 +31,12 @@ variable homed in a proper ancestor.  When a space fails or merges,
 (the `homes` slot becomes None), binding, waiters and by-need trigger.
 
 Unification is an incremental tell: bindings created before an inconsistency
-is discovered are kept, and their suspensions are woken.  A visited pair set
-makes unification terminate on cyclic structures (rational trees), and the
-same trick gives coinductive equality for free: two cyclic terms unify iff
-their infinite unfoldings agree.
+is discovered are kept, and their suspensions are woken.  `pairs`, the one
+walk over two terms side by side, serves unification, the `==` builtin
+(vm.py) and the equality of literal operands (kernel.Lit), so the three
+agree on what is the same structure.  Its visited pair set makes it end
+on cyclic structures (rational trees), which gives coinductive equality
+for free: two cyclic terms unify iff their infinite unfoldings agree.
 
 The store knows nothing about threads or propagators.  The owner installs
 callbacks: `wake_fn` receives a newly bound variable, its waiter list
@@ -189,9 +191,10 @@ class Store:
             src, dst = (v, u) if ut else (u, v)      # keep the trigger var free
         else:
             uh, vh = self.homes[u.vid], self.homes[v.vid]
-            if uh.depth != vh.depth:
-                # descendant entries point at ancestor variables
-                src, dst = (u, v) if uh.depth > vh.depth else (v, u)
+            if uh is not vh:
+                # both homes are on the chain above `space`; binding the
+                # one homed deeper points descendants at ancestors
+                src, dst = (u, v) if is_ancestor(vh, uh) else (v, u)
             else:
                 src, dst = (u, v) if u.vid > v.vid else (v, u)
         if self.fd_alias_fn is not None:
@@ -211,64 +214,79 @@ class Store:
         and park on it; the tell is retried once the trigger has produced a
         value.  Bindings already made stay in place (incremental tell).
         """
-        stack = [(a, b)]
-        seen = None
-        deref = self.deref
-        while stack:
-            a, b = stack.pop()
-            a = deref(a, space)
-            b = deref(b, space)
-            if a is b:
-                continue
-            ta = type(a)
-            tb = type(b)
-            if ta is Var:
-                if tb is Var:
+        for a, b in pairs(a, b, self.deref, space):
+            if type(a) is Var:
+                if type(b) is Var:
                     r = self._alias(a, b, space)
+                elif fire and a.trigger is not None:
+                    return a
                 else:
-                    if fire and a.trigger is not None:
-                        return a
                     r = self.bind(a, b, space)
-                if r is not OK:
-                    return r
-                continue
-            if tb is Var:
+            elif type(b) is Var:
                 if fire and b.trigger is not None:
                     return b
-                if self.bind(b, a, space) is FAILED:
-                    return FAILED
-                continue
-            if ta is not tb:
-                return FAILED
-            if ta is int or ta is str:
-                if a == b:
-                    continue
-                return FAILED
-            if ta is Record:
-                if a.label != b.label or len(a.feats) != len(b.feats):
-                    return FAILED
-                if seen is None:
-                    seen = set()
-                key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if a.arity() != b.arity():
-                    return FAILED
-                # LIFO stack: push reversed so sub-tells run left to right,
-                # which fixes which prefix survives a failing tell
-                for (_, v1), (_, v2) in zip(reversed(a.feats), reversed(b.feats)):
-                    stack.append((v1, v2))
-                continue
-            if ta is Name:
-                if a.nid != b.nid:
-                    return FAILED
-            elif ta is SpaceRef:
-                if a.space is not b.space:
-                    return FAILED
-            elif (ta is Closure or ta is CellRef or ta is PortRef
-                  or ta is Builtin):
-                return FAILED          # a is not b: each is equal to itself
+                r = self.bind(b, a, space)
             else:
-                raise UsageError(f"not a term: {a!r}")
+                return FAILED
+            if r is not OK:
+                return r
         return OK
+
+
+def pairs(a, b, deref, space):
+    """Walk terms a and b side by side, left to right, as seen from `space`:
+    yield each pair with an unbound Var on a side, then the first pair of
+    values that differ, and stop.  A pair is dereferenced when the walk
+    reaches it, so what the consumer binds shows further on.  Records of
+    equal label and arity are walked into, once per pair of records, so
+    the walk ends on rational trees.  Ints and atoms are the same by value,
+    names by nid, space references by space, and the rest by identity.
+    """
+    stack = [(a, b)]
+    seen = None
+    while stack:
+        a, b = stack.pop()
+        a = deref(a, space)
+        b = deref(b, space)
+        if a is b:
+            continue
+        ta = type(a)
+        tb = type(b)
+        if ta is Var or tb is Var:
+            yield a, b
+            continue
+        if ta is not tb:
+            break
+        if ta is int or ta is str:
+            if a == b:
+                continue
+            break
+        if ta is Record:
+            if a.label != b.label or len(a.feats) != len(b.feats):
+                break
+            if seen is None:
+                seen = set()
+            key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+            if key in seen:
+                continue
+            seen.add(key)
+            if a.arity() != b.arity():
+                break
+            # LIFO stack: push reversed so the walk goes left to right,
+            # which fixes which prefix a failing tell keeps
+            for (_, v1), (_, v2) in zip(reversed(a.feats), reversed(b.feats)):
+                stack.append((v1, v2))
+            continue
+        if ta is Name:
+            if a.nid == b.nid:
+                continue
+        elif ta is SpaceRef:
+            if a.space is b.space:
+                continue
+        elif (ta is not Closure and ta is not CellRef and ta is not PortRef
+              and ta is not Builtin):
+            raise UsageError(f"not a term: {a!r}")
+        break
+    else:
+        return
+    yield a, b              # the first pair of values that differ

@@ -24,7 +24,8 @@ class Var:
     `vid` numbers it for trace events and indexes `Store.homes`.  `ref` is
     its binding made in its home space, or None (see store.py).  `waiters`
     is the list of what is parked on it until it is bound, or None, and
-    `trigger` its by-need trigger (proc, home space) until that fires.
+    `trigger` the supplier procedure of its by-need trigger until that
+    fires; the supplier runs in the variable's home.
     """
 
     __slots__ = ("vid", "ref", "waiters", "trigger")

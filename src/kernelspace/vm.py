@@ -17,10 +17,13 @@ where a value is needed returns the variable, or, in a builtin, raises
 Wait with it (errors.py); the pair is pushed back and the thread parks on
 it (`Var.waiters`).  Parking is the one place that makes a variable
 needed: `suspend_thread` fires its by-need trigger, so no statement or
-builtin fires one itself.  Binding the variable wakes each parked thread
-homed in the binding space or below it, and each re-executes its
-statement from scratch, so statements must keep their side effects after
-their last possible suspension point.
+builtin fires one itself, and `need` runs the supplier in the variable's
+home.  Binding the variable wakes each parked thread homed in the binding
+space or below it, and each re-executes its statement from scratch, so
+statements must keep their side effects after their last possible
+suspension point.  The `==` builtin walks its operands with store.pairs,
+in unification's order, so when several variables are unbound it parks on
+the leftmost.
 
 Exceptions unwind the stack to the nearest catch marker, which writes the
 raised value into its variable's slot.  A failed tell raises the catchable
@@ -47,7 +50,7 @@ from collections import deque
 from .codegen import CatchMarker, call_stmt, compile_stmt
 from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
-from .store import FAILED, OK, Store, is_ancestor
+from .store import FAILED, OK, Store, is_ancestor, pairs
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
@@ -206,10 +209,15 @@ class VM:
     # tells and demand
 
     def tell(self, a, b, space):
-        """Host-side tell with no thread context; failure fails the space."""
+        """Host-side tell with no thread context.  Failure fails the space,
+        or at top level counts as an uncaught failure(debug:unit), as a
+        failed tell in a top-level thread does."""
         r = self.store.unify(a, b, space, fire=False)
-        if r is FAILED and space.parent is not None:
-            spaces.fail_space(self, space)
+        if r is FAILED:
+            if space.parent is not None:
+                spaces.fail_space(self, space)
+            elif self.uncaught is None:
+                self.uncaught = FAILURE
         return r
 
     def tell_th(self, th, a, b):
@@ -235,15 +243,14 @@ class VM:
 
     def need(self, var):
         """Fire var's by-need trigger if it has one: when a thread parks on
-        var, and when propagation determines it (fd._bind_value)."""
-        tr = var.trigger
-        if tr is not None:
+        var, and when propagation determines it (fd._bind_value).  The
+        supplier runs in var's home, which is live: merge re-homes a
+        variable and `Store.release` clears its trigger."""
+        proc = var.trigger
+        if proc is not None:
             var.trigger = None
-            proc, home = tr
-            home = spaces.heir(home)
-            if not home.failed:
-                self.triggers_fired += 1
-                self.spawn_call(proc, [var], home)
+            self.triggers_fired += 1
+            self.spawn_call(proc, [var], self.store.homes[var.vid])
 
     # ------------------------------------------------------------------
     # tracing and output
@@ -372,44 +379,15 @@ def _int_op(op):
 
 
 def bi_equal(vm, th, args, sp):
-    """Structural equality test: false as soon as any pair of subterms
-    differs, else it waits on the first unbound variable it met, else
-    true."""
-    deref = vm.store.deref
-    stack = [(args[0], args[1])]
-    seen = set()
+    """Structural equality test over store.pairs, in unification's order:
+    false on a pair of values that differ, else it waits on the leftmost
+    unbound variable, else true."""
     wait = None
-    while stack:
-        a, b = stack.pop()
-        a = deref(a, sp)
-        b = deref(b, sp)
-        if a is b:
-            continue
-        ta, tb = type(a), type(b)
-        if ta is Var or tb is Var:
-            if wait is None:
-                wait = a if ta is Var else b
-            continue
-        if ta is not tb:
+    for a, b in pairs(args[0], args[1], vm.store.deref, sp):
+        if type(a) is not Var and type(b) is not Var:
             return vm.tell_th(th, args[2], "false")
-        if ta is int or ta is str:
-            if a != b:
-                return vm.tell_th(th, args[2], "false")
-            continue
-        if ta is Record:
-            if a.label != b.label or a.arity() != b.arity():
-                return vm.tell_th(th, args[2], "false")
-            key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
-            if key in seen:
-                continue
-            seen.add(key)
-            for (_, v1), (_, v2) in zip(a.feats, b.feats):
-                stack.append((v1, v2))
-            continue
-        same = ((ta is Name and a.nid == b.nid)
-                or (ta is SpaceRef and a.space is b.space))
-        if not same:
-            return vm.tell_th(th, args[2], "false")
+        if wait is None:
+            wait = a if type(a) is Var else b
     if wait is not None:
         return wait
     return vm.tell_th(th, args[2], "true")
@@ -474,13 +452,13 @@ def bi_byneed(vm, th, args, sp):
         raise OzRaise(_error("byNeed"))
     vm.triggers_installed += 1
     if store.homes[x.vid] is sp:
-        x.trigger = (args[0], sp)
+        x.trigger = args[0]
         return None
     # every space sees a variable's trigger, so for one homed above sp the
     # trigger goes on a variable of sp's, and x is told equal to it in sp's
     # overlay (an alias keeps the variable with the trigger free)
     y = store.new_var(sp)
-    y.trigger = (args[0], sp)
+    y.trigger = args[0]
     return vm.tell_th(th, x, y)
 
 

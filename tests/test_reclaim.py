@@ -72,6 +72,10 @@ def _check_reclaimed(vm, made):
     for var in gc.get_objects():
         if type(var) is Var and var.waiters:
             assert all(th.space.alive() for th in var.waiters), var
+        if type(var) is Var and var.trigger is not None:
+            # the supplier runs in the variable's home
+            home = store.homes[var.vid]
+            assert home is not None and home.alive(), var
 
 
 def test_choice_tree_search_reclaims_dead_spaces(monkeypatch):
@@ -126,6 +130,26 @@ def test_speculating_spaces_reclaimed_on_ancestor_bind(monkeypatch):
     assert ok
     _check_reclaimed(vm, made)    # S0's thread no longer waits on Y
     assert [sp.alive() for sp in made if sp.parent] == [False, True, False]
+
+
+def test_by_need_triggers_of_dead_spaces_reclaimed(monkeypatch):
+    made = _track_spaces(monkeypatch)
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, """
+    declare S0 S1 A0 A1 M in
+    {NewSpace proc {$ R} X in
+       {ByNeed proc {$ V} V = 1 end X} R = X 1 = 2 end S0}
+    {NewSpace proc {$ R} X in
+       {ByNeed proc {$ V} V = 2 end X} R = X end S1}
+    {Ask S0 A0} {Ask S1 A1} {Wait A0} {Wait A1}
+    M = {Merge S1}
+    """)
+    assert ok
+    # S1's trigger, unfired, went with its variable to the top space
+    m = tbl["M"]
+    assert type(m) is Var and m.trigger is not None
+    assert vm.store.homes[m.vid] is vm.top
+    _check_reclaimed(vm, made)
 
 
 # ----------------------------------------------------------------------

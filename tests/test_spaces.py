@@ -297,6 +297,54 @@ def test_merge_is_terminal():
     assert browse(src) == ["v", "error(kind:space)", "error(kind:space)"]
 
 
+def test_ask_answer_reaches_the_heir_of_a_merged_asker():
+    # S asks its child C, then merges while C is still undecided; the
+    # thread waiting for the answer now belongs to the top space
+    src = """
+    declare S SA R in
+    S = {NewSpace proc {$ Root} X C A in
+           C = {NewSpace proc {$ _} {Wait X} end}
+           {Ask C A} Root = r(X A) {Wait A} end}
+    {Ask S SA} {Wait SA} {Browse SA}
+    R = {Merge S}
+    case R of r(X A) then X = 1 {Wait A} {Browse A} end
+    """
+    assert browse(src) == ["succeeded", "succeeded"]
+
+
+def test_stability_wait_reaches_the_heir_of_a_merged_caller():
+    # S's thread waits inside {Merge C _} for C to become stable; S merges
+    # first, and C's stability must still resume that thread
+    src = """
+    declare S SA R in
+    S = {NewSpace proc {$ Root} X C in
+           C = {NewSpace proc {$ _} {Wait X} end}
+           Root = X {Merge C _} {Browse merged} end}
+    {Ask S SA} {Wait SA} {Browse SA}
+    R = {Merge S}
+    R = 1
+    """
+    assert browse(src) == ["succeeded", "merged"]
+
+
+def test_contradicted_ask_answer_at_top_level_is_an_uncaught_failure():
+    out = run("declare S A in {NewSpace proc {$ R} R = 1 end S} "
+              "A = foo {Ask S A} {Browse A}")
+    assert (out.status, out.exit_code) == ("uncaught", 1)
+    assert out.error == "uncaught exception: failure(debug:unit)"
+
+
+def test_contradicted_ask_answer_in_a_child_fails_that_child():
+    src = """
+    declare S A in
+    {NewSpace proc {$ R} S2 A2 in
+       {NewSpace proc {$ R2} R2 = 1 end S2} A2 = foo {Ask S2 A2}
+    end S}
+    {Ask S A} {Browse A}
+    """
+    assert browse(src) == ["failed"]
+
+
 def test_parent_tell_fails_conflicting_speculation():
     """Binding a top variable against a child's speculative binding
     fails the child immediately; the top is unaffected."""

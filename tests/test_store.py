@@ -17,9 +17,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernelspace import spaces
 from kernelspace.spaces import Space
 from kernelspace.store import FAILED, OK, Store
 from kernelspace.terms import Record, Var
+from kernelspace.vm import VM
 
 
 def fresh():
@@ -318,6 +320,20 @@ def test_alias_direction_descendant_to_ancestor():
     # the child binds in place; the ancestor's variable stays unbound
     assert xc.ref is xa
     assert xa.ref is None and not child.bindings
+
+    # a child re-parented by its parent's merge: the top space adopts
+    # mid's variable xm and mid's child, and xc, homed in the child, is
+    # still the one bound, though it is the older variable
+    vm = VM()
+    mid = Space(vm.top, sid=1)
+    child = Space(mid, sid=2)
+    xc = vm.store.new_var(child)
+    xm = vm.store.new_var(mid)
+    spaces.merge(vm, mid, vm.top, spaces.STATUS_SUCCEEDED)
+    assert child.parent is vm.top and vm.store.homes[xm.vid] is vm.top
+    assert vm.store.unify(xm, xc, child) is OK
+    assert xc.ref is xm
+    assert xm.ref is None and not child.bindings
 
 
 def test_binding_monotone_within_space():

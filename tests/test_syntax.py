@@ -531,6 +531,22 @@ def test_deep_programs_still_run(src, browse):
         assert out.browse == browse
 
 
+def test_long_list_literals_compare_without_host_recursion():
+    """Literal operands compare with the store's iterative walk, so a
+    3,000-element list in a finite-domain sum is an ordinary type error."""
+    lst = "[" + _ones(3000) + "]"
+    out = run_text(f"local X in X =: {lst} + {lst} end")
+    assert (out.status, out.exit_code) == ("uncaught", 1)
+    assert out.error == "uncaught exception: error(kind:type)"
+
+    def literal():
+        t = "nil"
+        for _ in range(3000):
+            t = Record("|", ((1, 1), (2, t)))
+        return Lit(t)
+    assert literal() == literal()
+
+
 @pytest.mark.parametrize("src", [
     _nested_procs(80),
     "thread " * 500 + "skip" + " end" * 500,

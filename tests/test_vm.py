@@ -5,7 +5,11 @@ Expected values here are either immediate consequences of the inputs
 the assertion; nothing is copied from program output.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import browse, kind_counter, run
 
@@ -375,6 +379,62 @@ def test_equal_waits_only_while_no_pair_differs():
     out = run("declare X Y in {Browse f(X a) == f(Y a)}")
     assert (out.status, out.exit_code) == ("deadlock", 4)
     assert browse("declare X in {Browse X == X}") == ["true"]
+
+
+def test_equal_parks_on_the_leftmost_unbound_variable():
+    """== meets subterms in unification's order: it parks on X, which
+    makes X needed, and X's supplier binds it, which wakes == to park on
+    Y."""
+    def suspends(src):
+        events = []
+        out = run(src, trace=events.append)
+        assert (out.status, out.exit_code) == ("deadlock", 4)
+        return [ev[0] if ev[0] == "wake" else ev[3] for ev in events
+                if ev[0] in ("suspend", "wake")]
+    [on] = suspends("declare X Y in {Browse f(X Y) == f(1 2)}")
+    first, wake, second = suspends(
+        "declare X Y in {ByNeed proc {$ V} V = 1 end X} "
+        "{Browse f(X Y) == f(1 2)}")
+    assert (first, wake) == (on, "wake") and second != on
+
+
+@st.composite
+def _equality_program(draw):
+    """A declare block binding A and B to ground terms built from ints,
+    atoms, records and two names, with cycles through up to two shared
+    variables V0 and V1.  B is often A again, or A with one shared
+    variable unfolded once, so that equal terms are common."""
+    shared = [f"V{i}" for i in range(draw(st.integers(0, 2)))]
+    leaf = st.one_of(st.integers(0, 2).map(str),
+                     st.sampled_from(["a", "b", "N0", "N1", *shared]))
+
+    def rec(kids):
+        return st.builds(lambda label, fs: f"{label}({' '.join(fs)})",
+                         st.sampled_from(["f", "g"]),
+                         st.lists(kids, min_size=1, max_size=3))
+    term = st.recursive(leaf, rec, max_leaves=6)
+    binds = {v: draw(rec(term)) for v in shared}
+    a = draw(term)
+    unfolded = a
+    for v, t in binds.items():
+        unfolded = re.sub(rf"\b{v}\b", t, unfolded, count=1)
+    b = draw(st.sampled_from([a, unfolded, draw(term)]))
+    tells = " ".join(f"{v} = {t}" for v, t in binds.items())
+    return (f"declare {' '.join(shared)} N0 N1 A B in "
+            f"{{NewName N0}} {{NewName N1}} {tells} A = {a} B = {b}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equality_program())
+def test_equal_agrees_with_unification(decls):
+    """A == B is true exactly when A = B succeeds, false when it fails."""
+    tell = run(decls + " A = B {Browse same}")
+    assert browse(decls + " {Browse A == B}") == \
+        ["true" if tell.status == "ok" else "false"]
+    if tell.status == "ok":
+        assert tell.browse == ["same"]
+    else:
+        assert tell.error == "uncaught exception: failure(debug:unit)"
 
 
 def test_isdet():
