@@ -8,11 +8,18 @@ builtin may also raise Wait (errors.py), which the scheduler reads alike.
 An operand is read as frame[i] for an identifier and is a constant for a
 Lit.  The closures look up vm.tell_th, vm.store.deref and the store's
 methods at call time, so wrappers installed after import see every call.
+
+A call whose callee is a Lit of a base Builtin, which only the
+desugarer's own calls have (kernel.base_op), has its arity checked when
+it compiles and calls the builtin with no callee deref or dispatch.  The
+integer operations IntPlus, IntMinus, IntTimes, Less and Leq compile
+inline, into one closure each (int_op), as the Oz machine runs them as
+instructions (Mehl 1999).  Either way the call is one reduction.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub
 
 from .errors import OzRaise, _error
 from .kernel import (
@@ -170,6 +177,8 @@ def _c_proc(s):
 
 
 def _c_apply(s):
+    if s.slots[0] is None and type(s.f.v) is Builtin:
+        return _c_apply_base(s, s.f.v)
     get_f = _get(s.slots[0], s.f)
     get = _get_all(s.slots[1:], s.args)
     n = len(s.args)
@@ -190,6 +199,49 @@ def _c_apply(s):
             return f
         raise OzRaise(_error("apply"))
     return apply
+
+
+def _c_apply_base(s, f):
+    """A call of base builtin f, named by a Lit."""
+    if f.arity is not None and f.arity != len(s.args):
+        def arity_error(vm, th, fr):
+            raise OzRaise(_error("arity"))
+        return arity_error
+    op = INT_OPS.get(f.name)
+    if op is not None:
+        return int_op(op, *map(_get, s.slots[1:], s.args))
+    fn = f.fn
+    get = _get_all(s.slots[1:], s.args)
+    return lambda vm, th, fr: fn(vm, th, get(fr), th.space)
+
+
+# the integer operations: builtin name -> its function of two ints
+INT_OPS = {
+    "IntPlus": add,
+    "IntMinus": sub,
+    "IntTimes": mul,
+    "Less": lambda x, y: "true" if x < y else "false",
+    "Leq": lambda x, y: "true" if x <= y else "false",
+}
+
+
+def int_op(op, get_x, get_y, get_z):
+    """{F X Y Z}, Z = op(X, Y) once X and Y are integers, as a closure
+    (vm, th, fr) that reads its operands from fr with the three getters.
+    It waits on X before Y, and raises error(kind:type) on a non-integer."""
+    def int_op(vm, th, fr):
+        deref = vm.store.deref
+        sp = th.space
+        x = deref(get_x(fr), sp)
+        if type(x) is Var:
+            return x
+        y = deref(get_y(fr), sp)
+        if type(y) is Var:
+            return y
+        if type(x) is not int or type(y) is not int:
+            raise OzRaise(_error("type"))
+        return vm.tell_th(th, get_z(fr), op(x, y))
+    return int_op
 
 
 def _c_thread(s):

@@ -17,13 +17,21 @@ roundtrip.py work on; the resolution is in extra fields: `slots`
 Lit), KProc.caps and KProc.size, KPatRec.arity, and `root` (outer names,
 frame size) on the statement `desugar` returns.
 
+The calls the desugarer makes itself, for operators, `choice`, lazy
+functions, `dis` and finite-domain tells, bind to base operations and no
+declaration in a program can shadow them: a host builtin is called as a
+Lit of the Builtin (base_op), whose apply the machine compiles with no
+callee lookup, and `dis` calls the prelude's combinator under a name no
+program can write (DIS_COMBINATOR).
+
 Each desugaring job is done by one walk, which also resolves.
 `Desugarer.walk` translates a phrase in either position, chosen by its
 target: with no target the phrase is a statement; with one it is an
 expression, and the kernel binds the target identifier to its value.
 `Desugarer.record` is the one walk that decides whether a record is
 ground, folding it into a Lit, for operands and for expressions alike; it
-follows a list's spine, and `walk` an elseif chain, by a loop.
+follows a list's spine, and `walk` an elseif chain, by a loop, as
+`binop` and `poly` follow an operator chain's left spine.
 `compile_pat` compiles every pattern, nested sub-patterns included;
 `number_feats` numbers the positional features of records and patterns.
 """
@@ -37,7 +45,8 @@ from .terms import Record, _feat_key
 
 
 class Lit:
-    """A literal operand: an int, an atom, or a ground record term."""
+    """A literal operand: an int, an atom, or a ground record term; as the
+    callee of a call the desugarer makes, a base Builtin."""
 
     __slots__ = ("v",)
 
@@ -231,8 +240,28 @@ class KRaise(KStmt):
 # ----------------------------------------------------------------------
 # desugaring
 
+# The operators' base builtins, by name; > swaps its operands.  Like every
+# call the desugarer makes, an operator calls its builtin as a Lit (see
+# base_op), so no declaration in a program can capture it, and the machine
+# compiles the five integer ones inline (codegen.int_op).
 _BINOPS = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes", "<": "Less",
-           ">": "Less", "=<": "Leq", "==": "Equal"}     # > swaps operands
+           ">": "Less", "=<": "Leq", "==": "Equal"}
+
+# The prelude procedure a `dis` calls, under a name no program can write;
+# the base environment binds it (stdlib.base_env).
+DIS_COMBINATOR = "DisCombinator@"
+
+_BASE_OPS = {}      # name -> a Lit of the base builtin, filled on first use
+
+
+def base_op(name):
+    """The callee of a call the desugarer makes to the base builtin `name`:
+    a Lit of the Builtin itself, which resolves in no program's scope.
+    stdlib imports this module, so the table is imported here."""
+    if not _BASE_OPS:
+        from .stdlib import builtins
+        _BASE_OPS.update({n: Lit(b) for n, b in builtins().items()})
+    return _BASE_OPS[name]
 
 
 class _Frame:
@@ -324,6 +353,11 @@ class Desugarer:
     def resolved(self, k, sc, *ops):
         k.slots = tuple([self.ref(o, sc) for o in ops])
         return k
+
+    def apply_base(self, name, args, sc):
+        """The resolved call of base builtin `name` on operands args."""
+        f = base_op(name)
+        return self.resolved(KApply(f, args), sc, f, *args)
 
     def binder(self, k, sc):
         """k, a local or try, with the slots its names got in scope sc."""
@@ -501,14 +535,34 @@ class Desugarer:
         if t is S.SRecordCons:
             return self.record(p, sc, target)[1]
         if t is S.SOp:
-            temps, stmts = [], []
-            a = self.operand(p.lhs, sc, temps, stmts)
-            b = self.operand(p.rhs, sc, temps, stmts)
-            f = _BINOPS[p.op]       # `#` and `|` make records, not SOps
-            args = [b, a, target] if p.op == ">" else [a, b, target]
-            stmts.append(self.resolved(KApply(f, args), sc, f, *args))
-            return self.wrap(temps, stmts)
+            return self.binop(p, sc, target)
         self.err("this construct has no value", p)
+
+    def binop(self, p, sc, target):
+        """Kernel binding target to the value of operator phrase p.  Each
+        operator of a left-nested chain binds a temporary its parent reads
+        as left operand, as the recursion through operand would, but the
+        left spine is followed by a loop and the kernel built inside out."""
+        spine = [(p, target)]
+        while type(p.lhs) is S.SOp:
+            p = p.lhs
+            spine.append((p, self.fresh()))
+        k = None
+        for i in range(len(spine) - 1, -1, -1):
+            p, out = spine[i]
+            temps, stmts = [], []
+            if k is None:
+                a = self.operand(p.lhs, sc, temps, stmts)
+            else:                   # the operator below, bound to its out
+                a = spine[i + 1][1]
+                temps.append(a)
+                stmts.append(k)
+            b = self.operand(p.rhs, sc, temps, stmts)
+            args = [b, a, out] if p.op == ">" else [a, b, out]
+            # `#` and `|` make records, not SOps
+            stmts.append(self.apply_base(_BINOPS[p.op], args, sc))
+            k = self.wrap(temps, stmts)
+        return k
 
     def operand_of_seq(self, p, sc, temps, stmts):
         """Operand of a phrase that may be a sequence ending in a value."""
@@ -559,8 +613,7 @@ class Desugarer:
         lazy_body = self.resolved(KLocal(
             [trig, cell],
             kseq([trig_proc,
-                  self.resolved(KApply("ByNeed", [trig, cell]), sc2,
-                                "ByNeed", trig, cell),
+                  self.apply_base("ByNeed", [trig, cell], sc2),
                   self.resolved(KEq(out2, cell), sc2, out2, cell)])),
             sc2, trig, cell)
         return self.proc(outer, target, params + [out2], lazy_body, sc)
@@ -655,10 +708,9 @@ class Desugarer:
             chain = self.resolved(
                 KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc), chain),
                 sc, y)
-        lit = Lit(n)
         return self.resolved(
-            KLocal([y], kseq([self.resolved(KApply("Choose", [lit, y]), sc,
-                                            "Choose", lit, y), chain])),
+            KLocal([y], kseq([self.apply_base("Choose", [Lit(n), y], sc),
+                              chain])),
             sc, y)
 
     def dis(self, p, sc):
@@ -675,8 +727,8 @@ class Desugarer:
             bops.append(b)
         gl = self.klist(gops, sc, temps, stmts)
         bl = self.klist(bops, sc, temps, stmts)
-        stmts.append(self.resolved(KApply("DisCombinator", [gl, bl]), sc,
-                                   "DisCombinator", gl, bl))
+        stmts.append(self.resolved(KApply(DIS_COMBINATOR, [gl, bl]), sc,
+                                   DIS_COMBINATOR, gl, bl))
         return self.wrap(temps, stmts)
 
     def klist(self, ops, sc, temps, stmts):
@@ -700,8 +752,7 @@ class Desugarer:
         if p.op == ":::":
             vec = self.operand(p.lhs, sc, temps, stmts)
             dom = self.operand(p.rhs, sc, temps, stmts)
-            stmts.append(self.resolved(KApply("FDDomTellVec", [vec, dom]), sc,
-                                       "FDDomTellVec", vec, dom))
+            stmts.append(self.apply_base("FDDomTellVec", [vec, dom], sc))
             return self.wrap(temps, stmts)
         lc, lm = self.poly(p.lhs, sc, temps, stmts)
         rc, rm = self.poly(p.rhs, sc, temps, stmts)
@@ -722,53 +773,56 @@ class Desugarer:
         rel = {"=:": "eq", "<:": "lt", "=<:": "leq"}[p.op]
         args = [Lit(_int_list(coeffs)), self.klist(vars_, sc, temps, stmts),
                 Lit(rel), Lit(-const)]
-        stmts.append(self.resolved(KApply("FDLinRel", args), sc,
-                                   "FDLinRel", *args))
+        stmts.append(self.apply_base("FDLinRel", args, sc))
         return self.wrap(temps, stmts)
 
     def mono_var(self, vs, memo, sc, temps, stmts):
-        """Fold a factor tuple into one variable via pairwise products."""
-        if len(vs) == 1:
-            return vs[0]
-        rest = self.mono_var(vs[1:], memo, sc, temps, stmts)
-        key = (vs[0], rest)
-        if key in memo:
-            return memo[key]
-        prod = self.fresh("Q")
-        temps.append(prod)
-        stmts.append(self.resolved(KApply("FDDecl", [prod]), sc,
-                                   "FDDecl", prod))
-        stmts.append(self.resolved(KApply("FDMulProp", [vs[0], rest, prod]),
-                                   sc, "FDMulProp", vs[0], rest, prod))
-        memo[key] = prod
-        return prod
+        """Fold a factor tuple into one variable via pairwise products, from
+        the right: (v1, v2, v3) is v1 * (v2 * v3).  memo maps a pair of
+        operands to the product variable made for it."""
+        rest = vs[-1]
+        for v in reversed(vs[:-1]):
+            prod = memo.get((v, rest))
+            if prod is None:
+                prod = memo[v, rest] = self.fresh("Q")
+                temps.append(prod)
+                stmts.append(self.apply_base("FDDecl", [prod], sc))
+                stmts.append(self.apply_base("FDMulProp", [v, rest, prod],
+                                             sc))
+            rest = prod
+        return rest
 
     def poly(self, p, sc, temps, stmts):
-        """Normalize to (constant, [(coeff, factor-tuple)])."""
-        t = type(p)
-        if t is S.SInt:
-            return p.value, []
-        if t is S.SOp and p.op in ("+", "-", "*"):
-            lc, lm = self.poly(p.lhs, sc, temps, stmts)
+        """Normalize to (constant, [(coeff, factor-tuple)]).  The left spine
+        of an operator chain is followed by a loop; a right operand
+        recurses, which MAX_NESTING bounds."""
+        spine = []
+        while type(p) is S.SOp and p.op in ("+", "-", "*"):
+            spine.append(p)
+            p = p.lhs
+        if type(p) is S.SInt:
+            lc, lm = p.value, []
+        else:
+            lc, lm = 0, [(1, (self.operand(p, sc, temps, stmts),))]
+        for p in reversed(spine):
             rc, rm = self.poly(p.rhs, sc, temps, stmts)
             if p.op == "+":
-                return lc + rc, lm + rm
-            if p.op == "-":
-                return lc - rc, lm + [(-c, vs) for (c, vs) in rm]
-            out = []
-            const = lc * rc
-            for c, vs in lm:
-                if rc:
-                    out.append((c * rc, vs))
-            for c, vs in rm:
-                if lc:
-                    out.append((lc * c, vs))
-            for c1, v1 in lm:
-                for c2, v2 in rm:
-                    out.append((c1 * c2, v1 + v2))
-            return const, out
-        op = self.operand(p, sc, temps, stmts)
-        return 0, [(1, (op,))]
+                lc, lm = lc + rc, lm + rm
+            elif p.op == "-":
+                lc, lm = lc - rc, lm + [(-c, vs) for (c, vs) in rm]
+            else:
+                out = []
+                for c, vs in lm:
+                    if rc:
+                        out.append((c * rc, vs))
+                for c, vs in rm:
+                    if lc:
+                        out.append((lc * c, vs))
+                for c1, v1 in lm:
+                    for c2, v2 in rm:
+                        out.append((c1 * c2, v1 + v2))
+                lc, lm = lc * rc, out
+        return lc, lm
 
 
 def number_feats(feats):

@@ -4,6 +4,8 @@ text, and compared modulo the names of bound identifiers.
 `pretty` emits parseable surface text, so desugar(parse(pretty(k))) is
 alpha-equivalent to k, for a k whose identifiers a program can write: the
 desugarer's temporaries (`T@1`, ...) print as they are and do not parse.
+A base builtin the desugarer calls as a Lit prints as its name, and
+alpha_equivalent takes it for that name, free.
 The tests use the pair as an oracle for the desugarer; the runtime does not
 import this module.
 """
@@ -15,7 +17,7 @@ from .kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq, KSkip,
     KTellRec, KThread, KTry, Lit, _term_eq,
 )
-from .terms import Record
+from .terms import Builtin, Record
 
 # ----------------------------------------------------------------------
 # pretty printing back to surface syntax
@@ -51,6 +53,8 @@ def _feat_out(f):
 def _op_out(o):
     if type(o) is str:
         return o
+    if type(o.v) is Builtin:
+        return o.v.name
     return _term_out(o.v)
 
 
@@ -102,10 +106,16 @@ def pretty(k, indent=0):
 # alpha equivalence of kernel statements
 
 def alpha_equivalent(k1, k2):
+    def ident(o, m):
+        """(o, what m binds it to); a Lit builtin reads as its name, free."""
+        if type(o) is Lit:
+            return (o.v.name if type(o.v) is Builtin else o), None
+        return o, m.get(o)
+
     def ops(o1, o2, m12, m21):
+        o1, b1 = ident(o1, m12)
+        o2, b2 = ident(o2, m21)
         if type(o1) is str and type(o2) is str:
-            b1 = m12.get(o1)
-            b2 = m21.get(o2)
             if b1 is None and b2 is None:
                 return o1 == o2      # both free
             return b1 == o2 and b2 == o1

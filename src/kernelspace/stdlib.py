@@ -66,6 +66,8 @@ def base_env(vm):
     out = dict(table)
     for n in names:
         out[n] = vm.store.deref(env[n], vm.top)
+    # what a `dis` calls, under a name no program can rebind
+    out[kernel.DIS_COMBINATOR] = out["DisCombinator"]
     return out
 
 

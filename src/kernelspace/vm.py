@@ -47,7 +47,7 @@ import operator
 import weakref
 from collections import deque
 
-from .codegen import CatchMarker, call_stmt, compile_stmt
+from .codegen import INT_OPS, CatchMarker, call_stmt, compile_stmt, int_op
 from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
 from .store import FAILED, OK, Store, is_ancestor, pairs
@@ -364,18 +364,11 @@ def _exc_label(term):
 
 
 def _int_op(op):
-    """The builtin {F X Y Z}: Z = op(X, Y) once X and Y are integers."""
-    def bi(vm, th, args, sp):
-        x = vm.store.deref(args[0], sp)
-        if type(x) is Var:
-            return x
-        y = vm.store.deref(args[1], sp)
-        if type(y) is Var:
-            return y
-        if type(x) is not int or type(y) is not int:
-            raise OzRaise(_error("type"))
-        return vm.tell_th(th, args[2], op(x, y))
-    return bi
+    """The builtin {F X Y Z}, Z = op(X, Y): the closure a generated call
+    compiles to (codegen.int_op), reading its arguments in place of a
+    frame."""
+    code = int_op(op, *map(operator.itemgetter, range(3)))
+    return lambda vm, th, args, sp: code(vm, th, args)
 
 
 def bi_equal(vm, th, args, sp):
@@ -466,13 +459,9 @@ def bi_browse(vm, th, args, sp):
     vm.emit(render(vm, arg(vm, args[0], sp), sp))
 
 
-CORE_BUILTINS = {}
+CORE_BUILTINS = {name: Builtin(name, 3, _int_op(op))
+                 for name, op in INT_OPS.items()}
 for _name, _arity, _fn in [
-    ("IntPlus", 3, _int_op(operator.add)),
-    ("IntMinus", 3, _int_op(operator.sub)),
-    ("IntTimes", 3, _int_op(operator.mul)),
-    ("Less", 3, _int_op(lambda x, y: "true" if x < y else "false")),
-    ("Leq", 3, _int_op(lambda x, y: "true" if x <= y else "false")),
     ("Equal", 3, bi_equal),
     ("Wait", 1, bi_wait),
     ("IsDet", 2, bi_isdet),

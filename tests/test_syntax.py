@@ -28,6 +28,23 @@ def ds(src, base=()):
     return desugar(parse(src), base)
 
 
+def _calls(k, name):
+    """The calls in k of `name`; a base builtin's Lit callee is its name."""
+    return [s for s in _stmts(k) if type(s) is KApply
+            and (s.f.v.name if type(s.f) is Lit else s.f) == name]
+
+
+def _stmts(k):
+    """The statements of k, k first, in textual order."""
+    yield k
+    for attr in ("body", "then", "els", "handler"):
+        sub = getattr(k, attr, None)
+        if sub is not None:
+            yield from _stmts(sub)
+    for sub in getattr(k, "stmts", ()):
+        yield from _stmts(sub)
+
+
 # ----------------------------------------------------------------------
 # random round trip
 
@@ -169,14 +186,7 @@ def _ref_free(k):
 
 
 def _procs(k):
-    if type(k) is KProc:
-        yield k
-    for attr in ("body", "then", "els", "handler"):
-        sub = getattr(k, attr, None)
-        if sub is not None:
-            yield from _procs(sub)
-    for sub in getattr(k, "stmts", ()):
-        yield from _procs(sub)
+    return [s for s in _stmts(k) if type(s) is KProc]
 
 
 def _assert_proc_free_matches_reference(k):
@@ -201,11 +211,19 @@ def test_proc_free_matches_reference_on_library_programs(entry):
 
 def test_fun_desugar():
     k = ds("local F Y in fun {F X} X + 1 end {F 2 Y} end")
-    expect = KLocal(["F", "Y"], kseq([
-        KProc("F", ["X", "R"], KApply("IntPlus", ["X", Lit(1), "R"])),
-        KApply("F", [Lit(2), "Y"]),
-    ]))
-    assert alpha_equivalent(k, expect), pretty(k)
+
+    def expect(plus):
+        return KLocal(["F", "Y"], kseq([
+            KProc("F", ["X", "R"], KApply(plus, ["X", Lit(1), "R"])),
+            KApply("F", [Lit(2), "Y"]),
+        ]))
+    # + calls the base builtin itself, which alpha_equivalent takes for its
+    # name, free, and only free
+    assert alpha_equivalent(k, expect(Lit(stdlib.builtins()["IntPlus"]))), \
+        pretty(k)
+    assert alpha_equivalent(k, expect("IntPlus"))
+    assert not alpha_equivalent(KLocal(["IntPlus"], k),
+                                KLocal(["IntPlus"], expect("IntPlus")))
 
 
 def test_fun_body_case_expression():
@@ -260,65 +278,25 @@ def test_var_pattern_matches_anything():
 
 def test_lazy_fun_uses_by_need():
     k = ds("local F in fun lazy {F N} N + 1 end end")
-    found = []
-
-    def walk(s):
-        if type(s) is KApply and s.f == "ByNeed":
-            found.append(s)
-        for attr in ("body", "then", "els", "handler"):
-            sub = getattr(s, attr, None)
-            if sub is not None:
-                walk(sub)
-        for sub in getattr(s, "stmts", ()):
-            walk(sub)
-    walk(k)
-    assert len(found) == 1
+    assert len(_calls(k, "ByNeed")) == 1
 
 
 def test_choice_desugars_to_choose_and_case():
-    k = ds("local X in choice X = 1 [] X = 2 [] X = 3 end end",
-           base=("Choose",))
+    k = ds("local X in choice X = 1 [] X = 2 [] X = 3 end end")
     text = pretty(k)
     assert "{Choose 3" in text
     assert text.count("case") == 2  # 1..n-1 tests, last branch in else
 
 
 def test_dis_desugars_to_combinator():
-    k = ds("local X in dis X = 1 then skip [] X = 2 then skip end end",
-           base=("DisCombinator",))
-    procs = []
-    applies = []
-
-    def walk(s):
-        if type(s) is KProc:
-            procs.append(s)
-        if type(s) is KApply and s.f == "DisCombinator":
-            applies.append(s)
-        for attr in ("body", "then", "els", "handler"):
-            sub = getattr(s, attr, None)
-            if sub is not None:
-                walk(sub)
-        for sub in getattr(s, "stmts", ()):
-            walk(sub)
-    walk(k)
-    assert len(applies) == 1
-    assert len(procs) == 4  # two guards, two bodies
+    k = ds("local X in dis X = 1 then skip [] X = 2 then skip end end")
+    assert len(_calls(k, kernel.DIS_COMBINATOR)) == 1
+    assert len(_procs(k)) == 4  # two guards, two bodies
 
 
 def test_fd_linear_equation():
-    k = ds("local A B in A =: 2 * B + 3 end", base=("FDLinRel",))
-    rel = []
-
-    def walk(s):
-        if type(s) is KApply and s.f == "FDLinRel":
-            rel.append(s)
-        for attr in ("body", "then", "els", "handler"):
-            sub = getattr(s, attr, None)
-            if sub is not None:
-                walk(sub)
-        for sub in getattr(s, "stmts", ()):
-            walk(sub)
-    walk(k)
+    k = ds("local A B in A =: 2 * B + 3 end")
+    rel = _calls(k, "FDLinRel")
     assert len(rel) == 1
     coeffs, _vars, relop, const = rel[0].args
     assert coeffs == Lit(Record("|", [(1, 1), (2, Record("|", [(1, -2), (2, "nil")]))]))
@@ -328,20 +306,8 @@ def test_fd_linear_equation():
 
 def test_fd_product_pairs_share_common_suffix():
     k = ds("local A B C D in A*B*C =: D*B*C end")
-    muls = []
-
-    def walk(s):
-        if type(s) is KApply and s.f == "FDMulProp":
-            muls.append(s)
-        for attr in ("body", "then", "els", "handler"):
-            sub = getattr(s, attr, None)
-            if sub is not None:
-                walk(sub)
-        for sub in getattr(s, "stmts", ()):
-            walk(sub)
-    walk(k)
     # B*C is computed once and reused: B*C, A*(BC), D*(BC)
-    assert len(muls) == 3
+    assert len(_calls(k, "FDMulProp")) == 3
 
 
 def test_fd_domain_tell():
@@ -384,6 +350,11 @@ def test_list_sugar():
 
 def test_operators_desugar_to_builtins():
     k = ds("local A B C in C = A * B + 2 B = A < C B = A > C end")
+    base = stdlib.builtins()
+    calls = [s for s in _stmts(k) if type(s) is KApply]
+    assert [s.f.v for s in calls] == [base[n] for n in
+                                      ("IntTimes", "IntPlus", "Less", "Less")]
+    assert calls[3].args == ("C", "A", "B")     # > swaps its operands
     text = pretty(k)
     assert "IntTimes" in text and "IntPlus" in text
     assert text.count("{Less") == 2
@@ -519,12 +490,23 @@ M = {Merge C}
     (_CLONE_LIST.replace("ONES", _ones(3000)),
      ["done#[" + _ones(3000) + "]"]),
     (_case_list(2000), ["[" + " ".join(map(str, range(1999, -1, -1))) + "]"]),
+    ("local X in X = " + "+".join(["1"] * 1000) + " {Browse X} end",
+     [str(1000)]),
+    ("local X in X = " + "*".join(["2"] * 1000) + " {Browse X} end",
+     [str(2 ** 1000)]),
+    ("local X in X ::: 0#2000 X =: " + "+".join(["1"] * 1000)
+     + " {Browse X} end", [str(1000)]),
+    ("local X Y in Y = 1 X ::: 0#5 X =: " + "*".join(["Y"] * 1000)
+     + " {Browse X} end", ["1"]),
 ], ids=["list-450-variable-last", "procs-60", "list-3000-ground",
         "list-3000-variable-first", "list-3000-variable-last",
-        "bar-chain-2000", "elseif-2000", "clone-list-3000", "case-list-2000"])
+        "bar-chain-2000", "elseif-2000", "clone-list-3000", "case-list-2000",
+        "plus-chain-1000", "times-chain-1000", "fd-sum-chain-1000",
+        "fd-product-chain-1000"])
 def test_deep_programs_still_run(src, browse):
-    """Lists, | chains, elseif chains and list patterns of any length are
-    read by loops, in the parser, the desugarer and clone alike."""
+    """Lists, | chains, elseif chains, list patterns and operator chains of
+    any length are read by loops, in the parser, the desugarer and clone
+    alike."""
     out = run_text(src)
     assert out.exit_code == 0, out.error
     if browse is not None:

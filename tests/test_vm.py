@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import browse, kind_counter, run
+from kernelspace.runner import Session
 
 
 # ----------------------------------------------------------------------
@@ -43,6 +44,57 @@ def test_arithmetic_suspends_on_unbound():
 def test_division_free_semantics_of_negatives():
     # ~7 is a literal; subtraction may produce negatives anywhere
     assert browse("{Browse 0 - 7}") == ["~7"]
+
+
+# the integer operators run inline (codegen.int_op); these pin its edges
+
+
+@pytest.mark.parametrize("expr", ["1 + a", "a < 1", "f(1) =< 2"])
+def test_integer_operator_on_a_non_integer_raises_type_error(expr):
+    assert browse(f"try local X in X = {expr} end catch E then {{Browse E}} "
+                  "end") == ["error(kind:type)"]
+    out = run(f"local X in X = {expr} end")
+    assert (out.status, out.exit_code) == ("uncaught", 1)
+    assert out.error == "uncaught exception: error(kind:type)"
+
+
+def test_integer_operator_on_an_fd_variable_parks():
+    out = run("local X Y in X ::: 0#9 Y = X + 1 {Browse Y} end")
+    assert (out.status, out.exit_code) == ("deadlock", 4)
+
+
+def test_integer_operator_fires_a_by_need_operand_once():
+    src = """
+    local F X Y in
+       fun lazy {F} {Browse fired} 1 end
+       X = {F}
+       Y = X + X
+       {Browse Y}
+    end
+    """
+    assert browse(src) == ["fired", "2"]
+
+
+@pytest.mark.parametrize("op, first", [("<", "a"), (">", "b"), ("=<", "a")])
+def test_comparison_waits_on_its_left_operand_first(op, first):
+    # > swaps its operands, so it waits on its right operand first
+    src = f"""
+    local A B C in
+       A = {{ByNeed proc {{$ R}} {{Browse a}} R = 1 end}}
+       B = {{ByNeed proc {{$ R}} {{Browse b}} R = 2 end}}
+       C = A {op} B
+       {{Browse C}}
+    end
+    """
+    second = "b" if first == "a" else "a"
+    want = {"<": "true", ">": "false", "=<": "true"}[op]
+    assert browse(src) == [first, second, want]
+
+
+def test_products_of_big_integers_are_exact():
+    x, y = 12345678901234567890, 98765432109876543210
+    assert browse(f"{{Browse {x} * {y}}} {{Browse {x} - {y}}}") \
+        == [str(x * y), "~" + str(y - x)]
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +268,88 @@ def test_desugarer_temporaries_never_capture_a_program_identifier(name):
     src = (f"local {name} X Y in {name} = 5 X = f(g({name})) "
            f"case X of f(g(_)) then Y = {name} end {{Browse X#Y}} end")
     assert browse(src) == ["f(g(5))#5"]
+
+
+# The calls the desugarer makes bind to base operations: a program that
+# declares one of their names does not capture the construct.
+
+def test_a_local_intplus_does_not_capture_plus():
+    assert browse("local IntPlus X in IntPlus = proc {$ A B C} C = 42 end "
+                  "X = 1 + 2 {Browse X} end") == ["3"]
+
+
+def test_a_local_less_does_not_capture_if():
+    assert browse("local Less in Less = proc {$ A B C} C = true end "
+                  "if 3 < 2 then {Browse yes} else {Browse no} end "
+                  "end") == ["no"]
+
+
+def test_a_local_choose_does_not_capture_choice():
+    assert browse("local Choose L in Choose = proc {$ N K} K = N end "
+                  "L = {Search.base.all proc {$ R} choice R = a [] R = b "
+                  "end end} {Browse L} end") == ["[a b]"]
+
+
+def test_a_session_declaration_does_not_capture_a_construct():
+    s = Session()
+    assert s.feed("declare Less DisCombinator in "
+                  "Less = proc {$ A B C} C = true end "
+                  "DisCombinator = proc {$ Gs Bs} skip end").status == "ok"
+    assert s.feed("if 3 < 2 then {Browse yes} else {Browse no} end"
+                  ).browse == ["no"]
+    assert s.feed("{Browse {Search.base.all proc {$ R} "
+                  "dis R = a then skip [] R = b then skip end end}}"
+                  ).browse == ["[a b]"]
+
+
+def _oz(i):
+    return str(i) if i >= 0 else f"~{-i}"
+
+
+def _truth(b):
+    return "true" if b else "false"
+
+
+# generated name -> (arity, a program binding X from ints A and B, the
+# value X must browse as)
+_GENERATED = {
+    "IntPlus": (3, "X = A + B", lambda a, b: _oz(a + b)),
+    "IntMinus": (3, "X = A - B", lambda a, b: _oz(a - b)),
+    "IntTimes": (3, "X = A * B", lambda a, b: _oz(a * b)),
+    "Less": (3, "X = (A < B)#(A > B)",
+             lambda a, b: f"{_truth(a < b)}#{_truth(a > b)}"),
+    "Leq": (3, "X = A =< B", lambda a, b: _truth(a <= b)),
+    "Equal": (3, "X = A == B", lambda a, b: _truth(a == b)),
+    "ByNeed": (2, "local F in fun lazy {F N} N + B end X = {F A} end",
+               lambda a, b: _oz(a + b)),
+    "Choose": (2, "X = {Search.base.all proc {$ R} "
+                  "choice R = A [] R = B end end}",
+               lambda a, b: f"[{_oz(a)} {_oz(b)}]"),
+    "DisCombinator": (2, "X = {Search.base.all proc {$ R} "
+                         "dis R = A then skip [] R = B then skip end end}",
+                      lambda a, b: f"[{_oz(a)} {_oz(b)}]"),
+    "FDDomTellVec": (2, "[X] ::: A#A", lambda a, b: _oz(a)),
+    "FDLinRel": (4, "X ::: 0#100 X =: A + B", lambda a, b: _oz(a + b)),
+    "FDDecl": (1, "X ::: 0#100 X =: Y * Z Y = A Z = B",
+               lambda a, b: _oz(a * b)),
+    "FDMulProp": (3, "X ::: 0#100 X =: Y * Z Y = A Z = B",
+                  lambda a, b: _oz(a * b)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+@settings(max_examples=4, deadline=None)
+@given(a=st.integers(0, 9), b=st.integers(0, 9))
+def test_a_local_never_captures_a_generated_call(name, a, b):
+    """The construct keeps its base meaning when the program declares the
+    name of the operation it desugars to and binds it to a procedure that
+    raises."""
+    arity, body, want = _GENERATED[name]
+    params = " ".join(f"P{i}" for i in range(arity))
+    body = body.replace("A", str(a)).replace("B", str(b))
+    src = (f"local {name} X Y Z in {name} = proc {{$ {params}}} "
+           f"raise captured end end {body} {{Browse X}} end")
+    assert browse(src) == [want(a, b)]
 
 
 # ----------------------------------------------------------------------
