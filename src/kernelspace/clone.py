@@ -105,7 +105,8 @@ def clone_space(vm, s, caller_space):
             store.entry_spaces.setdefault(nv, {})[new] = None
         new.root_var = cp(old.root_var) if old.root_var is not None else None
 
-    # threads: a stable space has only suspended and blocked ones.  Every
+    # threads: a stable space has only suspended and blocked ones, and a
+    # blocked one gets its resume value only when a commit wakes it.  Every
     # frame is copied, even one with no subtree variable, because a later
     # `local` or `case` in the copy writes its slots.
     def cp_frame(fr):
@@ -129,7 +130,6 @@ def clone_space(vm, s, caller_space):
                     stmt, fr = entry
                     nt.stack.append((stmt, cp_frame(fr)))
             nt.state = t.state
-            nt.resume_value = t.resume_value
             new.threads[nt] = None
             tmap[t] = nt
             if t.state == "suspended":

@@ -192,7 +192,7 @@ def _c_apply(s):
             th.stack.append((f.body, [*f.captured, *get(fr), *f.pad]))
             return None
         if tf is Builtin:
-            if f.arity is not None and f.arity != n:
+            if f.arity != n:
                 raise OzRaise(_error("arity"))
             return f.fn(vm, th, get(fr), th.space)
         if tf is Var:
@@ -203,7 +203,7 @@ def _c_apply(s):
 
 def _c_apply_base(s, f):
     """A call of base builtin f, named by a Lit."""
-    if f.arity is not None and f.arity != len(s.args):
+    if f.arity != len(s.args):
         def arity_error(vm, th, fr):
             raise OzRaise(_error("arity"))
         return arity_error

@@ -22,22 +22,28 @@ domain the run holds for that variable, which is the one an earlier step of
 the same run installed when two operands are one variable (`X*X=:Y`, or an
 alias made after posting); `narrow` takes that domain from its caller.
 
-Who re-queues whom: a narrowing, or a tell that binds a variable with a
-domain, queues every watcher of the variable in the space's subtree.  That
+Who re-queues whom: a narrowing, or a binding (through the hook below),
+queues every watcher of the variable in the space's subtree.  That
 includes the propagator that is running, since it left the agenda when it
 started, so a propagator reaches its own fixpoint by running again.
 
-An alias folds through `narrow` like any other domain change: in the
-aliasing space and in every descendant with an entry for the bound
-variable, the other variable is narrowed to its visible domain intersected
-with that entry, and the bound variable's watchers move to it and are
-queued.
+Every binding reaches one store hook, `_on_tell`, before it is made, so a
+tell made above a space reaches that space's domains and propagators.  It
+walks the binding space's subtree once, top-down, through each space with
+an entry for the variable: an integer must lie in the entry, any other
+value fails, and another variable is narrowed by it (an alias folds through
+`narrow`).  A contradiction in the binding space fails the tell; below
+it, it fails that space.  The variable's watchers are queued; an alias
+moves them to the other variable.
 
-When fd state is dropped: a variable bound in its home space loses its
-domain entry and watcher list there, since nothing can read them again.  A
-propagator that finds all its operands determined is entailed, and leaves
-its home's propagator set and watcher lists on that run.  A failed space's
-fd state is cleared and a merged space's moves to its parent.
+When fd state is dropped: a binding in the variable's home drops its entry
+and watcher list there, since nothing can read them again; a binding in an
+overlay leaves a singleton entry, which fails the space if an ancestor
+later narrows the variable past the value.  An alias drops the bound
+variable's entries.  A propagator that finds all its operands determined
+is entailed, and leaves its home's propagator set and watcher lists on that
+run.  A failed space's fd state is cleared and a merged space's moves to
+its parent.
 
 A builtin decodes every argument it may wait for before it narrows or
 posts, as the space builtins do, so a builtin woken again starts afresh.
@@ -200,15 +206,6 @@ def _wake_and_revalidate(vm, sp, var, nd):
         stack.extend(cur.children)
 
 
-def _drop(sp, var):
-    """Forget var's domain entry and watcher list in sp once var is bound
-    in its home, sp or an ancestor: nothing reads them again.  A var bound
-    only in sp's overlay keeps its singleton entry, which fails sp if an
-    ancestor later narrows the var past the value."""
-    sp.fd_domains.pop(var, None)
-    sp.fd_watchers.pop(var, None)
-
-
 def _bind_value(vm, sp, var, value):
     """Bind var to its now-singleton value in sp.  Failure fails sp (or is
     reported if sp is the top space)."""
@@ -231,8 +228,10 @@ def narrow(vm, sp, var, d, nd):
 
     Binds on singletons, wakes watchers in sp's subtree, and revalidates
     descendant entries.  Returns OK, or FAILED when nd is empty or the
-    singleton bind contradicts the store.  Never fails sp itself; the caller
-    decides (propagator failure vs. failed tell in a thread).
+    singleton bind contradicts the store.  The caller decides what a FAILED
+    means (propagator failure vs. failed tell in a thread), except that a
+    singleton bind that fails in a space below the top has already failed
+    that space.
     """
     if nd is None:
         return FAILED
@@ -243,8 +242,6 @@ def narrow(vm, sp, var, d, nd):
         if _bind_value(vm, sp, var, nd.value()) is FAILED:
             return FAILED
     _wake_and_revalidate(vm, sp, var, nd)
-    if var.ref is not None:        # bound in its home
-        _drop(sp, var)
     return OK
 
 
@@ -257,62 +254,63 @@ def _dom_or_declare(vm, sp, var):
 
 
 # ----------------------------------------------------------------------
-# store hooks
+# the store hook
 
-def _on_bind(vm, var, value, space):
-    d = lookup(space, var)
-    if d is None:
+def _on_tell(vm, var, value, space):
+    """The store's fd hook: var is about to be bound to value in space.
+    The one walk of space's subtree that the module docstring describes;
+    FAILED when the binding contradicts what space sees."""
+    ent = lookup(space, var)
+    if ent is None and not space.children:
         return OK
-    if type(value) is not int:
-        return FAILED
-    if not d.contains(value):
-        return FAILED
-    if not d.is_singleton():
-        nd = FDomain(((value, value),))
-        space.fd_domains[var] = nd
-        _wake_and_revalidate(vm, space, var, nd)
-        if vm.store.homes[var.vid] is space:   # the bind goes in place
-            _drop(space, var)
-    return OK
-
-
-def _on_alias(vm, src, dst, space):
-    """src is being aliased to dst in space: narrow dst by the domain src
-    has in space, then by src's entry in each descendant that has one,
-    top-down, and move src's watchers to dst.  A failed narrowing fails that
-    descendant, or is reported if it is in space."""
-    folded = None                  # what space installed for dst
-    stack = [(space, lookup(space, src))]
+    alias = type(value) is Var
+    folded = None                  # what space installed for an alias
+    stack = [space]
     while stack:
-        cur, ent = stack.pop()
+        cur = stack.pop()
+        if cur is not space:
+            ent = cur.fd_domains.get(var)
+        drop = alias
         if ent is not None:
-            # narrowing dst to a value in its home binds it in place and
-            # drops its entry there; below, fold against that value
-            vis = lookup(cur, dst) or folded
-            nd = ent if vis is None else vis.intersect(ent)
-            if narrow(vm, cur, dst, vis, nd) is FAILED:
+            if alias:
+                # narrowing value to an integer in its home binds it in
+                # place and drops its entry there; below, fold against that
+                vis = lookup(cur, value) or folded
+                nd = ent if vis is None else vis.intersect(ent)
+                ok = narrow(vm, cur, value, vis, nd) is not FAILED
+                if cur is space:
+                    folded = nd
+            else:
+                ok = type(value) is int and ent.contains(value)
+            if not ok:
                 if cur is space:
                     return FAILED
                 spaces_mod.fail_space(vm, cur)
                 continue
-            if cur is space:
-                folded = nd
-            cur.fd_domains.pop(src, None)
-        ws = cur.fd_watchers.pop(src, None)
+            if cur is space and not alias:
+                if vm.store.homes[var.vid] is space:   # bound in place
+                    drop = True
+                elif not ent.is_singleton():
+                    space.fd_domains[var] = FDomain(((value, value),))
+        if drop:
+            cur.fd_domains.pop(var, None)
+            ws = cur.fd_watchers.pop(var, None)
+            if ws and alias:
+                cur.fd_watchers.setdefault(value, {}).update(ws)
+        else:
+            ws = cur.fd_watchers.get(var)
         if ws:
-            cur.fd_watchers.setdefault(dst, {}).update(ws)
             for p in ws:
                 _enqueue(vm, p)
-        stack.extend((c, c.fd_domains.get(src)) for c in cur.children)
+        stack.extend(cur.children)
     return OK
 
 
 def ensure_installed(vm):
-    if vm.store.fd_bind_fn is not None:
+    if vm.store.fd_tell_fn is not None:
         return
     vm = weakref.proxy(vm)         # the store must not keep the VM alive
-    vm.store.fd_bind_fn = lambda var, value, space: _on_bind(vm, var, value, space)
-    vm.store.fd_alias_fn = lambda src, dst, space: _on_alias(vm, src, dst, space)
+    vm.store.fd_tell_fn = lambda var, val, space: _on_tell(vm, var, val, space)
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +337,10 @@ def drain(vm):
                     top_failed = True
                 elif home.alive():
                     spaces_mod.fail_space(vm, home)
-        # spaces whose last pending propagator just ran may now be stable
+        # spaces whose last pending propagator just ran may now be stable,
+        # and so may their ancestors
         for sp in touched:
-            if sp.alive():
-                spaces_mod.maybe_answer(vm, sp)
+            spaces_mod.settle(vm, sp)
     if top_failed:
         raise OzRaise(FAILURE)
 

@@ -38,6 +38,8 @@ follows a list's spine, and `walk` an elseif chain, by a loop, as
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import ParseError
 from . import syntax as S
 from .store import pairs
@@ -757,14 +759,9 @@ class Desugarer:
         lc, lm = self.poly(p.lhs, sc, temps, stmts)
         rc, rm = self.poly(p.rhs, sc, temps, stmts)
         const = lc - rc
-        monos = lm + [(-c, vs) for (c, vs) in rm]
-        # combine like terms (same ordered factor tuple)
-        combined = {}
-        for c, vs in monos:
-            combined[vs] = combined.get(vs, 0) + c
         pair_memo = {}
         coeffs, vars_ = [], []
-        for vs, c in combined.items():
+        for c, vs in _combine(lm + [(-c, vs) for (c, vs) in rm]):
             if c == 0:
                 continue
             v = self.mono_var(vs, pair_memo, sc, temps, stmts)
@@ -793,9 +790,11 @@ class Desugarer:
         return rest
 
     def poly(self, p, sc, temps, stmts):
-        """Normalize to (constant, [(coeff, factor-tuple)]).  The left spine
-        of an operator chain is followed by a loop; a right operand
-        recurses, which MAX_NESTING bounds."""
+        """Normalize to (constant, [(coeff, factor-tuple)]), like terms
+        combined after every operator (`_combine`), so a product of sums
+        keeps one term per monomial.  The left spine of an operator chain
+        is followed by a loop; a right operand recurses, which MAX_NESTING
+        bounds."""
         spine = []
         while type(p) is S.SOp and p.op in ("+", "-", "*"):
             spine.append(p)
@@ -807,9 +806,9 @@ class Desugarer:
         for p in reversed(spine):
             rc, rm = self.poly(p.rhs, sc, temps, stmts)
             if p.op == "+":
-                lc, lm = lc + rc, lm + rm
+                lc, lm = lc + rc, _combine(lm + rm)
             elif p.op == "-":
-                lc, lm = lc - rc, lm + [(-c, vs) for (c, vs) in rm]
+                lc, lm = lc - rc, _combine(lm + [(-c, vs) for (c, vs) in rm])
             else:
                 out = []
                 for c, vs in lm:
@@ -821,8 +820,22 @@ class Desugarer:
                 for c1, v1 in lm:
                     for c2, v2 in rm:
                         out.append((c1 * c2, v1 + v2))
-                lc, lm = lc * rc, out
+                lc, lm = lc * rc, _combine(out)
         return lc, lm
+
+
+def _combine(terms):
+    """Add up like terms of [(coeff, factor-tuple)]: terms whose factors are
+    the same multiset, in any order, become one, which keeps the factor
+    tuple and the place of the first of them.  A sum that cancels stays, at
+    coefficient 0, so the terms come out in the order they would have if
+    they were combined only once, at the end."""
+    out = {}
+    for c, vs in terms:
+        key = frozenset(Counter(vs).items())
+        seen = out.get(key)
+        out[key] = (c, vs) if seen is None else (seen[0] + c, seen[1])
+    return list(out.values())
 
 
 def number_feats(feats):

@@ -112,8 +112,8 @@ def _check_operand(s, caller_space, op, failed_ok=False):
 
 
 def fail_space(vm, sp):
-    """Fail sp: flag and empty its subtree, answer its ask waiters, then
-    kill the subtree's threads.
+    """Fail sp: flag and empty its subtree, answer its ask waiters, kill
+    the subtree's threads, then answer the ancestors that are now stable.
 
     The answer must be told before any subtree thread dies: killing first
     would briefly drop an ancestor's runnable count to zero and let a
@@ -141,6 +141,9 @@ def fail_space(vm, sp):
         for t in list(d.threads):
             vm.kill_thread(t)
         d.threads.clear()
+    # a killed suspended thread leaves the runnable counts alone, so no
+    # ancestor it kept from being stable is read again otherwise
+    settle(vm, sp.parent)
 
 
 def _answer_waiters(vm, sp, status):
@@ -190,6 +193,18 @@ def maybe_answer(vm, sp):
         st = status(vm, sp)
         if st is not STATUS_SUSPENDED:
             _answer_waiters(vm, sp, st)
+
+
+def settle(vm, sp):
+    """Answer the pending asks of sp and of each ancestor that is stable.
+    A failure or propagation below a space can leave it stable without a
+    thread of its subtree finishing or parking, which is when it is read
+    otherwise.  `status` still waits for propagation: a queued propagator
+    keeps its home and every ancestor unstable, and a running one queues
+    itself again with its first narrowing, before that can fail a space."""
+    while sp is not None:
+        maybe_answer(vm, sp)
+        sp = sp.parent
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,9 @@ The store knows nothing about threads or propagators.  The owner installs
 callbacks: `wake_fn` receives a newly bound variable, its waiter list
 (taken off the variable, for the owner to wake or park again) and the
 binding space, `fail_space_fn` is invoked when a binding made in an
-ancestor contradicts a descendant overlay entry, and the fd hooks keep
-finite domains consistent with bindings.
+ancestor contradicts a descendant overlay entry, and `fd_tell_fn`, the one
+fd hook, sees every binding before it is made, to a value or to another
+variable, and keeps finite domains consistent with it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ class Store:
         self.entry_spaces = {}     # Var -> spaces below its home with an entry
         self.wake_fn = None
         self.fail_space_fn = None
-        # fd hooks, installed by the fd module when domains are in play
-        self.fd_bind_fn = None     # (Var, int, space) -> OK | FAILED
-        self.fd_alias_fn = None    # (src Var, dst Var, space) -> OK | FAILED
+        # installed by the fd module when domains are in play
+        self.fd_tell_fn = None     # (Var, term, space) -> OK | FAILED
 
     # ------------------------------------------------------------------
     # variables and lookup
@@ -139,8 +139,8 @@ class Store:
         contradictory speculation, in which case that descendant space is
         failed, not this tell).
         """
-        if self.fd_bind_fn is not None and type(value) is not Var:
-            if self.fd_bind_fn(var, value, space) is FAILED:
+        if self.fd_tell_fn is not None:
+            if self.fd_tell_fn(var, value, space) is FAILED:
                 return FAILED
         if self.homes[var.vid] is space:
             assert var.ref is None, "binding monotonicity violated"
@@ -197,9 +197,6 @@ class Store:
                 src, dst = (u, v) if is_ancestor(vh, uh) else (v, u)
             else:
                 src, dst = (u, v) if u.vid > v.vid else (v, u)
-        if self.fd_alias_fn is not None:
-            if self.fd_alias_fn(src, dst, space) is FAILED:
-                return FAILED
         return self.bind(src, dst, space)
 
     # ------------------------------------------------------------------

@@ -67,4 +67,5 @@ def test_builtin_tables_are_disjoint_and_all_loaded():
     for table in tables:
         for name, bi in table.items():
             assert bi.name == name
+            assert type(bi.arity) is int
             assert loaded[name] is bi

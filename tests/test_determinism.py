@@ -134,6 +134,53 @@ _SYNTHETIC = {
     thread T = nil end
     A|T ::: 0#5 A = 3 {Browse A}
     """,
+    # a tell at top fails a grandchild whose thread waits on a top-level
+    # variable; the child's Ask is answered all the same
+    "grandchild-failed-by-binding": """
+    declare Spin X Y S A in
+    proc {Spin N} if N > 0 then {Spin N-1} else skip end end
+    {NewSpace proc {$ R}
+       local G in {NewSpace proc {$ R2} Y = 1 {Wait X} end G} end
+    end S}
+    {Ask S A} {Spin 3000} Y = 2 {Browse A}
+    """,
+    "grandchild-failed-by-domain": """
+    declare Spin X S A in
+    proc {Spin N} if N > 0 then {Spin N-1} else skip end end
+    X ::: 0#9
+    {NewSpace proc {$ R}
+       local G in
+          {NewSpace proc {$ R2} Z in Z ::: 0#2 X + Z =: 5 {Wait X} end G}
+       end
+    end S}
+    {Ask S A} {Spin 3000} X = 9 {Browse A}
+    """,
+    "grandchild-failed-beside-propagation": """
+    declare X S S1 A B in
+    X ::: 0#9
+    {NewSpace proc {$ R}
+       local G in {NewSpace proc {$ R2} X ::: 0#2 {Wait X} end G} end
+    end S}
+    {NewSpace proc {$ R} Y in Y ::: 0#9 X + Y =: 12 end S1}
+    {Ask S1 B} {Wait B}
+    {Ask S A} X = 7 {Browse A}
+    """,
+    # a bind at top, once the child's first Ask is answered, reaches the
+    # domains and propagators only the child has
+    "parent-bind-reaches-child-domain": """
+    declare X S A B in
+    {NewSpace proc {$ R} X ::: 0#9 R = X end S}
+    {Ask S A} {Browse A}
+    X = 42
+    {Ask S B} {Browse B}
+    """,
+    "parent-bind-reaches-child-propagator": """
+    declare X Y S A B in
+    {NewSpace proc {$ R} [X Y] ::: 0#9 X + Y =: 3 R = X end S}
+    {Ask S A} {Browse A}
+    X = 5
+    {Ask S B} {Browse B}
+    """,
 }
 
 
@@ -166,4 +213,4 @@ def run_matrix():
 
 
 def test_schedule_invariance():
-    assert run_matrix() == 26
+    assert run_matrix() == 31

@@ -262,6 +262,80 @@ def test_child_bind_fails_when_the_parent_narrows_past_it():
     """) == ["succeeded#failed"]
 
 
+def test_parent_bind_reaches_a_domain_only_the_child_has():
+    # X has no domain at top, so the top-level bind must reach the child's
+    assert browse("""
+    local X S A B in
+       {NewSpace proc {$ R} X ::: 0#9 R = X end S}
+       {Ask S A} {Browse A}
+       X = 42
+       {Ask S B} {Browse B}
+    end
+    """) == ["succeeded", "failed"]
+
+
+def test_parent_bind_reaches_a_propagator_only_the_child_has():
+    assert browse("""
+    local X Y S A B in
+       {NewSpace proc {$ R} [X Y] ::: 0#9 X + Y =: 3 R = X end S}
+       {Ask S A} {Browse A}
+       X = 5
+       {Ask S B} {Browse B}
+    end
+    """) == ["succeeded", "failed"]
+
+
+@pytest.mark.parametrize("spin_first", [False, True])
+def test_search_answer_does_not_depend_on_when_the_parent_binds(spin_first):
+    # the engine's space declares X's domain; X = 42 told before the
+    # engine's first step or after it must both leave no solution
+    spin = "{Spin 3000}"
+    assert browse(f"""
+    declare Spin in
+    proc {{Spin N}} if N > 0 then {{Spin N-1}} else skip end end
+    local X E Next Sol in
+       {{Search.object proc {{$ R}} Y in
+          X ::: 0#9 Y ::: 0#2 R = Y {{FD.distribute ff [Y]}}
+       end E}}
+       case E of search(next:N close:_) then Next = N end
+       {spin if spin_first else ''}
+       X = 42
+       {spin if not spin_first else ''}
+       {{Next Sol}} {{Browse Sol}}
+    end
+    """) == ["nil"]
+
+
+def check_tell_order(seed):
+    """A random model posted in a child over variables declared at top, and
+    one of them bound at top before the child is made or after its first
+    Ask is answered: propagators are monotone, so the two final answers
+    agree, and a model with a solution for the bound value succeeds."""
+    rng = random.Random(seed)
+    model = _Model(rng)
+    i = rng.randrange(model.n)
+    v = rng.randint(0, 6)
+    tell = f"{model.names[i]} = {v}"
+    child = ("{NewSpace proc {$ R}\n" + "\n".join(model.posts) +
+             "\nend S}")
+    answers = []
+    for body in (f"{tell}\n{child}\n{{Ask S A}} {{Wait A}}",
+                 f"{child}\n{{Ask S A0}} {{Wait A0}}\n{tell}\n"
+                 "{Ask S A} {Wait A}"):
+        ok, tbl, _vm = fd_state(
+            f"declare {' '.join(model.names)} S A0 A in\n{body}")
+        assert ok, (seed, body)
+        answers.append(tbl["A"])
+    assert answers[0] == answers[1], (seed, answers, model.posts, tell)
+    if any(s[i] == v for s in model.brute_force()):
+        assert answers[0] == "succeeded", (seed, model.posts, tell)
+
+
+def test_tell_order_does_not_change_the_answer():
+    for seed in range(300):
+        check_tell_order(seed)
+
+
 def _interval(rng):
     lo = rng.randint(0, 9)
     return lo, rng.randint(lo, 9)

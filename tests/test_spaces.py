@@ -9,6 +9,8 @@ replays deterministically.
 
 import random
 
+import pytest
+
 from conftest import (SPACE_OPS, THREAD_KINDS, browse, kind_counter,
                       load_decls, run)
 
@@ -249,6 +251,55 @@ def test_propagation_failing_a_grandchild_does_not_answer_ask_early():
     {Ask S A} {Browse A}
     """
     assert browse(src) == ["failed"]
+
+
+_SPIN = """
+declare Spin in
+proc {Spin N} if N > 0 then {Spin N-1} else skip end end
+"""
+
+# a grandchild G keeps S from being stable by waiting on X, homed at top,
+# until a tell at top fails G: its thread dies suspended, and S, left with
+# no thread at all, must still be read
+GRANDCHILD_FAILED_BY_A_TELL = {
+    "binding": """
+    local X Y S A in
+       {NewSpace proc {$ R}
+          local G in {NewSpace proc {$ R2} Y = 1 {Wait X} end G} end
+       end S}
+       {Ask S A} {Spin 3000} Y = 2 {Browse A}
+    end
+    """,
+    "domain": """
+    local X S A in
+       X ::: 0#9
+       {NewSpace proc {$ R}
+          local G in
+             {NewSpace proc {$ R2} Z in Z ::: 0#2 X + Z =: 5 {Wait X} end G}
+          end
+       end S}
+       {Ask S A} {Spin 3000} X = 9 {Browse A}
+    end
+    """,
+    # the tell that fails G also queues a propagator of another space S1,
+    # so it fails G while propagation is pending elsewhere
+    "beside-propagation": """
+    local X S S1 A B in
+       X ::: 0#9
+       {NewSpace proc {$ R}
+          local G in {NewSpace proc {$ R2} X ::: 0#2 {Wait X} end G} end
+       end S}
+       {NewSpace proc {$ R} Y in Y ::: 0#9 X + Y =: 12 end S1}
+       {Ask S1 B} {Wait B}
+       {Ask S A} X = 7 {Browse A}
+    end
+    """,
+}
+
+
+@pytest.mark.parametrize("name", GRANDCHILD_FAILED_BY_A_TELL)
+def test_ask_is_answered_when_a_tell_fails_a_waiting_grandchild(name):
+    assert browse(_SPIN + GRANDCHILD_FAILED_BY_A_TELL[name]) == ["succeeded"]
 
 
 def test_ask_blocks_until_stable():

@@ -310,6 +310,34 @@ def test_fd_product_pairs_share_common_suffix():
     assert len(_calls(k, "FDMulProp")) == 3
 
 
+def _power_of_sum(n):
+    return "*".join(["(A+B)"] * n)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_fd_product_of_sums_keeps_one_term_per_monomial(n):
+    # (A+B)^n has n + 1 monomials; multiplied out term by term without
+    # combining it had 2^n, and posted a product chain for each
+    out = run_text(f"""
+    local A B X in
+       A = 1 B = 1 X ::: 0#100000
+       X =: {_power_of_sum(n)}
+       {{Browse X}}
+    end
+    """)
+    assert out.browse == [str(2 ** n)]
+    k = ds(f"local A B X in X =: {_power_of_sum(n)} end")
+    assert len(_calls(k, "FDMulProp")) <= n * n
+
+
+def test_fd_like_terms_combine_whatever_the_factor_order():
+    k = ds("local A B in A*B =: B*A end")
+    assert _calls(k, "FDMulProp") == []
+    assert len(_calls(k, "FDLinRel")) == 1
+    assert run_text("local A B in [A B] ::: 0#3 A*B =: B*A "
+                    "A = 2 B = 3 {Browse ok} end").browse == ["ok"]
+
+
 def test_fd_domain_tell():
     k = ds("local Xs in Xs ::: 0#9 end")
     text = pretty(k)
