@@ -96,13 +96,13 @@ def clone_space(vm, s, caller_space):
             nv.trigger = cp(var.trigger)
 
     # overlays: re-keyed entries, all on variables homed above their space,
-    # registered for ancestor revalidation
+    # indexed for the tells of ancestors
     for old in old_spaces:
         new = space_map[old]
         for var, value in old.bindings.items():
             nv = vmap.get(var, var)
             new.bindings[nv] = cp(value)
-            store.entry_spaces.setdefault(nv, {})[new] = None
+            store.index(nv, new)
         new.root_var = cp(old.root_var) if old.root_var is not None else None
 
     # threads: a stable space has only suspended and blocked ones, and a

@@ -22,28 +22,27 @@ domain the run holds for that variable, which is the one an earlier step of
 the same run installed when two operands are one variable (`X*X=:Y`, or an
 alias made after posting); `narrow` takes that domain from its caller.
 
-Who re-queues whom: a narrowing, or a binding (through the hook below),
-queues every watcher of the variable in the space's subtree.  That
-includes the propagator that is running, since it left the agenda when it
-started, so a propagator reaches its own fixpoint by running again.
-
-Every binding reaches one store hook, `_on_tell`, before it is made, so a
-tell made above a space reaches that space's domains and propagators.  It
-walks the binding space's subtree once, top-down, through each space with
-an entry for the variable: an integer must lie in the entry, any other
-value fails, and another variable is narrowed by it (an alias folds through
-`narrow`).  A contradiction in the binding space fails the tell; below
-it, it fails that space.  The variable's watchers are queued; an alias
-moves them to the other variable.
+Where a tell reaches: a space below a variable's home with a domain entry
+or a watcher list for it is in its index (`Var.spaces`, see store.py).  A
+narrowing or a binding visits the space that makes it, then
+`Store.below`'s spaces under it, top-down, and queues the variable's
+watchers in each, the running propagator included (it left the agenda
+when it started, so it reaches its own fixpoint by running again).  Below,
+a narrowing narrows each entry, and an overlay binding must fit the new
+domain (`_meet`): an integer must lie in it, another variable is narrowed
+by it, and any other value fails that space.  Every binding reaches one
+store hook, `_on_tell`, before it is made: where the variable has an
+entry, the value as seen there must fit it.  A contradiction in the
+binding space fails the tell; below it, it fails that space.  An alias
+moves the watchers to the other variable.
 
 When fd state is dropped: a binding in the variable's home drops its entry
 and watcher list there, since nothing can read them again; a binding in an
-overlay leaves a singleton entry, which fails the space if an ancestor
-later narrows the variable past the value.  An alias drops the bound
-variable's entries.  A propagator that finds all its operands determined
-is entailed, and leaves its home's propagator set and watcher lists on that
-run.  A failed space's fd state is cleared and a merged space's moves to
-its parent.
+overlay keeps them.  An alias drops the bound variable's entries.  An
+entailed propagator (all operands determined) leaves its home's
+propagator set and watcher lists.  A failed space's fd state is cleared
+and a merged space's moves to its parent.  A space that holds no more
+state for a variable leaves its index.
 
 A builtin decodes every argument it may wait for before it narrows or
 posts, as the space builtins do, so a builtin woken again starts afresh.
@@ -175,35 +174,13 @@ def _enqueue(vm, prop):
     vm.fd_agenda.append(prop)
 
 
-def _wake_and_revalidate(vm, sp, var, nd):
-    """After var's domain shrank to nd in sp: wake the subtree's watchers
-    and push the narrowing into descendant overlay entries."""
-    ws = sp.fd_watchers.get(var)
-    if ws:
-        for p in ws:
-            _enqueue(vm, p)
-    if not sp.children:
-        return
-    stack = list(sp.children)
-    while stack:
-        cur = stack.pop()
-        ent = cur.fd_domains.get(var)
-        if ent is not None:
-            inter = ent.intersect(nd)
-            if inter is None:
-                spaces_mod.fail_space(vm, cur)
-                continue
-            if inter.ivs != ent.ivs:
-                cur.fd_domains[var] = inter
-                if inter.is_singleton():
-                    _bind_value(vm, cur, var, inter.value())
-                    if not cur.alive():
-                        continue
-        ws = cur.fd_watchers.get(var)
-        if ws:
-            for p in ws:
-                _enqueue(vm, p)
-        stack.extend(cur.children)
+def _meet(vm, sp, value, d):
+    """Whether value, bound in sp to a variable of domain d, fits d."""
+    if type(value) is Var:           # the alias fold
+        vis = lookup(sp, value)
+        return narrow(vm, sp, value, vis,
+                      d if vis is None else vis.intersect(d)) is not FAILED
+    return type(value) is int and d.contains(value)
 
 
 def _bind_value(vm, sp, var, value):
@@ -226,8 +203,8 @@ def narrow(vm, sp, var, d, nd):
     """Install domain nd for var in sp, where d is the domain var has there
     (None if it has none) and nd a subset of it.
 
-    Binds on singletons, wakes watchers in sp's subtree, and revalidates
-    descendant entries.  Returns OK, or FAILED when nd is empty or the
+    Binds on singletons, and pushes nd below and wakes watchers as the
+    module docstring says.  Returns OK, or FAILED when nd is empty or the
     singleton bind contradicts the store.  The caller decides what a FAILED
     means (propagator failure vs. failed tell in a thread), except that a
     singleton bind that fails in a space below the top has already failed
@@ -237,20 +214,50 @@ def narrow(vm, sp, var, d, nd):
         return FAILED
     if d is not None and nd.ivs == d.ivs:
         return OK
+    store = vm.store
+    if var not in sp.fd_domains:
+        store.index(var, sp)
     sp.fd_domains[var] = nd
     if nd.is_singleton():
         if _bind_value(vm, sp, var, nd.value()) is FAILED:
             return FAILED
-    _wake_and_revalidate(vm, sp, var, nd)
+    for cur in [sp, *store.below(var, sp)] if var.spaces else (sp,):
+        if cur is not sp:
+            if cur.discarded:
+                continue
+            val = cur.bindings.get(var)
+            ent = cur.fd_domains.get(var)
+            inter = nd if ent is None else ent.intersect(nd)
+            if inter is None or (val is not None and not _meet(
+                    vm, cur, store.deref(val, cur), nd)):
+                spaces_mod.fail_space(vm, cur)
+                continue
+            if ent is not None and inter.ivs != ent.ivs:
+                cur.fd_domains[var] = inter
+                if inter.is_singleton():
+                    _bind_value(vm, cur, var, inter.value())
+                    if not cur.alive():
+                        continue
+        ws = cur.fd_watchers.get(var)
+        if ws:
+            for p in ws:
+                _enqueue(vm, p)
     return OK
 
 
 def _dom_or_declare(vm, sp, var):
     d = lookup(sp, var)
     if d is None:
-        d = FULL
-        sp.fd_domains[var] = d
+        d = sp.fd_domains[var] = FULL
+        vm.store.index(var, sp)
     return d
+
+
+def _watch(vm, sp, var):
+    """var's watcher list in sp, made if sp has none."""
+    if var not in sp.fd_watchers:
+        vm.store.index(var, sp)
+    return sp.fd_watchers.setdefault(var, {})
 
 
 # ----------------------------------------------------------------------
@@ -258,51 +265,38 @@ def _dom_or_declare(vm, sp, var):
 
 def _on_tell(vm, var, value, space):
     """The store's fd hook: var is about to be bound to value in space.
-    The one walk of space's subtree that the module docstring describes;
-    FAILED when the binding contradicts what space sees."""
+    The walk the module docstring describes; FAILED when the binding
+    contradicts what space sees."""
     ent = lookup(space, var)
-    if ent is None and not space.children:
+    if ent is None and var.spaces is None:
         return OK
+    store = vm.store
     alias = type(value) is Var
-    folded = None                  # what space installed for an alias
-    stack = [space]
-    while stack:
-        cur = stack.pop()
+    for cur in [space, *store.below(var, space)] if var.spaces else (space,):
+        val = value
         if cur is not space:
-            ent = cur.fd_domains.get(var)
-        drop = alias
-        if ent is not None:
-            if alias:
-                # narrowing value to an integer in its home binds it in
-                # place and drops its entry there; below, fold against that
-                vis = lookup(cur, value) or folded
-                nd = ent if vis is None else vis.intersect(ent)
-                ok = narrow(vm, cur, value, vis, nd) is not FAILED
-                if cur is space:
-                    folded = nd
-            else:
-                ok = type(value) is int and ent.contains(value)
-            if not ok:
-                if cur is space:
-                    return FAILED
-                spaces_mod.fail_space(vm, cur)
+            if cur.discarded:
                 continue
-            if cur is space and not alias:
-                if vm.store.homes[var.vid] is space:   # bound in place
-                    drop = True
-                elif not ent.is_singleton():
-                    space.fd_domains[var] = FDomain(((value, value),))
-        if drop:
+            ent = cur.fd_domains.get(var)
+            val = store.deref(value, cur)     # an alias fold may have bound it
+        if ent is not None and not _meet(vm, cur, val, ent):
+            if cur is space:
+                return FAILED
+            spaces_mod.fail_space(vm, cur)
+            continue
+        # an alias drops var's fd state, and so does a bind in var's home
+        if alias or (cur is space and store.homes[var.vid] is space):
             cur.fd_domains.pop(var, None)
             ws = cur.fd_watchers.pop(var, None)
-            if ws and alias:
-                cur.fd_watchers.setdefault(value, {}).update(ws)
+            if var not in cur.bindings:
+                store.unindex(var, cur)
+            if ws and type(val) is Var:
+                _watch(vm, cur, val).update(ws)
         else:
             ws = cur.fd_watchers.get(var)
         if ws:
             for p in ws:
                 _enqueue(vm, p)
-        stack.extend(cur.children)
     return OK
 
 
@@ -390,7 +384,7 @@ class LinProp:
         if totlo > k or (eq and tothi < k):
             return FAILED
         if not free:
-            _entailed(self, self.vars)
+            _entailed(vm, self, self.vars)
             return OK
         cut = None             # var -> the domain this run installed
         for c, var, d, lo, hi in free:
@@ -507,7 +501,7 @@ class MulProp:
                 return FAILED
             return narrow(vm, sp, b, bd, bd.narrow_bounds(lo, hi))
         if ad is None and bd is None and cd is None:
-            _entailed(self, (self.a, self.b, self.c))
+            _entailed(vm, self, (self.a, self.b, self.c))
         return OK
 
 
@@ -540,7 +534,7 @@ class DistinctProp:
         if len(set(fixed)) != len(fixed):
             return FAILED
         if not free:
-            _entailed(self, self.vars)
+            _entailed(vm, self, self.vars)
             return OK
         if len({var for var, _d in free}) != len(free):
             return FAILED          # two operands aliased to one var
@@ -576,7 +570,7 @@ class DistinctProp:
         return OK
 
 
-def _entailed(prop, operands):
+def _entailed(vm, prop, operands):
     """prop found its operands all determined: it leaves its home's
     propagator set and watcher lists for good.  An alias moves watchers to
     the variable it binds to, so each operand's alias chain is followed."""
@@ -590,6 +584,8 @@ def _entailed(prop, operands):
                 ws.pop(prop, None)
                 if not ws:
                     del watchers[t]
+                    if t not in home.fd_domains and t not in home.bindings:
+                        vm.store.unindex(t, home)
             t = _bound_to(home, t)
 
 
@@ -612,7 +608,7 @@ def _register(vm, prop, operands):
         if type(t) is Var and t not in seen:
             seen.add(t)
             _dom_or_declare(vm, home, t)
-            home.fd_watchers.setdefault(t, {})[prop] = None
+            _watch(vm, home, t)[prop] = None
     _enqueue(vm, prop)
 
 
@@ -629,18 +625,18 @@ def clone_space_state(vm, old, new, vmap, cp):
         prop_map[p] = np
     for var, dom in old.fd_domains.items():
         new.fd_domains[vmap.get(var, var)] = dom
+        vm.store.index(vmap.get(var, var), new)
     for var, ws in old.fd_watchers.items():
-        new.fd_watchers[vmap.get(var, var)] = {
-            prop_map[p]: None for p in ws if p in prop_map}
+        _watch(vm, new, vmap.get(var, var)).update(
+            (prop_map[p], None) for p in ws if p in prop_map)
 
 
 def adopt_into_parent(vm, s, parent):
-    """Fold a merged space's fd state into its parent.  A domain entry that
-    contradicts what the parent sees is skipped."""
-    doms, s.fd_domains = s.fd_domains, {}
+    """Fold a merged space's fd state into its parent, before the merge
+    releases s.  A domain entry that contradicts what the parent sees is
+    skipped."""
     props, s.propagators = s.propagators, {}
-    watchers, s.fd_watchers = s.fd_watchers, {}
-    for var, dom in doms.items():
+    for var, dom in list(s.fd_domains.items()):
         cur = lookup(parent, var)
         nd = dom if cur is None else cur.intersect(dom)
         if nd is None:
@@ -649,8 +645,8 @@ def adopt_into_parent(vm, s, parent):
     for p in props:
         p.home = parent
         parent.propagators[p] = None
-    for var, ws in watchers.items():
-        parent.fd_watchers.setdefault(var, {}).update(ws)
+    for var, ws in s.fd_watchers.items():
+        _watch(vm, parent, var).update(ws)
     for p in props:
         _enqueue(vm, p)
 

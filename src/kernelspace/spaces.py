@@ -29,12 +29,12 @@ there.  The parent is then the merged space's heir (`heir`, used only in
 this module).  Operations on the merged space's children expect the heir
 as their caller, and the answer to an Ask the merged space made, or to the
 stability wait of its Commit, Clone or Merge, is told in the heir, where
-the adopted threads wait for it.  Either way the dead space
-is detached from its parent's `children` (which therefore holds live spaces
-only), flagged `discarded` and emptied: overlay, domains, watchers,
-propagators, own variables and threads.  What remains is a small record
-(sid, parent, flags) that a SpaceRef may still hold, so Ask on it still
-answers `failed` and the other operations still raise.
+the adopted threads wait for it.  Either way the dead space is detached
+from its parent's `children` (which therefore holds live spaces only),
+marked `discarded` with how it ended, unindexed (store.py) and emptied:
+overlay, domains, watchers, propagators, own variables and threads.  What
+remains (sid, parent, `discarded`) a SpaceRef may still hold, so Ask on
+it still answers `failed` and the other operations still raise.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class Space:
         self.runnable = 0             # runnable threads in the whole subtree
         self.pending_choose = None    # (thread, n) when a Choose is blocked
         self.ask_waiters = []         # (answer Var, asking space)
-        self.failed = False
-        self.merged = False
-        self.discarded = False        # failed or merged: no further bindings
+        self.discarded = None         # STATUS_FAILED or _MERGED once ended
         self.fd_domains = {}          # Var -> FDomain overlay, for Vars
                                       # homed here or above
         self.fd_watchers = {}         # Var -> propagators posted here (ordered)
@@ -96,7 +94,7 @@ def subtree(sp):
 
 def heir(sp):
     """sp, or the space that merges handed sp's work to."""
-    while sp.merged:
+    while sp.discarded is STATUS_MERGED:
         sp = sp.parent
     return sp
 
@@ -106,9 +104,8 @@ def _check_operand(s, caller_space, op, failed_ok=False):
     failed unless `failed_ok`."""
     if heir(s.parent) is not caller_space:
         raise UsageError(f"{op}: space is not a child of the calling space")
-    if s.merged or (s.failed and not failed_ok):
-        raise UsageError(f"{op} on a {'merged' if s.merged else 'failed'} "
-                         "space")
+    if s.discarded is STATUS_MERGED or (s.discarded and not failed_ok):
+        raise UsageError(f"{op} on a {s.discarded} space")
 
 
 def fail_space(vm, sp):
@@ -127,13 +124,11 @@ def fail_space(vm, sp):
     del sp.parent.children[sp]
     dead = list(subtree(sp))
     for d in dead:
-        d.failed = d.discarded = True
+        d.discarded = STATUS_FAILED
         d.pending_choose = None
         d.children = {}
         d.propagators.clear()
-        d.fd_domains.clear()
-        d.fd_watchers.clear()
-        vm.store.release(d)
+        vm.store.release(d, d.fd_domains, d.fd_watchers)
     for d in dead[1:]:
         d.ask_waiters = []           # every asker below sp is dead too
     _answer_waiters(vm, sp, STATUS_FAILED)
@@ -153,7 +148,7 @@ def _answer_waiters(vm, sp, status):
     for ans_var, ans_space in waiters:
         # an asker that merged has handed its waiting threads to its heir
         ans_space = heir(ans_space)
-        if not ans_space.failed:
+        if not ans_space.discarded:
             vm.tell(ans_var, status, ans_space)
 
 
@@ -169,10 +164,8 @@ def status(vm, sp):
 
 def classify(vm, sp):
     """status(vm, sp) once no thread in sp's subtree is runnable."""
-    if sp.failed:
-        return STATUS_FAILED
-    if sp.merged:
-        return STATUS_MERGED
+    if sp.discarded:
+        return sp.discarded
     homes = vm.store.homes
     for cur in subtree(sp):
         if cur.fd_queued:
@@ -306,14 +299,13 @@ def merge(vm, s, caller_space, st):
         c.parent = parent
         parent.children[c] = None
     s.children = {}
-    s.merged = True
-    s.discarded = True
+    s.discarded = STATUS_MERGED
     entries = list(s.bindings.items())
-    store.release(s)
     # move fd state into the parent
     if s.fd_domains or s.fd_watchers or s.propagators:
         from . import fd
         fd.adopt_into_parent(vm, s, parent)
+    store.release(s, s.fd_domains, s.fd_watchers)
     failure = False
     for var, value in entries:
         # the parent may already see a binding from its own chain, so this

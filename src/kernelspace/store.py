@@ -23,12 +23,13 @@ trigger until that fires.  A tell that would determine a variable with a
 trigger stops and returns that variable, so the caller can fire the
 trigger and park.
 
-A binding made in an ancestor must be pushed into descendant overlays that
-speculated about the same variable.  `entry_spaces` indexes those overlays
-by Var; every overlay entry is in it, because every overlay entry is on a
-variable homed in a proper ancestor.  When a space fails or merges,
-`release` drops its index entries, and its own variables lose their home
-(the `homes` slot becomes None), binding, waiters and by-need trigger.
+A variable indexes the live spaces below its home that hold state for it,
+an overlay binding or fd's domain entry or watcher list (`Var.spaces`).
+`below` reads it for the push-down of a binding into descendant overlays,
+the fd hook and fd revalidation, so no tell walks a subtree, and `deref`
+reads `ref` alone when it is empty.  When a space fails or merges,
+`release` unindexes it, and its own variables lose their home (the `homes`
+slot becomes None), binding, waiters, trigger and index.
 
 Unification is an incremental tell: bindings created before an inconsistency
 is discovered are kept, and their suspensions are woken.  `pairs`, the one
@@ -69,7 +70,6 @@ def is_ancestor(a, b) -> bool:
 class Store:
     def __init__(self):
         self.homes = []            # vid -> home space, None once it failed
-        self.entry_spaces = {}     # Var -> spaces below its home with an entry
         self.wake_fn = None
         self.fail_space_fn = None
         # installed by the fd module when domains are in play
@@ -92,7 +92,7 @@ class Store:
         hops = 0
         seen = None
         while type(t) is Var:
-            sp = space
+            sp = space if t.spaces is not None else None
             while sp is not None:
                 val = sp.bindings.get(t)
                 if val is not None:
@@ -116,6 +116,23 @@ class Store:
 
     def is_det(self, t, space) -> bool:
         return type(self.deref(t, space)) is not Var
+
+    def index(self, var, sp):
+        if self.homes[var.vid] is not sp:
+            var.spaces = var.spaces or {}
+            var.spaces[sp] = None
+
+    def unindex(self, var, sp):
+        if var.spaces is not None:
+            var.spaces.pop(sp, None)
+            var.spaces = var.spaces or None
+
+    def below(self, var, space):
+        """var's indexed spaces strictly below `space`, top-down: ascending
+        sid, as a space is made after its ancestors."""
+        return sorted([sp for sp in var.spaces or ()
+                       if sp is not space and is_ancestor(space, sp)],
+                      key=lambda sp: sp.sid)
 
     # ------------------------------------------------------------------
     # suspensions
@@ -148,7 +165,7 @@ class Store:
         else:
             assert var not in space.bindings, "binding monotonicity violated"
             space.bindings[var] = value
-            self.entry_spaces.setdefault(var, {})[space] = None
+            self.index(var, space)
         waiters = var.waiters
         if waiters:
             var.waiters = None
@@ -156,31 +173,24 @@ class Store:
                 self.wake_fn(var, waiters, space)
         # a new ancestor binding must be pushed into descendant overlays that
         # speculated about the same variable
-        entries = self.entry_spaces.get(var)
-        if entries:
-            for sp in list(entries):
-                if sp.discarded:
-                    continue
-                if sp is not space and is_ancestor(space, sp):
-                    r = self.unify(value, var, sp, fire=False)
-                    if r is FAILED and self.fail_space_fn is not None:
-                        self.fail_space_fn(sp)
+        for sp in self.below(var, space) if var.spaces else ():
+            if not sp.discarded and var in sp.bindings:
+                r = self.unify(value, var, sp, fire=False)
+                if r is FAILED and self.fail_space_fn is not None:
+                    self.fail_space_fn(sp)
         return OK
 
-    def release(self, space):
-        """Forget a failed or merged space: its overlay and index entries,
-        and its remaining own variables' homes, bindings, waiters and
-        triggers."""
-        index = self.entry_spaces
-        for var in space.bindings:
-            entries = index.get(var)
-            if entries is not None:
-                entries.pop(space, None)
-                if not entries:
-                    del index[var]
-        space.bindings.clear()
+    def release(self, space, *held):
+        """Forget a failed or merged space: its overlay and the owner's
+        tables `held` (keyed by Var) with their index entries, and its
+        remaining own variables' homes, bindings, waiters, triggers and
+        indexes."""
+        for table in (space.bindings, *held):
+            for var in table:
+                self.unindex(var, space)
+            table.clear()
         for var in space.own_vars:
-            var.ref = var.waiters = var.trigger = None
+            var.ref = var.waiters = var.trigger = var.spaces = None
             self.homes[var.vid] = None
         space.own_vars = []
 

@@ -25,16 +25,18 @@ class Var:
     its binding made in its home space, or None (see store.py).  `waiters`
     is the list of what is parked on it until it is bound, or None, and
     `trigger` the supplier procedure of its by-need trigger until that
-    fires; the supplier runs in the variable's home.
+    fires; the supplier runs in the variable's home.  `spaces` indexes the
+    live spaces below its home that hold state for it, or is None.
     """
 
-    __slots__ = ("vid", "ref", "waiters", "trigger")
+    __slots__ = ("vid", "ref", "waiters", "trigger", "spaces")
 
     def __init__(self, vid: int):
         self.vid = vid
         self.ref = None
         self.waiters = None
         self.trigger = None
+        self.spaces = None
 
     def __repr__(self):
         return f"Var({self.vid})"

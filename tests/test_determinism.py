@@ -10,6 +10,8 @@ deliberately lost race that parks a thread) are excluded: for those the
 language only promises that each printed line is a correct snapshot.
 """
 
+from test_fd import NARROWED_PAST_A_BINDING
+
 from kernelspace import stdlib
 from kernelspace.runner import RunConfig, run_text
 
@@ -181,6 +183,8 @@ _SYNTHETIC = {
     X = 5
     {Ask S B} {Browse B}
     """,
+    # an ancestor's narrowing reaches a descendant's overlay binding
+    **NARROWED_PAST_A_BINDING,
 }
 
 
@@ -213,4 +217,4 @@ def run_matrix():
 
 
 def test_schedule_invariance():
-    assert run_matrix() == 31
+    assert run_matrix() == 35

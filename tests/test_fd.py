@@ -20,6 +20,7 @@ from test_reclaim import ORDERED_FRACTIONS
 from kernelspace import fd, search
 from kernelspace.fd import FDomain
 from kernelspace.runner import run_text
+from kernelspace.store import Store
 from kernelspace.terms import Var, record_get
 
 
@@ -306,16 +307,130 @@ def test_search_answer_does_not_depend_on_when_the_parent_binds(spin_first):
     """) == ["nil"]
 
 
+# A child binds a top-level variable while no domain is visible, and the
+# top then narrows the variable past the value: the child must fail.  In
+# the grandchild case S itself stays succeeded, as a failed space does not
+# fail its parent; merging S makes the grandchild T the top's child, so
+# the top can ask it.
+NARROWED_PAST_A_BINDING = {
+    "narrowing-fails-child-bound-to-int": """
+    local X S A B in
+       {NewSpace proc {$ R} X = 3 end S}
+       {Ask S A} {Wait A} X ::: 5#9 {Ask S B} {Browse A#B}
+    end
+    """,
+    "narrowing-fails-child-bound-to-record": """
+    local X S A B in
+       {NewSpace proc {$ R} X = f(1) end S}
+       {Ask S A} {Wait A} X ::: 5#9 {Ask S B} {Browse A#B}
+    end
+    """,
+    "narrowing-fails-grandchild-bound-to-int": """
+    local X S A M B in
+       {NewSpace proc {$ R}
+          local T in {NewSpace proc {$ Q} X = 3 end T} R = T end
+       end S}
+       {Ask S A} {Wait A} X ::: 5#9
+       {Merge S M} {Ask M B} {Browse A#B}
+    end
+    """,
+    # Z is declared first, so the child's Z = X binds X to Z there: the
+    # narrowing of X must fold into Z
+    "narrowing-folds-into-child-alias": """
+    local Z X S A B in
+       {NewSpace proc {$ R} Z = X end S}
+       {Ask S A} {Wait A} X ::: 5#9
+       {Inject S proc {$ R} Z = 3 end}
+       {Ask S B} {Wait B} {Browse A#B}
+    end
+    """,
+}
+
+
+_NARROWED_CASES = {
+    **NARROWED_PAST_A_BINDING,
+    # the control: X declared first, so the child binds Z to X, and its
+    # later Z = 3 meets the top's domain of X directly
+    "control-child-binds-the-other-var": """
+    local X Z S A B in
+       {NewSpace proc {$ R} Z = X end S}
+       {Ask S A} {Wait A} X ::: 5#9
+       {Inject S proc {$ R} Z = 3 end}
+       {Ask S B} {Wait B} {Browse A#B}
+    end
+    """,
+}
+
+
+@pytest.mark.parametrize("name", list(_NARROWED_CASES))
+def test_ancestor_narrowing_reaches_a_child_binding(name):
+    assert browse(_NARROWED_CASES[name]) == ["succeeded#failed"]
+
+
+@pytest.mark.parametrize("alias_first", [True, False])
+def test_alias_moves_watchers_to_the_variable_the_child_sees(alias_first):
+    # the child binds Y to W, so once the top aliases X to Y the child's
+    # propagator on X must watch W there: the child's W = 1 must wake it
+    alias = "X = Y"
+    assert browse(f"""
+    local W Y X S A B in
+       {alias if alias_first else ''}
+       {{NewSpace proc {{$ R}} K L in
+          [X K L] ::: 0#9 [K L] ::: 1#2 {{FD.distinct [X K L]}} Y = W
+       end S}}
+       {{Ask S A}} {{Wait A}}
+       {'' if alias_first else alias}
+       {{Inject S proc {{$ R}} W = 1 end}}
+       {{Ask S B}} {{Wait B}} {{Browse A#B}}
+    end
+    """) == ["succeeded#failed"]
+
+
+def test_tells_visit_only_spaces_that_hold_state(monkeypatch):
+    # the push-down of a binding, the fd hook and revalidation reach the
+    # spaces below the one that tells through the variable's index alone,
+    # so each space they visit holds state for the variable
+    visits, bare = [], []
+    below = Store.below
+
+    def checked(store, var, space):
+        out = below(store, var, space)
+        visits.extend(out)
+        bare.extend(sp for sp in out if sp.discarded or not (
+            var in sp.bindings or var in sp.fd_domains
+            or var in sp.fd_watchers))
+        return out
+    monkeypatch.setattr(Store, "below", checked)
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, ORDERED_FRACTIONS)
+    assert ok
+    assert len(search.to_pylist(vm, tbl["Sols"])) == 1
+    for src in NARROWED_PAST_A_BINDING.values():
+        browse(src)
+    assert browse("""
+    local X Y S A B in
+       {NewSpace proc {$ R} [X Y] ::: 0#9 X + Y =: 3 R = X end S}
+       {Ask S A} {Wait A} X = 5 {Ask S B} {Browse A#B}
+    end
+    """) == ["succeeded#failed"]
+    assert visits and bare == []
+
+
 def check_tell_order(seed):
     """A random model posted in a child over variables declared at top, and
-    one of them bound at top before the child is made or after its first
-    Ask is answered: propagators are monotone, so the two final answers
-    agree, and a model with a solution for the bound value succeeds."""
+    one of them bound or narrowed at top before the child is made or after
+    its first Ask is answered: propagators are monotone, so the two final
+    answers agree, and a model with a solution that the tell allows
+    succeeds."""
     rng = random.Random(seed)
     model = _Model(rng)
     i = rng.randrange(model.n)
     v = rng.randint(0, 6)
+    lo, hi = v, v
     tell = f"{model.names[i]} = {v}"
+    if rng.random() < 0.5:
+        hi = rng.randint(v, 7)
+        tell = f"{model.names[i]} ::: {lo}#{hi}"
     child = ("{NewSpace proc {$ R}\n" + "\n".join(model.posts) +
              "\nend S}")
     answers = []
@@ -327,7 +442,7 @@ def check_tell_order(seed):
         assert ok, (seed, body)
         answers.append(tbl["A"])
     assert answers[0] == answers[1], (seed, answers, model.posts, tell)
-    if any(s[i] == v for s in model.brute_force()):
+    if any(lo <= s[i] <= hi for s in model.brute_force()):
         assert answers[0] == "succeeded", (seed, model.posts, tell)
 
 

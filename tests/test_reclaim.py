@@ -1,12 +1,12 @@
 """Reclaiming failed and merged spaces, and rendering long or deep terms.
 
 After a search the VM must hold state for its live spaces only: a failed
-or merged space is detached from the space tree and emptied, the index of
-descendant overlay entries names live spaces only, and no variable keeps
-a dead space as its home.  Reclamation must not change behaviour: space
-operations on dead spaces answer or raise as before, speculation is still
-revalidated when an ancestor binds, and references still compare by
-identity.
+or merged space is detached from the space tree and emptied, each
+variable's index names exactly the live spaces below its home that hold
+state for it, and no variable keeps a dead space as its home.
+Reclamation must not change behaviour: space operations on dead spaces
+answer or raise as before, speculation is still revalidated when an
+ancestor binds, and references still compare by identity.
 
 Rendering is checked against expected strings built in Python, on terms
 far longer and deeper than the host's recursion limit.
@@ -25,7 +25,7 @@ from test_search import _load_script, _tree_script
 
 from kernelspace import search, spaces
 from kernelspace.spaces import Space
-from kernelspace.store import FAILED, OK, Store
+from kernelspace.store import FAILED, OK, Store, is_ancestor
 from kernelspace.terms import CellRef, PortRef, Record, SpaceRef, Var, cons
 from kernelspace.vm import VM, render
 
@@ -65,8 +65,7 @@ def _check_reclaimed(vm, made):
         assert not sp.fd_watchers and not sp.threads and not sp.children
 
     store = vm.store
-    for var, entries in store.entry_spaces.items():
-        assert entries and all(sp.alive() for sp in entries), var
+    _check_index(vm)
     assert all(h is None or h.alive() for h in store.homes)
     gc.collect()
     for var in gc.get_objects():
@@ -76,6 +75,42 @@ def _check_reclaimed(vm, made):
             # the supplier runs in the variable's home
             home = store.homes[var.vid]
             assert home is not None and home.alive(), var
+
+
+def _indexed(vm):
+    """The variables whose index (Var.spaces) names a space of vm's tree,
+    live or dead, with their indexes."""
+    gc.collect()
+    return {v: list(v.spaces) for v in gc.get_objects()
+            if type(v) is Var and v.spaces is not None
+            and any(is_ancestor(vm.top, sp) for sp in v.spaces)}
+
+
+def _check_index(vm):
+    """Each variable's index names exactly the live spaces below its home
+    that hold an overlay binding, a domain entry or a watcher list for it:
+    no discarded space, whether the variable is reachable from a live
+    space or not."""
+    store = vm.store
+    live, stack = [], [vm.top]
+    while stack:
+        sp = stack.pop()
+        live.append(sp)
+        stack.extend(sp.children)
+    for sp in live:
+        for var in (*sp.bindings, *sp.fd_domains, *sp.fd_watchers):
+            if store.homes[var.vid] is not sp:
+                assert var.spaces and sp in var.spaces, (sp, var)
+        for var in (*sp.bindings, *sp.fd_domains, *sp.fd_watchers,
+                    *sp.own_vars):
+            assert all(s.alive() for s in var.spaces or ()), (sp, var)
+    for var, indexed in _indexed(vm).items():
+        home = store.homes[var.vid]
+        for sp in indexed:
+            assert sp.alive(), (var, sp)
+            assert sp is not home and is_ancestor(home, sp), (var, sp)
+            assert (var in sp.bindings or var in sp.fd_domains
+                    or var in sp.fd_watchers), (var, sp)
 
 
 def test_choice_tree_search_reclaims_dead_spaces(monkeypatch):
@@ -242,10 +277,9 @@ def test_index_registers_only_variables_homed_above():
     own = store.new_var(child)
     assert store.unify(x, 1, child) is OK
     assert store.unify(own, 2, child) is OK
-    assert list(store.entry_spaces) == [x]
-    assert list(store.entry_spaces[x]) == [child]
+    assert list(x.spaces) == [child] and own.spaces is None
     assert store.unify(x, 1, top) is OK          # top entries: never indexed
-    assert list(store.entry_spaces[x]) == [child]
+    assert list(x.spaces) == [child]
 
 
 def test_sibling_failure_prunes_only_its_own_entries():
@@ -255,11 +289,11 @@ def test_sibling_failure_prunes_only_its_own_entries():
     assert vm.store.unify(x, 1, s1) is OK
     assert vm.store.unify(x, 2, s2) is OK
     spaces.fail_space(vm, s2)
-    assert list(vm.store.entry_spaces[x]) == [s1]
+    assert list(x.spaces) == [s1]
     assert list(vm.top.children) == [s1]
     assert vm.store.unify(x, 2, vm.top) is OK
     assert not s1.alive()
-    assert x not in vm.store.entry_spaces
+    assert x.spaces is None
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +365,7 @@ def test_search_at_top_level_leaves_only_the_top_space():
     sols = [tuple(vm.store.deref(v, vm.top) for _, v in s.feats)
             for s in search.to_pylist(vm, tbl["Sols"])]
     assert sols == [(9, 1, 2, 5, 3, 4, 7, 6, 8)]      # 9/12 + 5/34 + 7/68
-    assert vm.top.bindings == {} and vm.store.entry_spaces == {}
+    assert vm.top.bindings == {} and _indexed(vm) == {}
     assert _live(Space) == before + 1                 # vm.top
 
 
@@ -430,7 +464,7 @@ def test_in_place_bind_by_the_parent_revalidates_child_speculation():
     assert store.unify(x, 2, clash) is OK
     assert store.unify(x, 1, s) is OK                    # in place, in x's home
     assert x.ref == 1 and not s.bindings
-    assert clash.failed and not agree.failed
+    assert clash.discarded is spaces.STATUS_FAILED and agree.alive()
     assert store.deref(x, agree) == 1
     assert list(s.children) == [agree]
 
