@@ -11,8 +11,8 @@ procedure in between, so a body reads only its own frame.  Slot numbers
 are fixed when the desugarer closes the frame, and the machine reads them
 when it compiles a statement (see codegen.py).
 
-Nodes keep their identifiers as names, which the round-trip tools in
-roundtrip.py work on; the resolution is in extra fields: `slots`
+Nodes keep their identifiers as names, which the tests' round-trip oracle
+(tests/roundtrip.py) works on; the resolution is in extra fields: `slots`
 (the Slots of a statement's identifier operands in order, None for a
 Lit), KProc.caps and KProc.size, KPatRec.arity, and `root` (outer names,
 frame size) on the statement `desugar` returns.

@@ -6,18 +6,18 @@ alpha-equivalent to k, for a k whose identifiers a program can write: the
 desugarer's temporaries (`T@1`, ...) print as they are and do not parse.
 A base builtin the desugarer calls as a Lit prints as its name, and
 alpha_equivalent takes it for that name, free.
-The tests use the pair as an oracle for the desugarer; the runtime does not
-import this module.
+The pair is a test oracle for the desugarer (tests/test_syntax.py); the
+runtime does not need it, so it lives beside the tests.
 """
 
 import re
 
-from . import syntax as S
-from .kernel import (
+from kernelspace import syntax as S
+from kernelspace.kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq, KSkip,
     KTellRec, KThread, KTry, Lit, _term_eq,
 )
-from .terms import Builtin, Record
+from kernelspace.terms import Builtin, Record
 
 # ----------------------------------------------------------------------
 # pretty printing back to surface syntax

@@ -81,7 +81,7 @@ def test_run_text_budget_counts_the_prelude():
     full = run_text("{Browse 1}").vm.reductions
     out = run_text("{Browse 1}", RunConfig(slice_=1, max_reductions=full))
     assert (out.exit_code, out.browse) == (0, ["1"])
-    for budget in (full - 1, 25, 1):
+    for budget in (full - 1, full // 2, 1):
         out = run_text("{Browse 1}", RunConfig(slice_=1, max_reductions=budget))
         assert (out.status, out.exit_code, out.browse) == ("budget", 3, [])
         assert out.vm.reductions == budget

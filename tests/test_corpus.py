@@ -14,23 +14,23 @@ from kernelspace.runner import RunConfig, run_text
 ENTRIES = stdlib.corpus()
 
 REDUCTIONS = {
-    "lists/append-dataflow": 73,
-    "lists/nrev": 87,
-    "lists/nrev-fun": 81,
-    "search/append-choice-all": 425,
-    "search/append-search-object": 553,
-    "search/nrev-choice-one": 664,
-    "streams/producer-consumer-eager": 2_401_696,
-    "streams/producer-consumer-lazy": 3_600_048,
-    "state/display-stream": 60,
-    "state/exchange-counter": 45,
-    "relational/children-fun": 281,
-    "relational/children-rel-all": 2_019,
-    "relational/children2": 320,
-    "fd/fractions": 462_678,
-    "spaces/dfs-engine": 139,
-    "spaces/dis-unit-commit": 100,
-    "spaces/dis-choice": 148,
+    "lists/append-dataflow": 70,
+    "lists/nrev": 84,
+    "lists/nrev-fun": 78,
+    "search/append-choice-all": 440,
+    "search/append-search-object": 501,
+    "search/nrev-choice-one": 659,
+    "streams/producer-consumer-eager": 2_401_693,
+    "streams/producer-consumer-lazy": 3_600_045,
+    "state/display-stream": 57,
+    "state/exchange-counter": 42,
+    "relational/children-fun": 300,
+    "relational/children-rel-all": 2_220,
+    "relational/children2": 353,
+    "fd/fractions": 445_427,
+    "spaces/dfs-engine": 136,
+    "spaces/dis-unit-commit": 97,
+    "spaces/dis-choice": 145,
 }
 
 # The bench's eager and lazy streams (bench/workloads.py) at 3,000 elements
@@ -93,8 +93,8 @@ def test_corpus_program(entry):
     assert out.vm.reductions == REDUCTIONS[f"{entry.section}/{entry.name}"]
 
 
-@pytest.mark.parametrize("src, reductions", [(EAGER, 48_079),
-                                             (LAZY, 72_048)],
+@pytest.mark.parametrize("src, reductions", [(EAGER, 48_076),
+                                             (LAZY, 72_045)],
                          ids=["eager", "lazy"])
 def test_stream_reduction_counts(src, reductions):
     out = run_text(src)

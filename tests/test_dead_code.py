@@ -1,13 +1,19 @@
 """Every module-level function and class in the package is used somewhere,
-and the builtin tables do not overlap.
+every name the prelude declares is used somewhere, and the builtin tables
+do not overlap.
 
 A definition counts as used when its name appears as a name or as an
 attribute anywhere in src/, tests/ or bench/ outside its own body; imports
 alone do not count.  The check is by name only, with the stdlib ast module.
+A prelude name counts as used when the prelude mentions it outside its own
+definition, or a corpus program, a test or a bench file names it.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from kernelspace import syntax
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kernelspace"
@@ -54,6 +60,43 @@ def test_every_module_level_definition_is_referenced():
         if not used.get(name, set()) - {node}:
             unused.append(qualname)
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def _oz_uses(node):
+    """The variables a parsed phrase reads; a procedure's own name in its
+    head and a pattern's variables are bindings, not uses."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (list, tuple)):
+            stack.extend(n)
+        elif isinstance(n, syntax.Phrase):
+            if type(n) is syntax.SVar:
+                yield n.name
+            stack.extend(getattr(n, slot) for slot in type(n).__slots__)
+
+
+def test_every_prelude_name_is_referenced():
+    prelude = syntax.parse((PACKAGE / "prelude.oz").read_text())
+    body = prelude.body
+    tops = body.phrases if type(body) is syntax.SSeq else [body]
+    used = {}           # name -> the names of the definitions it is used in
+    for top in tops:
+        owner = top.name if type(top) is syntax.SProc else None
+        for name in _oz_uses(top):
+            used.setdefault(name, set()).add(owner)
+    texts = [path.read_text() for path in
+             [*sorted((PACKAGE / "corpus").rglob("*.oz")),
+              *sorted((ROOT / "tests").rglob("*.py")),
+              *sorted((ROOT / "bench").rglob("*.py"))]]
+    unused = []
+    for name in prelude.names:
+        if used.get(name, set()) - {name}:
+            continue
+        word = re.compile(rf"(?<![\w.]){re.escape(name)}(?![\w.])")
+        if not any(word.search(text) for text in texts):
+            unused.append(name)
+    assert unused == [], f"declared in the prelude but never used: {unused}"
 
 
 def test_builtin_tables_are_disjoint_and_all_loaded():

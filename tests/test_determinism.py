@@ -185,6 +185,23 @@ _SYNTHETIC = {
     """,
     # an ancestor's narrowing reaches a descendant's overlay binding
     **NARROWED_PAST_A_BINDING,
+    # an engine commits an alternative only when the search reaches it, so
+    # an alternative no one reached browses nothing
+    "search-object-one-next": """
+    declare P E Next X in
+    proc {P R} choice R = 1 [] {Browse second} R = 2 end end
+    {Search.object P E}
+    case E of search(next:N close:_) then Next = N end
+    {Next X} {Browse X}
+    """,
+    "bab-browses-in-search-order": """
+    declare P Order X in
+    proc {P R}
+       choice R = 1 [] {Browse second} R = 2 [] {Browse third} R = 3 end
+    end
+    proc {Order Old New} Old < New = true end
+    {Search.bab P Order X} {Browse X}
+    """,
 }
 
 
@@ -217,4 +234,4 @@ def run_matrix():
 
 
 def test_schedule_invariance():
-    assert run_matrix() == 35
+    assert run_matrix() == 37

@@ -159,6 +159,21 @@ def test_search_object_interleaves_with_other_work():
     assert got_b == oracle_b
 
 
+def test_search_object_next_leaves_later_alternatives_unrun():
+    """next commits only the alternatives it reaches: a second alternative
+    that never ends costs nothing until a later next takes it."""
+    src = """
+    declare Loop P E Next X in
+    proc {Loop} {Loop} end
+    proc {P R} choice R = 1 [] {Loop} end end
+    {Search.object P E}
+    case E of search(next:N close:_) then Next = N end
+    {Next X} {Browse X}
+    """
+    out = run(src, max_reductions=200_000)
+    assert (out.exit_code, out.browse) == (0, ["[1]"])
+
+
 # ----------------------------------------------------------------------
 # branch and bound details
 

@@ -12,13 +12,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from roundtrip import alpha_equivalent, pretty
+
 from kernelspace import kernel, stdlib, syntax
 from kernelspace.errors import ParseError
 from kernelspace.kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KPatRec, KProc, KRaise, KSeq,
     KSkip, KTellRec, KThread, KTry, Lit, desugar, kseq,
 )
-from kernelspace.roundtrip import alpha_equivalent, pretty
 from kernelspace.runner import run_text
 from kernelspace.syntax import parse
 from kernelspace.terms import Record
