@@ -1,4 +1,4 @@
-"""Cloning a stable space: a deep copy of the whole subtree.
+"""Cloning a stable space: a deep copy of what the subtree can reach.
 
 Everything homed inside the subtree gets a fresh identity: spaces, variables,
 threads, propagators, and by-need triggers.  Everything homed outside is
@@ -7,6 +7,15 @@ objects.  Records are copied with sharing preserved (memoized on object
 identity) and left untouched when no subtree variable occurs inside.  A
 record's last field, a list's tail, is followed by a loop, so a list of
 any length copies in constant host stack.
+
+Variables are copied the way a copying collector copies (Cheney, CACM
+1970): a variable homed in the subtree gets its copy when the copy first
+reaches it, from the roots each space holds (its root variable, overlay
+keys and values, thread frames, the variables threads wait on and the
+answers of asks made in the subtree, fd domain keys, propagator operands
+and watcher keys), and then from the in-place bindings and by-need
+triggers of the variables already reached.  A variable nothing reaches is
+not copied: what a space left behind as it ran costs its clones nothing.
 
 Thread state is copied the same way.  A frame (the slot list of one
 procedure activation, see vm.py) is mutable and may be shared by several
@@ -18,13 +27,14 @@ values, copied when a subtree variable occurs in it.
 The copy gives each new variable the copy of its original's in-place
 binding and by-need trigger, parks each copied suspended thread on the copy
 of the variable its original waits on, rebuilds each overlay with re-keyed
-entries, and reproduces a pending choice point, so the clone is
-indistinguishable from the original to every primitive operation.
+entries, keeps the asks pending inside the subtree, and reproduces a
+pending choice point, so the clone is indistinguishable from the original
+to every primitive operation.
 """
 
 from __future__ import annotations
 
-from .spaces import Space, subtree
+from .spaces import Space, heir, subtree
 from .terms import Closure, Record, SpaceRef, Var, canonical_record
 from .codegen import CatchMarker
 from .vm import Thread
@@ -32,6 +42,7 @@ from .vm import Thread
 
 def clone_space(vm, s, caller_space):
     store = vm.store
+    homes = store.homes
 
     old_spaces = list(subtree(s))
 
@@ -40,18 +51,23 @@ def clone_space(vm, s, caller_space):
         parent = space_map.get(old.parent, old.parent)
         space_map[old] = Space(parent, sid=vm.alloc_sid())
 
-    vmap = {}                # old Var -> new Var
-    for old in old_spaces:
-        new = space_map[old]
-        for var in old.own_vars:
-            vmap[var] = store.new_var(new)
+    vmap = {}                # old Var -> its copy, or itself if homed outside
+    reached = []             # subtree Vars copied, in the order first reached
 
     memo = {}
 
     def cp(t):
         tt = type(t)
         if tt is Var:
-            return vmap.get(t, t)
+            nv = vmap.get(t)
+            if nv is None:
+                home = space_map.get(homes[t.vid])
+                if home is None:
+                    nv = vmap[t] = t
+                else:
+                    nv = vmap[t] = store.new_var(home)
+                    reached.append(t)
+            return nv
         if tt is Record:
             # down the last fields (a list's tail) by a loop, then copy the
             # records from there back up
@@ -88,22 +104,15 @@ def clone_space(vm, s, caller_space):
             return t if ns is None else SpaceRef(ns)
         return t             # ints, atoms, names, cells, ports, builtins
 
-    # in-place bindings and by-need triggers of subtree variables
-    for var, nv in vmap.items():
-        if var.ref is not None:
-            nv.ref = cp(var.ref)
-        if var.trigger is not None:
-            nv.trigger = cp(var.trigger)
-
     # overlays: re-keyed entries, all on variables homed above their space,
     # indexed for the tells of ancestors
     for old in old_spaces:
         new = space_map[old]
         for var, value in old.bindings.items():
-            nv = vmap.get(var, var)
+            nv = cp(var)
             new.bindings[nv] = cp(value)
             store.index(nv, new)
-        new.root_var = cp(old.root_var) if old.root_var is not None else None
+        new.root_var = cp(old.root_var)
 
     # threads: a stable space has only suspended and blocked ones, and a
     # blocked one gets its resume value only when a commit wakes it.  Every
@@ -133,19 +142,34 @@ def clone_space(vm, s, caller_space):
             new.threads[nt] = None
             tmap[t] = nt
             if t.state == "suspended":
-                nt.wait_var = vmap.get(t.wait_var, t.wait_var)
+                nt.wait_var = cp(t.wait_var)
                 store.suspend(nt.wait_var, nt)
             elif t.state != "blocked":
                 raise AssertionError(f"clone saw a {t.state} thread")
         if old.pending_choose is not None:
             bt, n = old.pending_choose
             new.pending_choose = (tmap[bt], n)
+        # an Ask, or the stability wait of Commit, Clone or Merge, made in
+        # the subtree is answered in the copy too
+        for ans_var, asker in old.ask_waiters:
+            ns = space_map.get(heir(asker))
+            if ns is not None:
+                new.ask_waiters.append((cp(ans_var), ns))
 
     # finite-domain state (domains, propagators, watcher lists)
     need_fd = any(old.fd_domains or old.propagators for old in old_spaces)
     if need_fd:
         from . import fd
         for old in old_spaces:
-            fd.clone_space_state(vm, old, space_map[old], vmap, cp)
+            fd.clone_space_state(vm, old, space_map[old], cp)
+
+    # the in-place bindings and by-need triggers of the variables reached,
+    # which may reach more: the loop also scans what it appends
+    for var in reached:
+        nv = vmap[var]
+        if var.ref is not None:
+            nv.ref = cp(var.ref)
+        if var.trigger is not None:
+            nv.trigger = cp(var.trigger)
 
     return space_map[s]

@@ -430,8 +430,7 @@ class MulProp:
         self.queued = False
 
     def copy(self, cp):
-        m = lambda t: cp(t) if type(t) is Var else t
-        return MulProp(None, m(self.a), m(self.b), m(self.c))
+        return MulProp(None, cp(self.a), cp(self.b), cp(self.c))
 
     def run(self, vm):
         sp = self.home
@@ -517,8 +516,7 @@ class DistinctProp:
         self.queued = False
 
     def copy(self, cp):
-        return DistinctProp(
-            None, tuple(cp(t) if type(t) is Var else t for t in self.vars))
+        return DistinctProp(None, tuple(cp(t) for t in self.vars))
 
     def run(self, vm):
         sp = self.home
@@ -615,8 +613,8 @@ def _register(vm, prop, operands):
 # ----------------------------------------------------------------------
 # clone and merge support
 
-def clone_space_state(vm, old, new, vmap, cp):
-    """Copy old's fd state into its clone; cp maps terms, vmap maps Vars."""
+def clone_space_state(vm, old, new, cp):
+    """Copy old's fd state into its clone; cp maps terms and Vars."""
     prop_map = {}
     for p in old.propagators:
         np = p.copy(cp)
@@ -624,10 +622,11 @@ def clone_space_state(vm, old, new, vmap, cp):
         new.propagators[np] = None
         prop_map[p] = np
     for var, dom in old.fd_domains.items():
-        new.fd_domains[vmap.get(var, var)] = dom
-        vm.store.index(vmap.get(var, var), new)
+        nv = cp(var)
+        new.fd_domains[nv] = dom
+        vm.store.index(nv, new)
     for var, ws in old.fd_watchers.items():
-        _watch(vm, new, vmap.get(var, var)).update(
+        _watch(vm, new, cp(var)).update(
             (prop_map[p], None) for p in ws if p in prop_map)
 
 

@@ -59,8 +59,8 @@ class Space:
         self.children = {}            # live child spaces (ordered set)
         self.bindings = {}            # Var -> term: speculative bindings of
                                       # Vars homed in proper ancestors
-        self.own_vars = []            # Vars homed here, for clone and merge;
-                                      # the top space keeps none
+        self.own_vars = []            # Vars homed here, for merge and
+                                      # release; the top space keeps none
         self.root_var = None
         self.threads = {}             # live threads homed here (ordered set)
         self.runnable = 0             # runnable threads in the whole subtree

@@ -437,10 +437,13 @@ def test_in_place_binding_survives_clone_and_merge():
     store = vm.store
     s = Space(vm.top, sid=1)
     x, y = store.new_var(s), store.new_var(s)
+    s.root_var = x                 # a clone copies what the space reaches
     assert store.unify(x, Record("f", ((1, y),)), s) is OK
     assert type(x.ref) is Record and not s.bindings      # bound in place
     c = spaces.clone(vm, s, vm.top, spaces.status(vm, s)).space
-    xc, yc = c.own_vars
+    xc = c.root_var
+    (_, yc), = xc.ref.feats
+    assert c.own_vars == [xc, yc] and not {x, y} & {xc, yc}
     assert render(vm, xc, c) == "f(_)"
     # the copies are independent of the originals, both ways
     assert store.unify(yc, 1, c) is OK

@@ -224,6 +224,196 @@ def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
 
 
 # ----------------------------------------------------------------------
+# clone copies what the cloned subtree reaches
+
+
+def _count_copies(monkeypatch):
+    """Record, for each clone from now on, the variables the original
+    subtree holds and the ones its copy holds."""
+    from kernelspace import clone
+    seen = []
+    orig = clone.clone_space
+
+    def counting(vm, s, caller_space):
+        new = orig(vm, s, caller_space)
+        seen.append(tuple(sum(len(sp.own_vars) for sp in spaces.subtree(x))
+                          for x in (s, new)))
+        return new
+    monkeypatch.setattr(clone, "clone_space", counting)
+    return seen
+
+
+def test_clone_leaves_behind_what_nothing_reaches(monkeypatch):
+    # 20,000 steps each leave variables behind in the space; its root is
+    # bound to an atom and no thread is left
+    seen = _count_copies(monkeypatch)
+    out = run("""
+    declare Loop S C A B in
+    proc {Loop N}
+       if N > 0 then local T in T = N end {Loop N - 1} end
+    end
+    S = {NewSpace proc {$ R} {Loop 20000} R = done end}
+    {Ask S A} {Wait A}
+    C = {Clone S}
+    {Ask C B} {Browse A#B#{Merge C}}
+    """)
+    assert out.exit_code == 0, out.error
+    assert out.browse == ["succeeded#succeeded#done"]
+    (held, copied), = seen
+    assert held > 20000
+    assert copied == 1                     # the root variable
+
+
+# Each script leaves garbage behind and holds one subtree variable K, or a
+# nested space, that only one kind of root reaches.  Its root is
+# r(go:Go out:Out), and `Drive` gives a space its input through Go.  The
+# harness clones S1 twice and drives S1 with 1, the first clone with 2
+# before S1 and the second with 2 after S1 has merged, then a second
+# original S2 with 2.  A copy that waited on S1's variables would not hear
+# its own input, and a variable a copy shared with S1 would hold S1's.
+_REACH_HARNESS = """
+declare Garbage Helper Script Drive Result S1 S2 C1 C2 in
+proc {Garbage N}
+   if N > 0 then local T in T = N end {Garbage N - 1} end
+end
+%s
+fun {Result S V}
+   A in
+   {Inject S proc {$ R} {Drive R V} end}
+   {Ask S A} {Wait A}
+   if A == succeeded then A#{Merge S} else A end
+end
+S1 = {NewSpace Script}
+S2 = {NewSpace Script}
+local A in {Ask S1 A} {Wait A} {Browse A} end
+C1 = {Clone S1}
+C2 = {Clone S1}
+{Browse {Result C1 2}}
+{Browse {Result S1 1}}
+local A in {Ask C2 A} {Wait A} {Browse A} end
+{Browse {Result C2 2}}
+{Browse {Result S2 2}}
+"""
+
+_REACH_CASES = {
+    # K is in the frame of a nested space's thread, suspended on Go
+    "nested-thread": ("""
+    proc {Script R}
+       Go Out G A in
+       R = r(go:Go out:Out)
+       {Garbage 20}
+       G = {NewSpace proc {$ RG} K in {Wait Go} K = Go RG = K + 10 end}
+       {Ask G A} {Wait A}
+       Out = {Merge G}
+    end
+    proc {Drive R V} R = r(go:V out:_) end
+    """, "r(go:{0} out:1{0})"),
+    # K is captured by the by-need supplier of X, which the root reaches
+    "trigger": ("""
+    proc {Helper Go X}
+       K in {ByNeed proc {$ V} K = Go V = K + 10 end X}
+    end
+    proc {Script R}
+       Go X in
+       R = r(go:Go out:X)
+       {Garbage 20}
+       {Helper Go X}
+    end
+    proc {Drive R V} X in R = r(go:V out:X) {Wait X} end
+    """, "r(go:{0} out:1{0})"),
+    # K is a propagator operand, with a domain and watchers, and nothing
+    # else
+    "propagator": ("""
+    proc {Helper Go Out}
+       K in K ::: 0#9 Go + K =: 5 K + Out =: 10
+    end
+    proc {Script R}
+       Go Out in
+       R = r(go:Go out:Out)
+       {Garbage 20}
+       {Helper Go Out}
+    end
+    proc {Drive R V} R = r(go:V out:_) end
+    """, "r(go:{0} out:{1})"),
+    # K, homed in the nested space G, is bound to Go in G's child H: it is
+    # a key of H's overlay and nothing else
+    "overlay-key": ("""
+    fun {Helper Go}
+       K in {NewSpace proc {$ RH} K = Go RH = unit end}
+    end
+    proc {Script R}
+       Go Out G A in
+       R = r(go:Go out:Out)
+       {Garbage 20}
+       G = {NewSpace proc {$ RG}
+          H B in
+          H = {Helper Go}
+          {Wait Go}
+          {Ask H B} {Wait B}
+          RG = {Merge H}#Go
+       end}
+       {Ask G A} {Wait A}
+       Out = {Merge G}
+    end
+    proc {Drive R V} R = r(go:V out:_) end
+    """, "r(go:{0} out:unit#{0})"),
+    # the only reference to the nested space G is the SpaceRef in the
+    # frame of S's thread
+    "space-ref": ("""
+    proc {Script R}
+       Go Out in
+       R = r(go:Go out:Out)
+       {Garbage 20}
+       local G A in
+          G = {NewSpace proc {$ RG} RG = Go + 10 end}
+          {Wait Go}
+          {Ask G A} {Wait A}
+          Out = A#{Merge G}
+       end
+    end
+    proc {Drive R V} R = r(go:V out:_) end
+    """, "r(go:{0} out:succeeded#1{0})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REACH_CASES))
+def test_clone_copies_what_each_root_reaches(monkeypatch, case):
+    defs, root = _REACH_CASES[case]
+    seen = _count_copies(monkeypatch)
+    out = run(_REACH_HARNESS % defs)
+    assert out.exit_code == 0, out.error
+    asked, first, orig, asked_after, second, control = out.browse
+    # each clone answers as an original given the same input, and driving
+    # S1 did not disturb the clone not yet driven
+    assert asked == asked_after == "succeeded"
+    assert orig == "succeeded#" + root.format(1, 6)
+    assert first == second == control == "succeeded#" + root.format(2, 7)
+    (held, copied), again = seen
+    assert again == (held, copied)
+    assert copied < held - 50              # the garbage stays behind
+
+
+def test_clone_answers_the_asks_pending_inside_it():
+    # S's thread asks its child G, which waits on S's Go: the copy of that
+    # ask is answered in the clone once the clone's G is stable
+    assert browse("""
+    declare S C A B in
+    S = {NewSpace proc {$ R} Go G Ans in
+           R = Go#Ans
+           G = {NewSpace proc {$ _} {Wait Go} end}
+           {Ask G Ans}
+        end}
+    {Ask S A} {Wait A}
+    C = {Clone S}
+    {Inject C proc {$ R} R = 1#_ end}
+    {Ask C B} {Wait B}
+    {Browse {Merge C}}
+    {Inject S proc {$ R} R = 2#_ end}
+    {Browse {Merge S}}
+    """) == ["1#succeeded", "2#succeeded"]
+
+
+# ----------------------------------------------------------------------
 # failure containment and the status protocol
 
 
