@@ -17,7 +17,12 @@ after every reduction, so between reductions propagation is always at a
 fixpoint and space stability can be read off directly.
 
 What a run reads: it dereferences each operand and looks up its domain once,
-and takes bounds from the domain's runs (`ivs`).  Each step narrows from the
+and takes bounds from the domain's runs (`ivs`).  Most operands are unbound
+variables homed in the propagator's own space, and a run reads those
+without a call: a Var with no `ref` and an empty index is itself from
+every space (see store.py), so `Store.deref` is called only when one of
+the two is set, and the domain is read from the home's own entries, with
+`lookup` called only when the home has none.  Each step narrows from the
 domain the run holds for that variable, which is the one an earlier step of
 the same run installed when two operands are one variable (`X*X=:Y`, or an
 alias made after posting); `narrow` takes that domain from its caller.
@@ -103,8 +108,16 @@ class FDomain:
 
     def narrow_bounds(self, lo, hi):
         """Intersect with [lo, hi]; None bounds are open.  None if empty."""
+        ivs = self.ivs
+        if len(ivs) == 1:          # one run: clip it
+            a, b = ivs[0]
+            if lo is not None and a < lo:
+                a = lo
+            if hi is not None and b > hi:
+                b = hi
+            return FDomain(((a, b),)) if a <= b else None
         out = []
-        for a, b in self.ivs:
+        for a, b in ivs:
             if lo is not None and b < lo:
                 continue
             if hi is not None and a > hi:
@@ -212,37 +225,50 @@ def narrow(vm, sp, var, d, nd):
     """
     if nd is None:
         return FAILED
-    if d is not None and nd.ivs == d.ivs:
+    ivs = nd.ivs
+    if d is not None and ivs == d.ivs:
         return OK
-    store = vm.store
-    if var not in sp.fd_domains:
-        store.index(var, sp)
-    sp.fd_domains[var] = nd
-    if nd.is_singleton():
-        if _bind_value(vm, sp, var, nd.value()) is FAILED:
+    doms = sp.fd_domains
+    if var not in doms:
+        vm.store.index(var, sp)
+    doms[var] = nd
+    if len(ivs) == 1 and ivs[0][0] == ivs[0][1]:
+        if _bind_value(vm, sp, var, ivs[0][0]) is FAILED:
             return FAILED
-    for cur in [sp, *store.below(var, sp)] if var.spaces else (sp,):
-        if cur is not sp:
-            if cur.discarded:
-                continue
-            val = cur.bindings.get(var)
-            ent = cur.fd_domains.get(var)
-            inter = nd if ent is None else ent.intersect(nd)
-            if inter is None or (val is not None and not _meet(
-                    vm, cur, store.deref(val, cur), nd)):
-                spaces_mod.fail_space(vm, cur)
-                continue
-            if ent is not None and inter.ivs != ent.ivs:
-                cur.fd_domains[var] = inter
-                if inter.is_singleton():
-                    _bind_value(vm, cur, var, inter.value())
-                    if not cur.alive():
-                        continue
+    agenda = vm.fd_agenda
+    for cur in _push_down(vm, sp, var, nd) if var.spaces else (sp,):
         ws = cur.fd_watchers.get(var)
         if ws:
-            for p in ws:
-                _enqueue(vm, p)
+            for p in ws:           # _enqueue, written out
+                if not p.queued and not p.home.discarded:
+                    p.queued = True
+                    p.home.fd_queued += 1
+                    agenda.append(p)
     return OK
+
+
+def _push_down(vm, sp, var, nd):
+    """sp, then each space below it in var's index, top-down, once nd has
+    reached that space's entry and overlay binding and left it alive."""
+    yield sp
+    store = vm.store
+    for cur in store.below(var, sp):
+        if cur.discarded:
+            continue
+        val = cur.bindings.get(var)
+        ent = cur.fd_domains.get(var)
+        inter = nd if ent is None else ent.intersect(nd)
+        if inter is None or (val is not None and not _meet(
+                vm, cur, store.deref(val, cur), nd)):
+            spaces_mod.fail_space(vm, cur)
+            continue
+        if ent is not None and inter.ivs != ent.ivs:
+            cur.fd_domains[var] = inter
+            if inter.is_singleton():
+                _bind_value(vm, cur, var, inter.value())
+                if not cur.alive():
+                    continue
+        yield cur
 
 
 def _dom_or_declare(vm, sp, var):
@@ -315,17 +341,21 @@ def drain(vm):
     reduction that left the agenda non-empty, so stability checks never see
     pending propagation."""
     agenda = vm.fd_agenda
+    popleft = agenda.popleft
     top_failed = False
     while agenda:
         touched = {}
+        last = None
         while agenda:
-            p = agenda.popleft()
+            p = popleft()
             p.queued = False
             home = p.home
             home.fd_queued -= 1
             if home.discarded:
                 continue
-            touched[home] = None
+            if home is not last:   # runs come in long stretches per home
+                touched[home] = None
+                last = home
             if p.run(vm) is FAILED:
                 if home.parent is None:
                     top_failed = True
@@ -361,18 +391,19 @@ class LinProp:
 
     def run(self, vm):
         sp = self.home
-        deref = vm.store.deref
+        doms = sp.fd_domains
         k = self.k
         eq = self.rel == "eq"
         totlo = tothi = 0
         free = []              # (coeff, var, domain, coeff*min, coeff*max)
         for c, t in zip(self.coeffs, self.vars):
-            t = deref(t, sp)
-            if type(t) is int:
-                totlo += c * t
-                tothi += c * t
-                continue
-            d = lookup(sp, t) or FULL
+            if t.ref is not None or t.spaces is not None:
+                t = vm.store.deref(t, sp)
+                if type(t) is int:
+                    totlo += c * t
+                    tothi += c * t
+                    continue
+            d = doms.get(t) or lookup(sp, t) or FULL
             ivs = d.ivs
             if c > 0:
                 lo, hi = c * ivs[0][0], c * ivs[-1][1]
@@ -434,26 +465,30 @@ class MulProp:
 
     def run(self, vm):
         sp = self.home
-        deref = vm.store.deref
-        a = deref(self.a, sp)
-        b = deref(self.b, sp)
-        c = deref(self.c, sp)
+        doms = sp.fd_domains
+        a, b, c = self.a, self.b, self.c
+        if type(a) is Var and (a.ref is not None or a.spaces is not None):
+            a = vm.store.deref(a, sp)
+        if type(b) is Var and (b.ref is not None or b.spaces is not None):
+            b = vm.store.deref(b, sp)
+        if type(c) is Var and (c.ref is not None or c.spaces is not None):
+            c = vm.store.deref(c, sp)
         # an operand's domain, None for an integer, and its bounds; a step
         # that narrows an operand refreshes every operand on the same var
         if type(a) is int:
             ad, alo, ahi = None, a, a
         else:
-            ad = lookup(sp, a) or FULL
+            ad = doms.get(a) or lookup(sp, a) or FULL
             alo, ahi = ad.ivs[0][0], ad.ivs[-1][1]
         if type(b) is int:
             bd, blo, bhi = None, b, b
         else:
-            bd = lookup(sp, b) or FULL
+            bd = doms.get(b) or lookup(sp, b) or FULL
             blo, bhi = bd.ivs[0][0], bd.ivs[-1][1]
         if type(c) is int:
             cd, clo, chi = None, c, c
         else:
-            cd = lookup(sp, c) or FULL
+            cd = doms.get(c) or lookup(sp, c) or FULL
             clo, chi = cd.ivs[0][0], cd.ivs[-1][1]
         # c within [alo*blo, ahi*bhi]
         lo, hi = alo * blo, ahi * bhi
@@ -520,15 +555,16 @@ class DistinctProp:
 
     def run(self, vm):
         sp = self.home
-        deref = vm.store.deref
+        doms = sp.fd_domains
         fixed = []
         free = []
         for t in self.vars:
-            t = deref(t, sp)
+            if type(t) is Var and (t.ref is not None or t.spaces is not None):
+                t = vm.store.deref(t, sp)
             if type(t) is int:
                 fixed.append(t)
             else:
-                free.append((t, lookup(sp, t) or FULL))
+                free.append((t, doms.get(t) or lookup(sp, t) or FULL))
         if len(set(fixed)) != len(fixed):
             return FAILED
         if not free:

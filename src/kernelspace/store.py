@@ -27,7 +27,10 @@ A variable indexes the live spaces below its home that hold state for it,
 an overlay binding or fd's domain entry or watcher list (`Var.spaces`).
 `below` reads it for the push-down of a binding into descendant overlays,
 the fd hook and fd revalidation, so no tell walks a subtree, and `deref`
-reads `ref` alone when it is empty.  When a space fails or merges,
+reads `ref` alone when it is empty.  So a Var with no `ref` and no
+`spaces` is unbound in every space and derefs to itself from each of
+them; fd's propagator runs rely on this to skip `deref` for such a
+variable.  When a space fails or merges,
 `release` unindexes it, and its own variables lose their home (the `homes`
 slot becomes None), binding, waiters, trigger and index.
 

@@ -9,9 +9,10 @@ Three layers of checking, each against an independent oracle:
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import browse, kind_counter, load_decls
@@ -57,35 +58,45 @@ def assert_canonical(d):
         prev_hi = hi
 
 
-vals = st.sets(st.integers(0, 60), min_size=1, max_size=25)
+# a domain of one run, which narrow_bounds clips directly, or a set with
+# gaps, most often of many runs
+vals = st.one_of(
+    st.builds(lambda lo, n: set(range(lo, lo + n + 1)),
+              st.integers(0, 60), st.integers(0, 20)),
+    st.sets(st.integers(0, 60), min_size=1, max_size=25))
+bound = st.one_of(st.none(), st.integers(0, 80))
+
+
+def assert_matches(got, want):
+    """got is the canonical domain of the set want, None when it is empty."""
+    assert_canonical(got)
+    assert (got is None) == (not want)
+    assert set_of(got) == want
 
 
 @given(vals, vals)
 def test_intersect_matches_sets(a, b):
-    got = dom_of(a).intersect(dom_of(b))
-    assert_canonical(got)
-    assert set_of(got) == (a & b)
+    assert_matches(dom_of(a).intersect(dom_of(b)), a & b)
 
 
-@given(vals, st.integers(0, 60))
+@given(vals, st.integers(0, 80))
 def test_remove_matches_sets(a, v):
-    got = dom_of(a).remove(v)
-    assert_canonical(got)
-    assert set_of(got) == (a - {v})
+    assert_matches(dom_of(a).remove(v), a - {v})
 
 
-@given(vals,
-       st.one_of(st.none(), st.integers(0, 60)),
-       st.one_of(st.none(), st.integers(0, 60)))
+@settings(max_examples=500)
+@given(vals, bound, bound)
+@example({5, 6, 7}, 8, None)         # bounds just past either end
+@example({5, 6, 7}, None, 4)
+@example({5, 6, 7}, 6, 5)            # lo > hi inside the run
+@example({1, 5, 6, 9}, 7, 8)         # in a gap between runs
 def test_narrow_bounds_matches_sets(a, lo, hi):
-    got = dom_of(a).narrow_bounds(lo, hi)
-    assert_canonical(got)
     want = {v for v in a
             if (lo is None or v >= lo) and (hi is None or v <= hi)}
-    assert set_of(got) == want
+    assert_matches(dom_of(a).narrow_bounds(lo, hi), want)
 
 
-@given(vals, st.integers(0, 60))
+@given(vals, st.integers(0, 80))
 def test_scalar_queries_match_sets(a, probe):
     d = dom_of(a)
     assert d.min() == min(a)
@@ -613,6 +624,58 @@ def test_ordered_fractions_search_shape():
     assert ok
     assert len(search.to_pylist(vm, tbl["Sols"])) == 1
     assert kinds["clone"] == 822
+
+
+def test_ordered_fractions_propagation_work(monkeypatch):
+    # the runs of each propagator class pin the agenda order: a change to
+    # how a run reads its operands or queues watchers must not move them
+    runs = Counter()
+    for cls in (fd.LinProp, fd.MulProp, fd.DistinctProp):
+        def counted(prop, vm, run=cls.run, name=cls.__name__):
+            runs[name] += 1
+            return run(prop, vm)
+        monkeypatch.setattr(cls, "run", counted)
+    vm, env = search.fresh()
+    ok, tbl = load_decls(vm, env, ORDERED_FRACTIONS)
+    assert ok
+    assert len(search.to_pylist(vm, tbl["Sols"])) == 1
+    assert runs == {"MulProp": 80_393, "LinProp": 40_183,
+                    "DistinctProp": 4_825}
+
+
+# A propagator posted in a child on X, homed at top, and X then bound in
+# the child's overlay: the run that binding queues must see X's value,
+# which only the overlay holds (X.ref stays empty).  Given X = 3, bounds
+# propagation alone determines every other operand, so the child must
+# hold the brute-force solution, or fail when there is none.
+OVERLAY_BOUND = [
+    ("{FDLinRel [1 1] [X Y] eq 7}", "X Y", lambda x, y: x + y == 7),
+    ("{FDLinRel [1 2] [X Y] eq 10}", "X Y", lambda x, y: x + 2 * y == 10),
+    ("Z ::: 10#14 {FDMulProp X Y Z}", "X Y Z",
+     lambda x, y, z: x * y == z and 10 <= z <= 14),
+    ("Y ::: 3#4 {FDDistinct [X Y]}", "X Y",
+     lambda x, y: x != y and 3 <= y <= 4),
+]
+
+
+@pytest.mark.parametrize("post,vl,holds", OVERLAY_BOUND,
+                         ids=[post for post, _, _ in OVERLAY_BOUND])
+def test_a_run_sees_an_operand_bound_in_the_overlay(post, vl, holds):
+    names = vl.split()
+    sols = [s for s in itertools.product(range(21), repeat=len(names))
+            if s[0] == 3 and holds(*s)]
+    assert len(sols) <= 1
+    ok, tbl, vm = fd_state(f"""
+    declare {vl} S A in
+    [{vl}] ::: 0#20
+    S = {{NewSpace proc {{$ R}} {post} X = 3 end}}
+    {{Ask S A}} {{Wait A}}
+    """)
+    assert ok and type(tbl["X"]) is Var
+    assert tbl["A"] == ("succeeded" if sols else "failed")
+    if sols:
+        child = tbl["S"].space
+        assert tuple(vm.store.deref(tbl[n], child) for n in names) == sols[0]
 
 
 # ----------------------------------------------------------------------
