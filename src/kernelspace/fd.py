@@ -20,12 +20,14 @@ What a run reads: it dereferences each operand and looks up its domain once,
 and takes bounds from the domain's runs (`ivs`).  Most operands are unbound
 variables homed in the propagator's own space, and a run reads those
 without a call: a Var with no `ref` and an empty index is itself from
-every space (see store.py), so `Store.deref` is called only when one of
-the two is set, and the domain is read from the home's own entries, with
-`lookup` called only when the home has none.  Each step narrows from the
-domain the run holds for that variable, which is the one an earlier step of
-the same run installed when two operands are one variable (`X*X=:Y`, or an
-alias made after posting); `narrow` takes that domain from its caller.
+every space (see store.py), and one whose `ref` is an integer and whose
+index is empty is that integer from every space, so `Store.deref` is
+called only for any other operand with one of the two set.  The domain
+is read from the home's own entries, with `lookup` called only when the
+home has none.  Each step narrows from the domain the run holds for that
+variable, which is the one an earlier step of the same run installed
+when two operands are one variable (`X*X=:Y`, or an alias made after
+posting); `narrow` takes that domain from its caller.
 
 Where a tell reaches: a space below a variable's home with a domain entry
 or a watcher list for it is in its index (`Var.spaces`, see store.py).  A
@@ -398,7 +400,8 @@ class LinProp:
         free = []              # (coeff, var, domain, coeff*min, coeff*max)
         for c, t in zip(self.coeffs, self.vars):
             if t.ref is not None or t.spaces is not None:
-                t = vm.store.deref(t, sp)
+                t = t.ref if type(t.ref) is int and t.spaces is None \
+                    else vm.store.deref(t, sp)
                 if type(t) is int:
                     totlo += c * t
                     tothi += c * t
@@ -468,11 +471,14 @@ class MulProp:
         doms = sp.fd_domains
         a, b, c = self.a, self.b, self.c
         if type(a) is Var and (a.ref is not None or a.spaces is not None):
-            a = vm.store.deref(a, sp)
+            a = a.ref if type(a.ref) is int and a.spaces is None \
+                else vm.store.deref(a, sp)
         if type(b) is Var and (b.ref is not None or b.spaces is not None):
-            b = vm.store.deref(b, sp)
+            b = b.ref if type(b.ref) is int and b.spaces is None \
+                else vm.store.deref(b, sp)
         if type(c) is Var and (c.ref is not None or c.spaces is not None):
-            c = vm.store.deref(c, sp)
+            c = c.ref if type(c.ref) is int and c.spaces is None \
+                else vm.store.deref(c, sp)
         # an operand's domain, None for an integer, and its bounds; a step
         # that narrows an operand refreshes every operand on the same var
         if type(a) is int:
@@ -560,7 +566,8 @@ class DistinctProp:
         free = []
         for t in self.vars:
             if type(t) is Var and (t.ref is not None or t.spaces is not None):
-                t = vm.store.deref(t, sp)
+                t = t.ref if type(t.ref) is int and t.spaces is None \
+                    else vm.store.deref(t, sp)
             if type(t) is int:
                 fixed.append(t)
             else:

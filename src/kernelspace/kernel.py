@@ -27,11 +27,12 @@ program can write (DIS_COMBINATOR).
 Each desugaring job is done by one walk, which also resolves.
 `Desugarer.walk` translates a phrase in either position, chosen by its
 target: with no target the phrase is a statement; with one it is an
-expression, and the kernel binds the target identifier to its value.
-`Desugarer.record` is the one walk that decides whether a record is
-ground, folding it into a Lit, for operands and for expressions alike; it
-follows a list's spine, and `walk` an elseif chain, by a loop, as
-`binop` and `poly` follow an operator chain's left spine.
+expression, and the kernel binds the target identifier to its value.  It
+hands the phrase to the method its type has in that position (_STATEMENT,
+_EXPRESSION).  `Desugarer.record` is the one walk that decides whether a
+record is ground, folding it into a Lit, for operands and for expressions
+alike; it follows a list's spine, and `if_chain` an elseif chain, by a
+loop, as `binop` and `poly` follow an operator chain's left spine.
 `compile_pat` compiles every pattern, nested sub-patterns included;
 `number_feats` numbers the positional features of records and patterns.
 """
@@ -101,12 +102,7 @@ class KSkip(KStmt):
     __slots__ = ()
 
 
-class KEq(KStmt):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+KEq = S.node_class("KEq", KStmt, ("a", "b"))
 
 
 class KTellRec(KStmt):
@@ -124,22 +120,23 @@ class KSeq(KStmt):
     __slots__ = ("stmts",)
 
     def __init__(self, stmts):
-        flat = []
-        for s in stmts:
-            if type(s) is KSeq:
-                flat.extend(s.stmts)
-            elif type(s) is not KSkip:
-                flat.append(s)
-        self.stmts = tuple(flat)
+        self.stmts = tuple(stmts)
 
 
 def kseq(stmts):
-    s = KSeq(stmts)
-    if not s.stmts:
-        return KSkip()
-    if len(s.stmts) == 1:
-        return s.stmts[0]
-    return s
+    """stmts in sequence: nested sequences flattened and skips dropped, a
+    lone statement as itself, none as a KSkip."""
+    if len(stmts) == 1:
+        return stmts[0]
+    flat = []
+    for s in stmts:
+        if type(s) is KSeq:
+            flat.extend(s.stmts)
+        elif type(s) is not KSkip:
+            flat.append(s)
+    if len(flat) > 1:
+        return KSeq(flat)
+    return flat[0] if flat else KSkip()
 
 
 class KLocal(KStmt):
@@ -150,13 +147,7 @@ class KLocal(KStmt):
         self.body = body
 
 
-class KIf(KStmt):
-    __slots__ = ("x", "then", "els")
-
-    def __init__(self, x, then, els):
-        self.x = x
-        self.then = then
-        self.els = els
+KIf = S.node_class("KIf", KStmt, ("x", "then", "els"))
 
 
 class KPatLit:
@@ -184,14 +175,7 @@ class KPatRec:
         return f"KPatRec({self.label!r}, {self.feats!r})"
 
 
-class KCase(KStmt):
-    __slots__ = ("x", "pat", "then", "els")
-
-    def __init__(self, x, pat, then, els):
-        self.x = x
-        self.pat = pat
-        self.then = then
-        self.els = els
+KCase = S.node_class("KCase", KStmt, ("x", "pat", "then", "els"))
 
 
 class KProc(KStmt):
@@ -216,27 +200,9 @@ class KApply(KStmt):
         self.args = tuple(args)
 
 
-class KThread(KStmt):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-
-
-class KTry(KStmt):
-    __slots__ = ("body", "var", "handler")
-
-    def __init__(self, body, var, handler):
-        self.body = body
-        self.var = var
-        self.handler = handler
-
-
-class KRaise(KStmt):
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        self.x = x
+KThread = S.node_class("KThread", KStmt, ("body",))
+KTry = S.node_class("KTry", KStmt, ("body", "var", "handler"))
+KRaise = S.node_class("KRaise", KStmt, ("x",))
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +261,7 @@ class _Frame:
 
 class Desugarer:
     def __init__(self, base_names):
-        self.base = frozenset(base_names)
+        self.base = base_names  # only read, so never copied
         self.n = 0
         self.frame = _Frame(None)
         self.temps = {}         # fresh name -> its Slot
@@ -353,7 +319,18 @@ class Desugarer:
         return s
 
     def resolved(self, k, sc, *ops):
-        k.slots = tuple([self.ref(o, sc) for o in ops])
+        """k, with the Slots its operands ops read as its `slots`; a name
+        bound in the current body is read from its binder without ref."""
+        fr, temps = self.frame, self.temps
+        slots = []
+        for o in ops:
+            if type(o) is Lit:
+                slots.append(None)
+                continue
+            s = sc.get(o) or temps.get(o)
+            slots.append(s if s is not None and s.home is fr
+                         else self.ref(o, sc))
+        k.slots = tuple(slots)
         return k
 
     def apply_base(self, name, args, sc):
@@ -455,90 +432,86 @@ class Desugarer:
     def walk(self, p, sc, target=None):
         """Kernel for phrase p in scope sc (name -> Slot).  With no target p
         is in statement position; with one it is in expression position and
-        the kernel binds the target identifier to p's value."""
-        t = type(p)
-        # constructs legal in both positions
-        if t is S.SSeq:
-            out = [self.walk(q, sc) for q in p.phrases[:-1]]
-            out.append(self.walk(p.phrases[-1], sc, target))
-            return kseq(out)
-        if t is S.SLocal or (t is S.SDeclare and target is None):
-            sc2 = self.bind(p.names, sc)
-            return self.binder(
-                KLocal(p.names, self.walk(p.body, sc2, target)), sc2)
-        if t is S.SLocalBind:
-            sc2 = self.bind([p.name], sc)
-            return self.binder(
-                KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
-                                       self.walk(p.body, sc2, target)])), sc2)
-        if t is S.SApply:
+        the kernel binds the target identifier to p's value.  The method
+        for p's type in that position comes from _STATEMENT or _EXPRESSION,
+        and every such method takes (p, sc, target)."""
+        if target is None:
+            f = _STATEMENT.get(type(p))
+            if f is None:
+                self.err("this expression cannot stand alone as a statement",
+                         p)
+        else:
+            f = _EXPRESSION.get(type(p))
+            if f is None:
+                self.err("this construct has no value", p)
+        return f(self, p, sc, target)
+
+    def seq(self, p, sc, target):
+        out = [self.walk(q, sc) for q in p.phrases[:-1]]
+        out.append(self.walk(p.phrases[-1], sc, target))
+        return kseq(out)
+
+    def local(self, p, sc, target):
+        sc2 = self.bind(p.names, sc)
+        return self.binder(
+            KLocal(p.names, self.walk(p.body, sc2, target)), sc2)
+
+    def local_bind(self, p, sc, target):
+        sc2 = self.bind([p.name], sc)
+        return self.binder(
+            KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
+                                   self.walk(p.body, sc2, target)])), sc2)
+
+    def apply(self, p, sc, target):
+        temps, stmts = [], []
+        ops = [self.operand(q, sc, temps, stmts) for q in p.items]
+        args = ops[1:] if target is None else ops[1:] + [target]
+        stmts.append(self.resolved(KApply(ops[0], args), sc, ops[0], *args))
+        return self.wrap(temps, stmts)
+
+    def if_chain(self, p, sc, target):
+        arms = []               # an elseif chain, read by a loop
+        while True:
+            if p.els is None and target is not None:
+                self.err("an if used as an expression needs an else", p)
             temps, stmts = [], []
-            ops = [self.operand(q, sc, temps, stmts) for q in p.items]
-            args = ops[1:] if target is None else ops[1:] + [target]
-            stmts.append(self.resolved(KApply(ops[0], args), sc,
-                                       ops[0], *args))
-            return self.wrap(temps, stmts)
-        if t is S.SIf:
-            arms = []           # an elseif chain, read by a loop
-            while True:
-                if p.els is None and target is not None:
-                    self.err("an if used as an expression needs an else", p)
-                temps, stmts = [], []
-                c = self.operand(p.cond, sc, temps, stmts)
-                arms.append((c, self.walk(p.then, sc, target), temps, stmts))
-                if type(p.els) is not S.SIf:
-                    break
-                p = p.els
-            k = KSkip() if p.els is None else self.walk(p.els, sc, target)
-            for c, then, temps, stmts in reversed(arms):
-                stmts.append(self.resolved(KIf(c, then, k), sc, c))
-                k = self.wrap(temps, stmts)
-            return k
-        if t is S.SCase:
-            return self.case(p, sc, target)
-        if t is S.SProc:
-            if target is None:
-                if p.name is None:
-                    self.err("a procedure in statement position needs a name", p)
-                target = self.use(p.name, sc, p)
-            elif p.name is not None:
-                self.err("a named procedure definition is a statement", p)
-            return self.proc_into(p, target, sc)
-        if t is S.SThread:
-            return KThread(self.walk(p.body, sc, target))
-        if target is None:      # constructs legal in statement position only
-            if t is S.SSkip:
-                return KSkip()
-            if t is S.SEq:
-                return self.tell(p, sc)
-            if t is S.SFd:
-                return self.fd_stmt(p, sc)
-            if t is S.STry:
-                sc2 = self.bind([p.var], sc)
-                return self.binder(
-                    KTry(self.walk(p.body, sc), p.var,
-                         self.walk(p.handler, sc2)), sc2)
-            if t is S.SRaise:
-                temps, stmts = [], []
-                op = self.operand_of_seq(p.value, sc, temps, stmts)
-                stmts.append(self.resolved(KRaise(op), sc, op))
-                return self.wrap(temps, stmts)
-            if t is S.SChoice:
-                return self.choice(p, sc)
-            if t is S.SDis:
-                return self.dis(p, sc)
-            self.err("this expression cannot stand alone as a statement", p)
-        # constructs legal in expression position only
-        if t is S.SVar or t is S.SInt or t is S.SAtom:
-            o = self.operand(p, sc, None, None)
-            return self.resolved(KEq(target, o), sc, target, o)
-        if t is S.SWild:
-            return KSkip()
-        if t is S.SRecordCons:
-            return self.record(p, sc, target)[1]
-        if t is S.SOp:
-            return self.binop(p, sc, target)
-        self.err("this construct has no value", p)
+            c = self.operand(p.cond, sc, temps, stmts)
+            arms.append((c, self.walk(p.then, sc, target), temps, stmts))
+            if type(p.els) is not S.SIf:
+                break
+            p = p.els
+        k = KSkip() if p.els is None else self.walk(p.els, sc, target)
+        for c, then, temps, stmts in reversed(arms):
+            stmts.append(self.resolved(KIf(c, then, k), sc, c))
+            k = self.wrap(temps, stmts)
+        return k
+
+    def thread(self, p, sc, target):
+        return KThread(self.walk(p.body, sc, target))
+
+    def skip(self, p, sc, target):
+        return KSkip()
+
+    def try_(self, p, sc, target):
+        sc2 = self.bind([p.var], sc)
+        return self.binder(KTry(self.walk(p.body, sc), p.var,
+                                self.walk(p.handler, sc2)), sc2)
+
+    def raise_(self, p, sc, target):
+        """The raised value may be a sequence that ends in it."""
+        temps, stmts = [], []
+        q = p.value
+        if type(q) is S.SSeq:
+            for r in q.phrases[:-1]:
+                stmts.append(self.walk(r, sc))
+            q = q.phrases[-1]
+        op = self.operand(q, sc, temps, stmts)
+        stmts.append(self.resolved(KRaise(op), sc, op))
+        return self.wrap(temps, stmts)
+
+    def value(self, p, sc, target):
+        o = self.operand(p, sc, None, None)
+        return self.resolved(KEq(target, o), sc, target, o)
 
     def binop(self, p, sc, target):
         """Kernel binding target to the value of operator phrase p.  Each
@@ -566,28 +539,24 @@ class Desugarer:
             k = self.wrap(temps, stmts)
         return k
 
-    def operand_of_seq(self, p, sc, temps, stmts):
-        """Operand of a phrase that may be a sequence ending in a value."""
-        if type(p) is S.SSeq:
-            for q in p.phrases[:-1]:
-                stmts.append(self.walk(q, sc))
-            return self.operand(p.phrases[-1], sc, temps, stmts)
-        return self.operand(p, sc, temps, stmts)
-
-    def tell(self, p, sc):
+    def tell(self, p, sc, target):
         lhs, rhs = p.lhs, p.rhs
         if type(lhs) is S.SVar:
-            self.use(lhs.name, sc, lhs)
-            return self.walk(rhs, sc, lhs.name)
+            return self.walk(rhs, sc, self.use(lhs.name, sc, lhs))
         if type(rhs) is S.SVar:
-            self.use(rhs.name, sc, rhs)
-            return self.walk(lhs, sc, rhs.name)
+            return self.walk(lhs, sc, self.use(rhs.name, sc, rhs))
         name = self.fresh()
         return self.resolved(
             KLocal([name], kseq([self.walk(lhs, sc, name),
                                  self.walk(rhs, sc, name)])), sc, name)
 
-    def proc_into(self, p, target, sc):
+    def procedure(self, p, sc, target):
+        if target is None:
+            if p.name is None:
+                self.err("a procedure in statement position needs a name", p)
+            target = self.use(p.name, sc, p)
+        elif p.name is not None:
+            self.err("a named procedure definition is a statement", p)
         outer = self.enter()
         params = []
         sc2 = dict(sc)
@@ -702,20 +671,24 @@ class Desugarer:
 
     # -- choice / dis ---------------------------------------------------------
 
-    def choice(self, p, sc):
+    def choice(self, p, sc, target):
+        """Each statement here reads only y, fresh in this frame, so each
+        takes y's slot as it is."""
         n = len(p.branches)
         y = self.fresh("C")
+        ys = (self.temps[y],)
         chain = self.walk(p.branches[-1], sc)
         for i in range(n - 2, -1, -1):
-            chain = self.resolved(
-                KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc), chain),
-                sc, y)
-        return self.resolved(
-            KLocal([y], kseq([self.apply_base("Choose", [Lit(n), y], sc),
-                              chain])),
-            sc, y)
+            chain = KCase(y, KPatLit(i + 1), self.walk(p.branches[i], sc),
+                          chain)
+            chain.slots = ys
+        choose = KApply(base_op("Choose"), [Lit(n), y])
+        choose.slots = (None, None) + ys
+        k = KLocal([y], kseq([choose, chain]))
+        k.slots = ys
+        return k
 
-    def dis(self, p, sc):
+    def dis(self, p, sc, target):
         temps, stmts = [], []
         gops, bops = [], []
         for guard, body in p.pairs:
@@ -749,7 +722,7 @@ class Desugarer:
 
     # -- finite-domain tells ----------------------------------------------
 
-    def fd_stmt(self, p, sc):
+    def fd_stmt(self, p, sc, target):
         temps, stmts = [], []
         if p.op == ":::":
             vec = self.operand(p.lhs, sc, temps, stmts)
@@ -824,6 +797,23 @@ class Desugarer:
         return lc, lm
 
 
+# The Desugarer method for each phrase type, in statement position and in
+# expression position.
+_BOTH = {S.SSeq: Desugarer.seq, S.SLocal: Desugarer.local,
+         S.SLocalBind: Desugarer.local_bind, S.SApply: Desugarer.apply,
+         S.SIf: Desugarer.if_chain, S.SCase: Desugarer.case,
+         S.SProc: Desugarer.procedure, S.SThread: Desugarer.thread}
+_STATEMENT = {**_BOTH, S.SDeclare: Desugarer.local, S.SSkip: Desugarer.skip,
+              S.SEq: Desugarer.tell, S.SFd: Desugarer.fd_stmt,
+              S.STry: Desugarer.try_, S.SRaise: Desugarer.raise_,
+              S.SChoice: Desugarer.choice, S.SDis: Desugarer.dis}
+_EXPRESSION = {**_BOTH, S.SVar: Desugarer.value, S.SInt: Desugarer.value,
+               S.SAtom: Desugarer.value, S.SWild: Desugarer.skip,
+               S.SOp: Desugarer.binop,
+               S.SRecordCons: lambda d, p, sc, target:
+                   d.record(p, sc, target)[1]}
+
+
 def _combine(terms):
     """Add up like terms of [(coeff, factor-tuple)]: terms whose factors are
     the same multiset, in any order, become one, which keeps the factor
@@ -879,8 +869,9 @@ def _int_list(ints):
 def desugar(phrase, base_names):
     """The kernel statement for a program phrase.  Names in base_names are
     outer: the program's frame starts with those it uses, listed with the
-    frame size in the statement's `root`."""
-    d = Desugarer(set(base_names))
+    frame size in the statement's `root`.  base_names is only read by
+    `in` tests, so a set keeps them fast."""
+    d = Desugarer(base_names)
     k = d.walk(phrase, {})
     outer, _, size = d.frame.close()
     k.root = (outer, size)

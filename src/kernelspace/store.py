@@ -29,8 +29,9 @@ an overlay binding or fd's domain entry or watcher list (`Var.spaces`).
 the fd hook and fd revalidation, so no tell walks a subtree, and `deref`
 reads `ref` alone when it is empty.  So a Var with no `ref` and no
 `spaces` is unbound in every space and derefs to itself from each of
-them; fd's propagator runs rely on this to skip `deref` for such a
-variable.  When a space fails or merges,
+them, and one with an integer `ref` and no `spaces` is that integer in
+each; fd's propagator runs rely on this to skip `deref` for both.
+When a space fails or merges,
 `release` unindexes it, and its own variables lose their home (the `homes`
 slot becomes None), binding, waiters, trigger and index.
 

@@ -1,5 +1,14 @@
 """Surface syntax: tokenizer and parser.
 
+The tokenizer makes one regex match per token.  A match first skips the
+blanks before its token, and tokenize advances the line and column over
+them with str.count and str.rindex.  A `%` comment is matched like a token
+and dropped; the end of the text and a character no token starts with are
+matched too, so every match ends in a token, eof or a ParseError.  A token
+is a tuple (kind, value, line, col, start, end): kind is int, var, atom,
+kw, sym or eof; value is the integer, the name or the symbol (None for
+eof); line and col count from 1, and start and end are offsets in the text.
+
 The parser builds phrases, not statements or expressions: the same construct
 (an application, a case, an if) is legal in both positions, and only the
 desugarer knows which one it is in.  A phrase sequence is an SSeq; when a
@@ -36,67 +45,54 @@ KEYWORDS = {
     "choice", "dis", "skip",
 }
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+# One match per token: blanks, then a token, a comment (which tokenize
+# drops), the end of the text, or a character no token starts with.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<comment>%[^\n]*)
   | (?P<int>~?\d+)
   | (?P<var>(?:[A-Z]|_[A-Za-z0-9_])[A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*)
   | (?P<atom>[a-z][A-Za-z0-9_]*)
   | (?P<qatom>'[^'\n]*')
   | (?P<sym>=<:|:::|\[\]|=<|=:|<:|==|[{}()\[\]|\#:=<>+\-*$_!])
-""", re.VERBOSE)
-
-
-class Token:
-    __slots__ = ("kind", "value", "line", "col", "start", "end")
-
-    def __init__(self, kind, value, line, col, start, end):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-        self.start = start
-        self.end = end
-
-    def __repr__(self):
-        return f"{self.kind}:{self.value!r}"
+  | (?P<eof>\Z)
+  | (?P<bad>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(src: str):
+    """The tokens of src, each a tuple (kind, value, line, col, start,
+    end), ending with the eof token."""
     toks = []
-    pos = 0
-    line = 1
-    bol = 0
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}",
-                             line, pos - bol + 1)
+    append = toks.append
+    line, bol, pos = 1, 0, 0        # bol: where the current line begins
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        if kind in ("ws", "comment"):
-            line += text.count("\n")
-            if "\n" in text:
-                bol = m.start() + text.rindex("\n") + 1
-            pos = m.end()
-            continue
-        col = m.start() - bol + 1
-        if kind == "int":
-            value = -int(text[1:]) if text[0] == "~" else int(text)
-            toks.append(Token("int", value, line, col, m.start(), m.end()))
-        elif kind == "var":
-            toks.append(Token("var", text, line, col, m.start(), m.end()))
+        start, end = m.span(kind)
+        if start != pos:            # blanks before the token
+            newlines = src.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                bol = src.rindex("\n", pos, start) + 1
+        pos = end
+        if kind == "sym" or kind == "var":
+            append((kind, src[start:pos], line, start - bol + 1, start, pos))
         elif kind == "atom":
-            k = "kw" if text in KEYWORDS else "atom"
-            toks.append(Token(k, text, line, col, m.start(), m.end()))
+            text = src[start:pos]
+            append(("kw" if text in KEYWORDS else "atom", text, line,
+                    start - bol + 1, start, pos))
+        elif kind == "int":
+            text = src[start:pos]
+            append(("int", -int(text[1:]) if text[0] == "~" else int(text),
+                    line, start - bol + 1, start, pos))
         elif kind == "qatom":
-            toks.append(Token("atom", text[1:-1], line, col, m.start(), m.end()))
-        else:
-            toks.append(Token("sym", text, line, col, m.start(), m.end()))
-        pos = m.end()
-    toks.append(Token("eof", None, line, n - bol + 1, n, n))
-    return toks
+            append(("atom", src[start + 1:pos - 1], line, start - bol + 1,
+                    start, pos))
+        elif kind == "eof":
+            append(("eof", None, line, start - bol + 1, start, pos))
+            return toks
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {src[start]!r}",
+                             line, start - bol + 1)
 
 
 # ----------------------------------------------------------------------
@@ -106,9 +102,6 @@ def tokenize(src: str):
 class Phrase:
     __slots__ = ("pos",)
 
-    def __init__(self, pos=None):
-        self.pos = pos
-
     def __repr__(self):
         slots = [s for c in type(self).__mro__ for s in getattr(c, "__slots__", ())
                  if s != "pos"]
@@ -116,15 +109,22 @@ class Phrase:
         return f"{type(self).__name__}({inner})"
 
 
-def _node(name, *slots):
-    cls = type(name, (Phrase,), {"__slots__": slots})
+def node_class(name, base, fields, defaults=()):
+    """A subclass of base with slots `fields`, whose __init__ takes the
+    fields and then the names in `defaults` (None unless given), in order,
+    and assigns each directly; like namedtuple's and dataclass's, it is
+    generated, so a node costs one plain call to make."""
+    params = "".join(f", {f}" for f in fields) \
+        + "".join(f", {f}=None" for f in defaults)
+    body = "".join(f"; self.{f} = {f}" for f in (*defaults, *fields))
+    ns = {}
+    exec(f"def __init__(self{params}): pass{body}", ns)
+    return type(name, (base,), {"__slots__": tuple(fields),
+                                "__init__": ns["__init__"]})
 
-    def init(self, *args, pos=None):
-        Phrase.__init__(self, pos)
-        for s, a in zip(slots, args):
-            setattr(self, s, a)
-    cls.__init__ = init
-    return cls
+
+def _node(name, *slots):
+    return node_class(name, Phrase, slots, ("pos",))
 
 
 SVar = _node("SVar", "name")
@@ -158,45 +158,43 @@ PRecord = _node("PRecord", "label", "feats")           # [(feat|None, pat)]
 
 
 class Parser:
+    """Reads the tokens of one text; `tok` is the current token, and `i`
+    its index, which never passes the eof token."""
+
     def __init__(self, src):
         self.toks = tokenize(src)
         self.i = 0
+        self.tok = self.toks[0]
         self.depth = 0          # sequences, expressions, patterns open
 
-    def nest(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"phrases nest more than {MAX_NESTING} deep")
+    def too_deep(self):
+        """parse_seq, parse_expr and parse_pattern count `depth` inline, as
+        they run for most tokens, and call this past MAX_NESTING."""
+        self.fail(f"phrases nest more than {MAX_NESTING} deep")
 
     # -- token helpers --------------------------------------------------
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
     def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
+        t = self.tok
+        if t[0] != "eof":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
-    def at(self, kind, value=None, ahead=0):
-        t = self.peek(ahead)
-        return t.kind == kind and (value is None or t.value == value)
+    def at(self, kind, value=None):
+        t = self.tok
+        return (value is None or t[1] == value) and t[0] == kind
 
     def expect(self, kind, value=None):
         t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
+        if t[0] != kind or (value is not None and t[1] != value):
             want = value if value is not None else kind
-            got = "end of input" if t.kind == "eof" else repr(t.value)
-            raise ParseError(f"expected {want!r}, found {got}", t.line, t.col)
+            raise ParseError(f"expected {want!r}, found {_describe(t)}",
+                             t[2], t[3])
         return t
 
     def fail(self, msg):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
-
-    def describe(self, t):
-        return "end of input" if t.kind == "eof" else repr(t.value)
+        raise ParseError(msg, self.tok[2], self.tok[3])
 
     # -- program --------------------------------------------------------
 
@@ -207,32 +205,36 @@ class Parser:
 
     def parse_seq(self, stops):
         """A phrase sequence up to (not consuming) a stop keyword or eof."""
-        self.nest()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.too_deep()
         phrases = []
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.kind == "eof" or (t.kind == "kw" and t.value in stops) \
-                    or (t.kind == "sym" and t.value in stops):
+            t = self.tok
+            kind = t[0]
+            if kind == "eof" or ((kind == "kw" or kind == "sym")
+                                 and t[1] in stops):
                 break
-            if t.kind == "kw" and t.value == "declare":
+            if kind == "kw" and t[1] == "declare":
                 self.next()
                 names = self._name_run()
                 if not names:
                     self.fail("declare needs at least one variable")
                 self.expect("kw", "in")
                 rest = self.parse_seq(stops)
-                phrases.append(SDeclare(names, rest, pos=(t.line, t.col)))
+                phrases.append(SDeclare(names, rest, t[2:4]))
                 break
             # plain declaration prefix: Var+ in
-            if t.kind == "var":
-                k = 0
-                while self.at("var", ahead=k):
-                    k += 1
-                if self.at("kw", "in", ahead=k):
+            if kind == "var":
+                j = self.i + 1
+                while toks[j][0] == "var":
+                    j += 1
+                if toks[j][0] == "kw" and toks[j][1] == "in":
                     names = self._name_run()
-                    self.expect("kw", "in")
+                    self.next()
                     rest = self.parse_seq(stops)
-                    phrases.append(SLocal(names, rest, pos=(t.line, t.col)))
+                    phrases.append(SLocal(names, rest, t[2:4]))
                     break
             p = self.parse_phrase()
             # binding declaration prefix: Var = E in
@@ -240,7 +242,7 @@ class Parser:
                 if type(p) is SEq and type(p.lhs) is SVar:
                     self.next()
                     rest = self.parse_seq(stops)
-                    phrases.append(SLocalBind(p.lhs.name, p.rhs, rest, pos=p.pos))
+                    phrases.append(SLocalBind(p.lhs.name, p.rhs, rest, p.pos))
                     break
                 self.fail("only a variable or Var=Expr may precede 'in' here")
             phrases.append(p)
@@ -253,35 +255,33 @@ class Parser:
 
     def _name_run(self):
         names = []
-        while self.at("var"):
-            names.append(self.next().value)
+        while self.tok[0] == "var":
+            names.append(self.next()[1])
         return names
 
     # -- phrases ----------------------------------------------------------
 
     def parse_phrase(self):
-        t = self.peek()
-        if t.kind == "kw":
-            handler = getattr(self, "_kw_" + t.value, None)
+        t = self.tok
+        if t[0] == "kw":
+            handler = getattr(self, "_kw_" + t[1], None)
             if handler is None:
-                self.fail(f"unexpected keyword {t.value!r}")
+                self.fail(f"unexpected keyword {t[1]!r}")
             return handler()
         # expression, possibly extended into a tell statement
         e = self.parse_expr()
-        n = self.peek()
-        if n.kind == "sym" and n.value == "=":
-            self.next()
-            rhs = self.parse_expr()
-            return SEq(e, rhs, pos=(n.line, n.col))
-        if n.kind == "sym" and n.value in ("=:", "<:", "=<:", ":::"):
-            self.next()
-            rhs = self.parse_expr()
-            return SFd(n.value, e, rhs, pos=(n.line, n.col))
+        n = self.tok
+        if n[0] == "sym":
+            if n[1] == "=":
+                self.next()
+                return SEq(e, self.parse_expr(), n[2:4])
+            if n[1] in ("=:", "<:", "=<:", ":::"):
+                self.next()
+                return SFd(n[1], e, self.parse_expr(), n[2:4])
         return e
 
     def _kw_skip(self):
-        t = self.next()
-        return SSkip(pos=(t.line, t.col))
+        return SSkip(self.next()[2:4])
 
     def _kw_local(self):
         t = self.next()
@@ -291,7 +291,7 @@ class Parser:
         self.expect("kw", "in")
         body = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SLocal(names, body, pos=(t.line, t.col))
+        return SLocal(names, body, t[2:4])
 
     def _kw_if(self):
         t = self.next()
@@ -309,7 +309,7 @@ class Parser:
             els = self.parse_seq(("end",))
         self.expect("kw", "end")
         for t, cond, then in reversed(arms):
-            els = SIf(cond, then, els, pos=(t.line, t.col))
+            els = SIf(cond, then, els, t[2:4])
         return els
 
     def _kw_case(self):
@@ -331,7 +331,7 @@ class Parser:
             self.next()
             els = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SCase(subject, clauses, els, pos=(t.line, t.col))
+        return SCase(subject, clauses, els, t[2:4])
 
     def _proc_like(self, is_fun):
         t = self.next()
@@ -346,22 +346,22 @@ class Parser:
             self.next()
             name = None
         elif self.at("var"):
-            name = self.next().value
+            name = self.next()[1]
         else:
             self.fail("procedure head needs a variable or $")
         params = []
         while not self.at("sym", "}"):
             if self.at("var"):
-                params.append(self.next().value)
+                params.append(self.next()[1])
             elif self.at("sym", "_"):
                 self.next()
                 params.append(None)
             else:
                 self.fail("procedure parameters must be variables")
-        self.expect("sym", "}")
+        self.next()
         body = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SProc(name, params, body, lazy, is_fun, pos=(t.line, t.col))
+        return SProc(name, params, body, lazy, is_fun, t[2:4])
 
     def _kw_proc(self):
         return self._proc_like(is_fun=False)
@@ -373,23 +373,23 @@ class Parser:
         t = self.next()
         body = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SThread(body, pos=(t.line, t.col))
+        return SThread(body, t[2:4])
 
     def _kw_try(self):
         t = self.next()
         body = self.parse_seq(("catch",))
         self.expect("kw", "catch")
-        var = self.expect("var").value
+        var = self.expect("var")[1]
         self.expect("kw", "then")
         handler = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return STry(body, var, handler, pos=(t.line, t.col))
+        return STry(body, var, handler, t[2:4])
 
     def _kw_raise(self):
         t = self.next()
         value = self.parse_seq(("end",))
         self.expect("kw", "end")
-        return SRaise(value, pos=(t.line, t.col))
+        return SRaise(value, t[2:4])
 
     def _kw_choice(self):
         t = self.next()
@@ -398,7 +398,7 @@ class Parser:
             self.next()
             branches.append(self.parse_seq(("[]", "end")))
         self.expect("kw", "end")
-        return SChoice(branches, pos=(t.line, t.col))
+        return SChoice(branches, t[2:4])
 
     def _kw_dis(self):
         t = self.next()
@@ -415,7 +415,7 @@ class Parser:
         if self.at("kw", "else"):
             self.fail("dis does not take an else clause")
         self.expect("kw", "end")
-        return SDis(pairs, pos=(t.line, t.col))
+        return SDis(pairs, t[2:4])
 
     def _kw_declare(self):
         # reached only when declare appears where a single phrase is required
@@ -426,22 +426,30 @@ class Parser:
     def parse_expr(self):
         """Primaries joined by infix operators, by binding power: a stack
         of pending operators instead of one function per level."""
-        self.nest()
-        operands = [self._expr_primary()]
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.too_deep()
+        first = self._expr_primary()
+        t = self.tok
+        if t[0] != "sym" or t[1] not in _INFIX:     # a lone primary
+            self.depth -= 1
+            return first
+        operands = [first]
         ops = []                    # (power, token)
         tuples = set()              # ids of # records this chain built
         compared = False
-        while True:
-            t = self.peek()
-            power = _INFIX.get(t.value) if t.kind == "sym" else None
-            if power is None or (power == 0 and compared):
-                break
-            compared = compared or power == 0
+        while t[0] == "sym" and t[1] in _INFIX:
+            power = _INFIX[t[1]]
+            if power == 0:
+                if compared:
+                    break
+                compared = True
             while ops and (ops[-1][0] > power
                            or (ops[-1][0] == power and power != 1)):
                 self._reduce(operands, ops, tuples)
             ops.append((power, self.next()))
             operands.append(self._expr_primary())
+            t = self.tok
         while ops:
             self._reduce(operands, ops, tuples)
         self.depth -= 1
@@ -451,94 +459,87 @@ class Parser:
         _, t = ops.pop()
         rhs = operands.pop()
         lhs = operands.pop()
-        if t.value == "#":
+        if t[1] == "#":
             if id(lhs) in tuples:
                 lhs.feats.append((None, rhs))
                 operands.append(lhs)
                 return
-            out = SRecordCons("#", [(None, lhs), (None, rhs)],
-                              pos=(t.line, t.col))
+            out = SRecordCons("#", [(None, lhs), (None, rhs)], t[2:4])
             tuples.add(id(out))
-        elif t.value == "|":
-            out = SRecordCons("|", [(None, lhs), (None, rhs)],
-                              pos=(t.line, t.col))
+        elif t[1] == "|":
+            out = SRecordCons("|", [(None, lhs), (None, rhs)], t[2:4])
         else:
-            out = SOp(t.value, lhs, rhs, pos=(t.line, t.col))
+            out = SOp(t[1], lhs, rhs, t[2:4])
         operands.append(out)
 
     def _expr_primary(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return SInt(t.value, pos=(t.line, t.col))
-        if t.kind == "var":
-            self.next()
-            v = SVar(t.value, pos=(t.line, t.col))
-            return self._maybe_label(v, t)
-        if t.kind == "atom":
-            self.next()
-            a = SAtom(t.value, pos=(t.line, t.col))
-            return self._maybe_label(a, t)
-        if t.kind == "sym":
-            if t.value == "{":
+        t = self.tok
+        kind, value = t[0], t[1]
+        if kind == "int":
+            self.i += 1
+            self.tok = self.toks[self.i]
+            return SInt(value, t[2:4])
+        if kind == "var" or kind == "atom":
+            self.i += 1
+            n = self.tok = self.toks[self.i]           # atom( or Var( directly adjacent: a record
+            if n[1] == "(" and n[4] == t[5] and n[0] == "sym":
+                if kind == "var":
+                    self.fail("record labels must be literal atoms")
+                self.next()
+                feats = []
+                while not self.at("sym", ")"):
+                    feats.append(self._feat(self.parse_expr))
+                self.next()
+                return SRecordCons(value, feats, t[2:4])
+            return (SVar if kind == "var" else SAtom)(value, t[2:4])
+        if kind == "sym":
+            if value == "{":
                 self.next()
                 items = [self.parse_expr()]
                 while not self.at("sym", "}"):
                     items.append(self.parse_expr())
-                self.expect("sym", "}")
-                return SApply(items, pos=(t.line, t.col))
-            if t.value == "[":
+                self.next()
+                return SApply(items, t[2:4])
+            if value == "[":
                 self.next()
                 elems = []
                 while not self.at("sym", "]"):
                     elems.append(self.parse_expr())
-                self.expect("sym", "]")
-                out = SAtom("nil", pos=(t.line, t.col))
+                self.next()
+                out = SAtom("nil", t[2:4])
                 for e in reversed(elems):
-                    out = SRecordCons("|", [(None, e), (None, out)],
-                                      pos=(t.line, t.col))
+                    out = SRecordCons("|", [(None, e), (None, out)], t[2:4])
                 return out
-            if t.value == "(":
+            if value == "(":
                 self.next()
                 e = self.parse_seq((")",))
                 self.expect("sym", ")")
                 return e
-            if t.value == "_":
+            if value == "_":
                 self.next()
-                return SWild(pos=(t.line, t.col))
-        if t.kind == "kw":
-            if t.value in ("if", "case", "proc", "fun", "local", "try", "raise",
-                           "thread"):
-                return self.parse_phrase()
-        self.fail(f"unexpected {self.describe(t)} in expression")
-
-    def _maybe_label(self, node, tok):
-        """atom( or Var( directly adjacent: record construction."""
-        n = self.peek()
-        if n.kind == "sym" and n.value == "(" and n.start == tok.end:
-            if type(node) is SVar:
-                self.fail("record labels must be literal atoms")
-            self.next()
-            feats = []
-            while not self.at("sym", ")"):
-                feats.append(self._feat(self.parse_expr))
-            self.expect("sym", ")")
-            return SRecordCons(node.name, feats, pos=node.pos)
-        return node
+                return SWild(t[2:4])
+        if kind == "kw" and value in ("if", "case", "proc", "fun", "local",
+                                      "try", "raise", "thread"):
+            return self.parse_phrase()
+        self.fail(f"unexpected {_describe(t)} in expression")
 
     def _feat(self, sub):
         """One feature: [feat :] item, using `sub` to parse the item."""
-        t = self.peek()
-        if (t.kind in ("atom", "int")) and self.at("sym", ":", ahead=1):
-            self.next()
-            self.next()
-            return (t.value, sub())
+        t = self.tok
+        if t[0] in ("atom", "int"):
+            n = self.toks[self.i + 1]
+            if n[0] == "sym" and n[1] == ":":
+                self.next()
+                self.next()
+                return (t[1], sub())
         return (None, sub())
 
     # -- patterns ----------------------------------------------------------
 
     def parse_pattern(self):
-        self.nest()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.too_deep()
         items = [self._pat_tuple()]
         bars = []
         while self.at("sym", "|"):
@@ -546,7 +547,7 @@ class Parser:
             items.append(self._pat_tuple())
         out = items.pop()
         for head, t in zip(reversed(items), reversed(bars)):
-            out = PRecord("|", [(None, head), (None, out)], pos=(t.line, t.col))
+            out = PRecord("|", [(None, head), (None, out)], t[2:4])
         self.depth -= 1
         return out
 
@@ -561,38 +562,40 @@ class Parser:
         return PRecord("#", feats)
 
     def _pat_primary(self):
-        t = self.peek()
-        if t.kind == "int":
+        t = self.tok
+        kind = t[0]
+        if kind == "int" or kind == "var":
             self.next()
-            return PLit(t.value, pos=(t.line, t.col))
-        if t.kind == "var":
+            return (PLit if kind == "int" else PVar)(t[1], t[2:4])
+        if kind == "atom":
             self.next()
-            return PVar(t.value, pos=(t.line, t.col))
-        if t.kind == "atom":
-            self.next()
-            n = self.peek()
-            if n.kind == "sym" and n.value == "(" and n.start == t.end:
+            n = self.tok
+            if n[0] == "sym" and n[1] == "(" and n[4] == t[5]:
                 self.next()
                 feats = []
                 while not self.at("sym", ")"):
                     feats.append(self._feat(self.parse_pattern))
-                self.expect("sym", ")")
-                return PRecord(t.value, feats, pos=(t.line, t.col))
-            return PLit(t.value, pos=(t.line, t.col))
-        if t.kind == "sym" and t.value == "_":
+                self.next()
+                return PRecord(t[1], feats, t[2:4])
+            return PLit(t[1], t[2:4])
+        if kind == "sym" and t[1] == "_":
             self.next()
-            return PWild(pos=(t.line, t.col))
-        if t.kind == "sym" and t.value == "[":
+            return PWild(t[2:4])
+        if kind == "sym" and t[1] == "[":
             self.next()
             elems = []
             while not self.at("sym", "]"):
                 elems.append(self.parse_pattern())
-            self.expect("sym", "]")
-            out = PLit("nil", pos=(t.line, t.col))
+            self.next()
+            out = PLit("nil", t[2:4])
             for e in reversed(elems):
-                out = PRecord("|", [(None, e), (None, out)], pos=(t.line, t.col))
+                out = PRecord("|", [(None, e), (None, out)], t[2:4])
             return out
-        self.fail(f"unexpected {self.describe(t)} in pattern")
+        self.fail(f"unexpected {_describe(t)} in pattern")
+
+
+def _describe(t):
+    return "end of input" if t[0] == "eof" else repr(t[1])
 
 
 def parse(src: str):

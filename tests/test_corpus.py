@@ -4,10 +4,12 @@ the same number of reductions.
 The reduction counts pin the machine's step semantics: one popped
 statement is one reduction, however statements are represented or run.
 A change that moves a count changes what a step is and must say so.
+The search-tree size of full fractions is pinned the same way.
 """
 
 import pytest
 
+from conftest import kind_counter
 from kernelspace import stdlib
 from kernelspace.runner import RunConfig, run_text
 
@@ -32,6 +34,11 @@ REDUCTIONS = {
     "spaces/dis-unit-commit": 97,
     "spaces/dis-choice": 145,
 }
+
+# The spaces a search program makes, by NewSpace and by Clone: full
+# fractions makes its one search space and clones it 8,561 times.  Weaker
+# propagation shows as a larger tree (ROADMAP item 3: it must not grow).
+SPACES = {"fd/fractions": 8_562}
 
 # The bench's eager and lazy streams (bench/workloads.py) at 3,000 elements
 # from 5: both sum to 4513500.
@@ -86,11 +93,15 @@ def test_corpus_is_complete():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: f"{e.section}/{e.name}")
 def test_corpus_program(entry):
-    out = run_text(entry.source(), RunConfig())
+    kinds, sink = kind_counter()
+    out = run_text(entry.source(), RunConfig(trace=sink))
     got = "".join(line + "\n" for line in out.browse)
     assert got == entry.golden()
     assert out.exit_code == entry.expect_exit
-    assert out.vm.reductions == REDUCTIONS[f"{entry.section}/{entry.name}"]
+    key = f"{entry.section}/{entry.name}"
+    assert out.vm.reductions == REDUCTIONS[key]
+    if key in SPACES:
+        assert kinds["newspace"] + kinds["clone"] == SPACES[key]
 
 
 @pytest.mark.parametrize("src, reductions", [(EAGER, 48_076),

@@ -1,10 +1,11 @@
 """Every module-level function and class in the package is used somewhere,
-every name the prelude declares is used somewhere, and the builtin tables
-do not overlap.
+and by the runtime itself unless it is a host entry point; every name the
+prelude declares is used somewhere; and the builtin tables do not overlap.
 
 A definition counts as used when its name appears as a name or as an
-attribute anywhere in src/, tests/ or bench/ outside its own body; imports
-alone do not count.  The check is by name only, with the stdlib ast module.
+attribute anywhere in src/, tests/ or bench/ (for the second check, in
+src/ alone) outside its own body; imports alone do not count.  The check
+is by name only, with the stdlib ast module.
 A prelude name counts as used when the prelude mentions it outside its own
 definition, or a corpus program, a test or a bench file names it.
 """
@@ -21,9 +22,14 @@ PACKAGE = ROOT / "src" / "kernelspace"
 # cli.main is the command-line entry point named in pyproject.toml
 ALLOWED = {"cli.main"}
 
+# Host entry points: a host program calls them (the command line, or a
+# Python program that drives a search), so nothing in the package does.
+ENTRY_POINTS = ALLOWED | {"search.dfs_all", "search.dfs_one", "search.bab",
+                          "search.SearchObject"}
 
-def _trees():
-    for sub in ("src", "tests", "bench"):
+
+def _trees(subs=("src", "tests", "bench")):
+    for sub in subs:
         for path in sorted((ROOT / sub).rglob("*.py")):
             yield path, ast.parse(path.read_text(), str(path))
 
@@ -41,10 +47,12 @@ def _is_def(node):
                              ast.ClassDef))
 
 
-def test_every_module_level_definition_is_referenced():
+def _unreferenced(subs, allowed):
+    """The package's module-level definitions whose names the files under
+    subs use nowhere outside their own bodies, less those in allowed."""
     defs = []           # (module.name, defining node)
     used = {}           # name -> the defining nodes it is used inside
-    for path, tree in _trees():
+    for path, tree in _trees(subs):
         for top in tree.body:
             if path.parent == PACKAGE and _is_def(top):
                 defs.append((f"{path.stem}.{top.name}", top))
@@ -54,12 +62,23 @@ def test_every_module_level_definition_is_referenced():
     unused = []
     for qualname, node in defs:
         name = node.name
-        if qualname in ALLOWED or (name.startswith("__")
+        if qualname in allowed or (name.startswith("__")
                                    and name.endswith("__")):
             continue
         if not used.get(name, set()) - {node}:
             unused.append(qualname)
+    return unused
+
+
+def test_every_module_level_definition_is_referenced():
+    unused = _unreferenced(("src", "tests", "bench"), ALLOWED)
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_the_runtime_uses_all_it_defines_but_its_entry_points():
+    """A helper only tests or the bench call belongs beside them."""
+    unused = _unreferenced(("src",), ENTRY_POINTS)
+    assert unused == [], f"defined but not used by the package: {unused}"
 
 
 def _oz_uses(node):

@@ -3,6 +3,7 @@
 The main oracle is the round trip: a random closed kernel statement is
 pretty-printed to surface text, reparsed, desugared, and must come back
 alpha-equivalent.  Hand-written cases pin down the individual sugar rules.
+The tokenizer has its own oracle, the reference tokenizer beside the tests.
 """
 
 import ast
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import reference_tokenizer
 from roundtrip import alpha_equivalent, pretty
 
 from kernelspace import kernel, stdlib, syntax
@@ -597,3 +599,46 @@ def test_module_syntax_rejected():
 def test_declare_not_an_expression():
     with pytest.raises(ParseError):
         parse("if declare X in skip then skip end")
+
+
+# ----------------------------------------------------------------------
+# the tokenizer against the reference tokenizer
+
+_PROGRAMS = [(stdlib._HERE / "prelude.oz").read_text(),
+             *(e.source() for e in stdlib.corpus())]
+
+_TOKEN_PIECES = st.one_of(
+    st.sampled_from(sorted(syntax.KEYWORDS) + [
+        "X", "Xs", "_", "_X", "_1", "A.b", "Search.base.one", "A.", "x",
+        "foo_Bar9", "0", "42", "007", "{", "}", "(", ")", "[", "]", "[]",
+        "|", "#", ":", "=", "==", "=<", "<", ">", "+", "-", "*", "$", "!",
+        "=:", "<:", "=<:", ":::", "::"]),
+    st.sampled_from([" ", "\t", "\r", "\n", "\n   ", "\u00a0", "\u2028"]),
+    st.text("ab %'\t", max_size=6).map(lambda c: "%" + c),
+    st.text("aB 1%\n'", max_size=5).map(lambda a: "'" + a + "'"),
+    st.integers(0, 10**12).map(lambda n: f"~{n}"),
+    st.sampled_from(["~", "@", '"', ";", "'", "^", "?", "\\", "\u00e9"]),
+)
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return [t if type(t) is tuple else t.as_tuple() for t in tokenize(src)]
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+
+
+def _with_programs(test):
+    for src in _PROGRAMS:
+        test = example(src)(test)
+    return test
+
+
+@given(st.lists(_TOKEN_PIECES, max_size=40).map("".join))
+@_with_programs
+@settings(max_examples=500, deadline=None)
+def test_tokenizer_matches_reference(src):
+    """The same (kind, value, line, col, start, end) tuples, or the same
+    ParseError message at the same line and column."""
+    assert _tokens_or_error(syntax.tokenize, src) == \
+        _tokens_or_error(reference_tokenizer.tokenize, src)
