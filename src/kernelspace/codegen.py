@@ -14,7 +14,11 @@ desugarer's own calls have (kernel.base_op), has its arity checked when
 it compiles and calls the builtin with no callee deref or dispatch.  The
 integer operations IntPlus, IntMinus, IntTimes, Less and Leq compile
 inline, into one closure each (int_op), as the Oz machine runs them as
-instructions (Mehl 1999).  Either way the call is one reduction.
+instructions (Mehl 1999).  Either way the call is one reduction.  When the
+result goes to a temporary the desugarer made a kernel.ValueSlot, the
+closure writes the integer or truth value into that frame slot, and the
+temporary's `local` makes no variable for it; otherwise it tells the
+result to the variable its third operand holds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from operator import add, itemgetter, mul, sub
 from .errors import OzRaise, _error
 from .kernel import (
     KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq, KSkip,
-    KTellRec, KThread, KTry, Slot,
+    KTellRec, KThread, KTry, Slot, ValueSlot,
 )
 from .terms import Builtin, Closure, Record, Var, canonical_record
 
@@ -99,7 +103,7 @@ def _c_seq(s):
 
 
 def _c_local(s):
-    slots = tuple(sl.i for sl in s.slots)
+    slots = tuple(sl.i for sl in s.slots if type(sl) is not ValueSlot)
     body = s.body
 
     def local(vm, th, fr):
@@ -209,7 +213,10 @@ def _c_apply_base(s, f):
         return arity_error
     op = INT_OPS.get(f.name)
     if op is not None:
-        return int_op(op, *map(_get, s.slots[1:], s.args))
+        z = s.slots[3]
+        return int_op(op, _get(s.slots[1], s.args[0]),
+                      _get(s.slots[2], s.args[1]),
+                      z.i if type(z) is ValueSlot else _get(z, s.args[2]))
     fn = f.fn
     get = _get_all(s.slots[1:], s.args)
     return lambda vm, th, fr: fn(vm, th, get(fr), th.space)
@@ -225,21 +232,31 @@ INT_OPS = {
 }
 
 
-def int_op(op, get_x, get_y, get_z):
+def int_op(op, get_x, get_y, z):
     """{F X Y Z}, Z = op(X, Y) once X and Y are integers, as a closure
-    (vm, th, fr) that reads its operands from fr with the three getters.
-    It waits on X before Y, and raises error(kind:type) on a non-integer."""
+    (vm, th, fr) that reads X and Y from fr with their getters.  z is a
+    getter of the variable the result is told to, or the index of the
+    value slot it is written into (kernel.ValueSlot).  It waits on X
+    before Y, and raises error(kind:type) on a non-integer; either way Z
+    is left as it was."""
+    get_z = None if type(z) is int else z
+
     def int_op(vm, th, fr):
-        deref = vm.store.deref
-        sp = th.space
-        x = deref(get_x(fr), sp)
+        x = get_x(fr)
         if type(x) is Var:
-            return x
-        y = deref(get_y(fr), sp)
+            x = vm.store.deref(x, th.space)
+            if type(x) is Var:
+                return x
+        y = get_y(fr)
         if type(y) is Var:
-            return y
+            y = vm.store.deref(y, th.space)
+            if type(y) is Var:
+                return y
         if type(x) is not int or type(y) is not int:
             raise OzRaise(_error("type"))
+        if get_z is None:
+            fr[z] = op(x, y)
+            return None
         return vm.tell_th(th, get_z(fr), op(x, y))
     return int_op
 

@@ -9,7 +9,11 @@ the outer names the caller supplies, such as the base environment.  A name
 used in a nested procedure but bound outside it is captured by every
 procedure in between, so a body reads only its own frame.  Slot numbers
 are fixed when the desugarer closes the frame, and the machine reads them
-when it compiles a statement (see codegen.py).
+when it compiles a statement (see codegen.py).  The temporary that holds
+the value of an operator the machine runs inline (`+ - * < > =<`) is a
+ValueSlot: the operator writes the value into it, and no variable is made
+for it, as an integer result goes to a register in the Oz machine (Mehl
+1999).
 
 Nodes keep their identifiers as names, which the tests' round-trip oracle
 (tests/roundtrip.py) works on; the resolution is in extra fields: `slots`
@@ -73,7 +77,8 @@ def _term_eq(a, b):
 
 class Slot:
     """A place in a frame.  `i` is its index, set when the desugarer closes
-    the frame; until then `home` is the frame (a _Frame)."""
+    the frame; until then `home` is the frame (a _Frame).  A `local` puts a
+    new variable in each of its slots but value slots."""
 
     __slots__ = ("i", "home")
 
@@ -83,6 +88,18 @@ class Slot:
 
     def __repr__(self):
         return f"Slot({self.i})"
+
+
+class ValueSlot(Slot):
+    """The slot of a temporary that holds an inline integer operator's
+    result (see _RESULT_SLOT): the operator writes the value itself into it,
+    as into a machine register, and its `local` makes no variable for it.
+    Only that operator writes the temporary and only the statement that
+    consumes the operator's value, run after it in the same thread, reads
+    it: no program can name it, and no closure or other thread sees it.
+    Until the operator has run, the slot holds None."""
+
+    __slots__ = ()
 
 
 class KStmt:
@@ -215,6 +232,11 @@ KRaise = S.node_class("KRaise", KStmt, ("x",))
 _BINOPS = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes", "<": "Less",
            ">": "Less", "=<": "Leq", "==": "Equal"}
 
+# The class of the slot of a temporary that holds an operator's value: a
+# ValueSlot for each operator that compiles inline, all but `==`.
+_RESULT_SLOT = {op: Slot if name == "Equal" else ValueSlot
+                for op, name in _BINOPS.items()}
+
 # The prelude procedure a `dis` calls, under a name no program can write;
 # the base environment binds it (stdlib.base_env).
 DIS_COMBINATOR = "DisCombinator@"
@@ -242,8 +264,8 @@ class _Frame:
         self.caps = {}      # name -> (Slot here, Slot in parent or None)
         self.own = []       # Slots of the parameters, then the locals
 
-    def new(self):
-        s = Slot(self)
+    def new(self, kind=Slot):
+        s = kind(self)
         self.own.append(s)
         return s
 
@@ -266,12 +288,12 @@ class Desugarer:
         self.frame = _Frame(None)
         self.temps = {}         # fresh name -> its Slot
 
-    def fresh(self, hint="T"):
-        """A new identifier with a slot in the current frame.  The `@` keeps
-        it apart from every identifier a program can write."""
+    def fresh(self, hint="T", kind=Slot):
+        """A new identifier with a slot of class kind in the current frame.
+        The `@` keeps it apart from every identifier a program can write."""
         self.n += 1
         name = f"{hint}@{self.n}"
-        self.temps[name] = self.frame.new()
+        self.temps[name] = self.frame.new(kind)
         return name
 
     def err(self, msg, phrase):
@@ -381,7 +403,7 @@ class Desugarer:
             name = self.fresh("W")
             temps.append(name)
             return name
-        name = self.fresh()
+        name = self.fresh(kind=_RESULT_SLOT[p.op] if t is S.SOp else Slot)
         temps.append(name)
         stmts.append(self.walk(p, sc, name))
         return name
@@ -521,7 +543,7 @@ class Desugarer:
         spine = [(p, target)]
         while type(p.lhs) is S.SOp:
             p = p.lhs
-            spine.append((p, self.fresh()))
+            spine.append((p, self.fresh(kind=_RESULT_SLOT[p.op])))
         k = None
         for i in range(len(spine) - 1, -1, -1):
             p, out = spine[i]

@@ -5,7 +5,8 @@ Execution is a round-robin over a FIFO queue of runnable threads.  A thread
 holds a stack of (statement, frame) pairs.  A frame is a Python list with
 one slot per identifier of a procedure body (see kernel.py): the values the
 procedure captured, its arguments, then its locals.  Statements of one body
-share its frame; `local` and a matching `case` write their slots in place,
+share its frame; `local`, a matching `case` and an inline operator whose
+result goes to a value slot (kernel.ValueSlot) write their slots in place,
 and `thread` starts a thread on the same frame.  Each kernel statement is
 compiled once, on its first run, into a closure (vm, th, frame) with its
 operands' slots bound in (see codegen.py); one popped pair is one

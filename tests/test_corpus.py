@@ -12,6 +12,7 @@ import pytest
 from conftest import kind_counter
 from kernelspace import stdlib
 from kernelspace.runner import RunConfig, run_text
+from kernelspace.store import Store
 
 ENTRIES = stdlib.corpus()
 
@@ -111,6 +112,24 @@ def test_stream_reduction_counts(src, reductions):
     out = run_text(src)
     assert (out.exit_code, out.browse) == (0, ["4513500"])
     assert out.vm.reductions == reductions
+
+
+@pytest.mark.parametrize("src, allocated", [(EAGER, 3_026), (LAZY, 9_028)],
+                         ids=["eager", "lazy"])
+def test_stream_variable_counts(monkeypatch, src, allocated):
+    """The store variables a stream run makes, its base environment
+    included.  The result of `N+1`, `N<Limit` or `A+X` goes to a value
+    slot (kernel.ValueSlot), not to a variable."""
+    made = [0]
+    new_var = Store.new_var
+
+    def counting(self, space):
+        made[0] += 1
+        return new_var(self, space)
+    monkeypatch.setattr(Store, "new_var", counting)
+    out = run_text(src)
+    assert (out.exit_code, out.browse) == (0, ["4513500"])
+    assert made[0] == allocated
 
 
 @pytest.mark.parametrize("src", [EAGER, LAZY], ids=["eager", "lazy"])

@@ -274,7 +274,7 @@ def test_clone_leaves_behind_what_nothing_reaches(monkeypatch):
 _REACH_HARNESS = """
 declare Garbage Helper Script Drive Result S1 S2 C1 C2 in
 proc {Garbage N}
-   if N > 0 then local T in T = N end {Garbage N - 1} end
+   if N > 0 then local T U V in T = N U = N V = N end {Garbage N - 1} end
 end
 %s
 fun {Result S V}

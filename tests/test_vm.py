@@ -6,12 +6,14 @@ the assertion; nothing is copied from program output.
 """
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import browse, kind_counter, run
+from kernelspace import kernel, stdlib, syntax
 from kernelspace.runner import Session
 
 
@@ -95,6 +97,142 @@ def test_products_of_big_integers_are_exact():
     x, y = 12345678901234567890, 98765432109876543210
     assert browse(f"{{Browse {x} * {y}}} {{Browse {x} - {y}}}") \
         == [str(x * y), "~" + str(y - x)]
+
+
+# ----------------------------------------------------------------------
+# value slots: an inline operator writes its result into the frame slot
+# of the temporary that holds it (kernel.ValueSlot), with no variable
+
+
+def _temp_kinds(src):
+    """A Counter of the slot classes of the temporaries the `local`s of
+    src's kernel bind."""
+    kinds = Counter()
+    stack = [kernel.desugar(syntax.parse(src), set(stdlib.builtins()))]
+    while stack:
+        k = stack.pop()
+        if type(k) is kernel.KLocal:
+            kinds.update(type(sl).__name__
+                         for name, sl in zip(k.names, k.slots) if "@" in name)
+        stack.extend(getattr(k, a) for a in ("body", "then", "els", "handler")
+                     if getattr(k, a, None) is not None)
+        stack.extend(getattr(k, "stmts", ()))
+    return kinds
+
+
+def test_operator_parked_on_an_operand_resumes_when_another_thread_binds_it():
+    src = """
+    local X Y Started in
+       thread Started = unit {Browse X + Y * 2 + 1} end
+       {Wait Started}
+       X = 40
+       Y = 1
+    end
+    """
+    assert _temp_kinds(src) == {"ValueSlot": 3}
+    kinds, sink = kind_counter()
+    out = run(src, trace=sink)
+    assert (out.exit_code, out.browse) == (0, ["43"])
+    assert kinds["suspend"] >= 2        # the main thread, then the operator
+
+
+def test_clone_of_a_space_parked_inside_an_operator():
+    # S's thread parks in R + 1 before its result slot is written; the
+    # clone's copy of the frame is driven to 10 and the original to 1
+    src = """
+    declare S C in
+    S = {NewSpace proc {$ R} {Browse R + 1} end}
+    local A in {Ask S A} {Wait A} {Browse A} end
+    C = {Clone S}
+    {Inject C proc {$ R} R = 10 end}
+    local A in {Ask C A} {Wait A} {Browse A} end
+    {Inject S proc {$ R} R = 1 end}
+    local A in {Ask S A} {Wait A} {Browse A} end
+    """
+    # the three procedure values are variables
+    assert _temp_kinds(src) == {"Slot": 3, "ValueSlot": 1}
+    kinds, sink = kind_counter()
+    out = run(src, trace=sink)
+    assert out.exit_code == 0
+    assert out.browse == ["succeeded", "11", "succeeded", "2", "succeeded"]
+    assert kinds["clone"] == 1
+
+
+def test_type_error_in_an_operator_is_caught():
+    src = """
+    local A B in
+       A = 1 B = b
+       try {Browse A + B} catch E then {Browse caught(E)} end
+       {Browse after}
+    end
+    """
+    # caught(E) is a record temporary
+    assert _temp_kinds(src) == {"Slot": 1, "ValueSlot": 1}
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["caught(error(kind:type))",
+                                               "after"])
+
+
+def test_greater_than_writes_its_swapped_comparison():
+    src = """
+    local A B in
+       thread A = 2 end
+       thread B = 3 end
+       {Browse A > B} {Browse B > A} {Browse A - B > ~2}
+       if B > A then {Browse yes} end
+    end
+    """
+    assert _temp_kinds(src) == {"ValueSlot": 5}
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["false", "true", "true",
+                                               "yes"])
+
+
+def test_equality_still_tells_a_variable():
+    # == calls the Equal builtin, which tells its result to a variable
+    src = """
+    local A in
+       thread {Browse A == 1} end
+       {Browse f(A) == g(A)}
+       A = 1
+    end
+    """
+    # two results and the records f(A) and g(A)
+    assert _temp_kinds(src) == {"Slot": 4}
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["false", "true"])
+
+
+def test_thread_expression_keeps_its_variable():
+    # the caller reads a thread expression's value before the thread has
+    # made it, so its temporary is a variable, though the thread's body is
+    # an operator
+    src = """
+    local P A B X in
+       proc {P Y} {Wait Y} {Browse Y} end
+       {P thread 1 + 2 end}
+       X = thread A + B end
+       A = 3 B = 4
+       {Browse X}
+    end
+    """
+    assert _temp_kinds(src) == {"Slot": 1}
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["3", "7"])
+
+
+def test_case_on_an_operator_result():
+    src = """
+    local A B in
+       A = 1 B = 2
+       case A + B of 2 then {Browse two} [] 3 then {Browse three} end
+       case A + B of X then {Browse X} end
+       case A * B + A of f(_) then {Browse rec} else {Browse other} end
+    end
+    """
+    assert _temp_kinds(src) == {"ValueSlot": 4}
+    out = run(src)
+    assert (out.exit_code, out.browse) == (0, ["three", "3", "other"])
 
 
 # ----------------------------------------------------------------------
