@@ -49,12 +49,11 @@ def _config(args):
     return cfg
 
 
-def cmd_run(args):
+def cmd_run(args, cfg):
     try:
-        cfg = _config(args)
         with open(args.file) as f:
             src = f.read()
-    except (ValueError, OSError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = run_text(src, cfg, on_browse=lambda line: print(line, flush=True))
@@ -63,12 +62,7 @@ def cmd_run(args):
     return out.exit_code
 
 
-def cmd_repl(args):
-    try:
-        cfg = _config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+def cmd_repl(args, cfg):
     session = Session(cfg, on_browse=lambda line: print(line, flush=True))
     print("kernelspace repl; submit with a blank line, end with ctrl-d",
           file=sys.stderr)
@@ -95,12 +89,7 @@ def cmd_repl(args):
     return 0
 
 
-def cmd_corpus(args):
-    try:
-        cfg = _config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+def cmd_corpus(args, cfg):
     entries = stdlib.corpus(args.tag)
     if not entries:
         print(f"no corpus entries tagged {args.tag!r}", file=sys.stderr)
@@ -162,7 +151,12 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits with 2 on usage errors already
         return int(e.code) if e.code is not None else 0
-    return args.fn(args)
+    try:
+        cfg = _config(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

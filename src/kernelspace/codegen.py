@@ -23,12 +23,12 @@ result to the variable its third operand holds.
 
 from __future__ import annotations
 
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter
 
 from .errors import OzRaise, _error
 from .kernel import (
-    KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq, KSkip,
-    KTellRec, KThread, KTry, Slot, ValueSlot,
+    INT_OPS, KApply, KCase, KEq, KIf, KLocal, KPatLit, KProc, KRaise, KSeq,
+    KSkip, KTellRec, KThread, KTry, Slot, ValueSlot,
 )
 from .terms import Builtin, Closure, Record, Var, canonical_record
 
@@ -220,16 +220,6 @@ def _c_apply_base(s, f):
     fn = f.fn
     get = _get_all(s.slots[1:], s.args)
     return lambda vm, th, fr: fn(vm, th, get(fr), th.space)
-
-
-# the integer operations: builtin name -> its function of two ints
-INT_OPS = {
-    "IntPlus": add,
-    "IntMinus": sub,
-    "IntTimes": mul,
-    "Less": lambda x, y: "true" if x < y else "false",
-    "Leq": lambda x, y: "true" if x <= y else "false",
-}
 
 
 def int_op(op, get_x, get_y, z):

@@ -56,9 +56,12 @@ posts, as the space builtins do, so a builtin woken again starts afresh.
 It raises Wait (errors.py) on one that is not determined yet (a domain
 spec or its bounds, a list spine or coefficient, a relation or constant),
 and the scheduler parks the thread on it, which makes it needed; it
-raises error(kind:type) on a wrong one.  `_bind_value` is the one place
-here that makes a variable needed itself: propagation determines a
-by-need variable without any thread parking on it.
+raises error(kind:type) on a wrong one.  `_operand` decodes an operand,
+`_walk_list` a list and `_vec_terms` a vector.  A product posts a MulProp
+whatever its operands, so one that cannot hold fails its space as any
+propagator run does.  `_bind_value` is the one place here that makes a
+variable needed itself: propagation determines a by-need variable without
+any thread parking on it.
 """
 
 from __future__ import annotations
@@ -696,16 +699,21 @@ def adopt_into_parent(vm, s, parent):
 # ----------------------------------------------------------------------
 # builtins
 
+def _operand(vm, t, sp):
+    """t dereferenced in sp, an integer or a variable, else a type error."""
+    t = vm.store.deref(t, sp)
+    if type(t) is not int and type(t) is not Var:
+        raise OzRaise(_error("type"))
+    return t
+
+
 def bi_fd_decl(vm, th, args, sp):
     ensure_installed(vm)
-    x = vm.store.deref(args[0], sp)
-    if type(x) is int:
-        if not 0 <= x <= SUP:
-            raise OzRaise(FAILURE)
-        return None
-    if type(x) is not Var:
-        raise OzRaise(_error("type"))
-    _dom_or_declare(vm, sp, x)
+    x = _operand(vm, args[0], sp)
+    if type(x) is Var:
+        _dom_or_declare(vm, sp, x)
+    elif not 0 <= x <= SUP:
+        raise OzRaise(FAILURE)
     return None
 
 
@@ -720,12 +728,12 @@ def _tell_interval(vm, th, sp, t, lo, hi):
 
 
 def bi_fd_dom_tell_vec(vm, th, args, sp):
-    """Constrain every variable or integer of a vector (a list, a record,
-    or a single variable, nested to any depth) to an interval given as
-    lo#hi or a single integer.  A list's spine is decoded like
-    `_walk_list`'s: an open tail is waited on, not constrained.  The
-    vector is decoded before any element is constrained, and an element
-    that occurs twice is constrained once (the second time was a no-op)."""
+    """Constrain every variable or integer of a vector (a `_vec_terms` list
+    or record, or a single variable, nested to any depth) to an interval
+    given as lo#hi or a single integer; an open list tail is waited on, not
+    constrained.  The vector is decoded before any element is constrained,
+    and an element that occurs twice is constrained once (the second time
+    was a no-op)."""
     ensure_installed(vm)
     store = vm.store
     lo = hi = spec = arg(vm, args[1], sp, int, Record)
@@ -737,23 +745,13 @@ def bi_fd_dom_tell_vec(vm, th, args, sp):
     if lo < 0 or hi > SUP or lo > hi:
         raise OzRaise(FAILURE)
     leaves = []
-    stack = [(args[0], False)]          # (term, whether a list's tail)
+    stack = [args[0]]
     while stack:
-        t, tail = stack.pop()
-        t = store.deref(t, sp)
-        if is_cons(t):
-            stack.append((t.feats[0][1], False))
-            stack.append((t.feats[1][1], True))
-        elif tail and type(t) is Var:
-            raise Wait(t)
-        elif tail and t != "nil":
-            raise OzRaise(_error("type"))
-        elif type(t) is Var or type(t) is int:
+        t = store.deref(stack.pop(), sp)
+        if type(t) is Var or type(t) is int:
             leaves.append(t)
-        elif type(t) is Record:
-            stack.extend([(v, False) for _f, v in t.feats])
-        elif t != "nil":
-            raise OzRaise(_error("type"))
+        else:
+            stack.extend(_vec_terms(vm, t, sp))
     for t in dict.fromkeys(leaves):
         _tell_interval(vm, th, sp, t, lo, hi)
     return None
@@ -830,44 +828,21 @@ def bi_fd_lin_rel(vm, th, args, sp):
 
 
 def bi_fd_mul_prop(vm, th, args, sp):
-    """Post a*b = c."""
+    """Post a*b = c whatever its operands: `_register` gives each variable
+    a domain, and the propagator retires once all three are determined."""
     ensure_installed(vm)
-    store = vm.store
-    a = store.deref(args[0], sp)
-    b = store.deref(args[1], sp)
-    c = store.deref(args[2], sp)
-    for t in (a, b, c):
-        if type(t) is not int and type(t) is not Var:
-            raise OzRaise(_error("type"))
-        if type(t) is int and t < 0:
-            raise OzRaise(FAILURE)
-    if type(a) is int and type(b) is int:
-        return vm.tell_th(th, c, a * b)
-    if type(a) is int or type(b) is int:
-        # one factor is known: m*v = c is linear
-        m, v = (a, b) if type(a) is int else (b, a)
-        if m == 0:
-            # zero times anything: the other factor stays unconstrained
-            return vm.tell_th(th, c, 0)
-        if type(c) is Var:
-            prop = LinProp(sp, (m, -1), (v, c), "eq", 0)
-        else:
-            prop = LinProp(sp, (m,), (v,), "eq", c)
-        _register(vm, prop, prop.vars)
-        return None
-    prop = MulProp(sp, a, b, c)
-    _register(vm, prop, (a, b, c))
+    ops = [_operand(vm, t, sp) for t in args]
+    if any(type(t) is int and t < 0 for t in ops):
+        raise OzRaise(FAILURE)
+    prop = MulProp(sp, *ops)
+    _register(vm, prop, ops)
     return None
 
 
 def bi_fd_distinct(vm, th, args, sp):
     """Post pairwise disequality over a list of variables and integers."""
     ensure_installed(vm)
-    store = vm.store
-    ts = [store.deref(t, sp) for t in _vec_terms(vm, args[0], sp)]
-    for t in ts:
-        if type(t) is not int and type(t) is not Var:
-            raise OzRaise(_error("type"))
+    ts = [_operand(vm, t, sp) for t in _vec_terms(vm, args[0], sp)]
     prop = DistinctProp(sp, tuple(ts))
     _register(vm, prop, prop.vars)
     return None

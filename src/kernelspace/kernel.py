@@ -44,6 +44,7 @@ loop, as `binop` and `poly` follow an operator chain's left spine.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, mul, sub
 
 from .errors import ParseError
 from . import syntax as S
@@ -228,13 +229,22 @@ KRaise = S.node_class("KRaise", KStmt, ("x",))
 # The operators' base builtins, by name; > swaps its operands.  Like every
 # call the desugarer makes, an operator calls its builtin as a Lit (see
 # base_op), so no declaration in a program can capture it, and the machine
-# compiles the five integer ones inline (codegen.int_op).
+# compiles the integer ones, those in INT_OPS, inline (codegen.int_op).
 _BINOPS = {"+": "IntPlus", "-": "IntMinus", "*": "IntTimes", "<": "Less",
            ">": "Less", "=<": "Leq", "==": "Equal"}
 
+# the integer operations: builtin name -> its function of two ints
+INT_OPS = {
+    "IntPlus": add,
+    "IntMinus": sub,
+    "IntTimes": mul,
+    "Less": lambda x, y: "true" if x < y else "false",
+    "Leq": lambda x, y: "true" if x <= y else "false",
+}
+
 # The class of the slot of a temporary that holds an operator's value: a
-# ValueSlot for each operator that compiles inline, all but `==`.
-_RESULT_SLOT = {op: Slot if name == "Equal" else ValueSlot
+# ValueSlot for each operator that compiles inline.
+_RESULT_SLOT = {op: ValueSlot if name in INT_OPS else Slot
                 for op, name in _BINOPS.items()}
 
 # The prelude procedure a `dis` calls, under a name no program can write;
@@ -778,7 +788,6 @@ class Desugarer:
             if prod is None:
                 prod = memo[v, rest] = self.fresh("Q")
                 temps.append(prod)
-                stmts.append(self.apply_base("FDDecl", [prod], sc))
                 stmts.append(self.apply_base("FDMulProp", [v, rest, prod],
                                              sc))
             rest = prod

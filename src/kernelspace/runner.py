@@ -40,24 +40,7 @@ class Outcome:
     browse: list = field(default_factory=list)
     error: str = None
     vm: object = None
-
-
-def _new_vm(config, on_browse=None):
-    config.validate()
-    return VM(slice_=config.slice_, max_reductions=config.max_reductions,
-              reverse_queue=config.reverse_queue, trace=config.trace,
-              on_browse=on_browse)
-
-
-def _classify(vm, status):
-    if vm.uncaught is not None:
-        msg = "uncaught exception: " + render(vm, vm.uncaught, vm.top)
-        return Outcome("uncaught", 1, vm.browse, msg, vm)
-    if status == "budget":
-        return Outcome("budget", 3, vm.browse, "reduction budget exhausted", vm)
-    if vm.top_deadlocked():
-        return Outcome("deadlock", 4, vm.browse, _deadlock_report(vm), vm)
-    return Outcome("ok", 0, vm.browse, None, vm)
+    blocked: int = 0            # suspended toplevel threads after the run
 
 
 def _deadlock_report(vm):
@@ -70,25 +53,16 @@ def _deadlock_report(vm):
 
 def run_text(src, config=None, on_browse=None):
     """Parse and run one program text under a fresh vm."""
-    config = config if config is not None else RunConfig()
-    vm = _new_vm(config, on_browse)
     try:
-        env = stdlib.base_env(vm)
-        phrase = syntax.parse(src)
-        k = kernel.desugar(phrase, set(env))
+        session = Session(config, on_browse)
+        k = kernel.desugar(syntax.parse(src), set(session.env))
     except ParseError as e:
-        return Outcome("parse-error", 2, list(vm.browse), str(e), None)
-    vm.spawn(k, env, vm.top)
-    status = vm.run()
-    return _classify(vm, status)
-
-
-@dataclass
-class FeedResult:
-    status: str                 # ok | parse-error | uncaught | budget
-    browse: list
-    error: str = None
-    blocked: int = 0            # suspended toplevel threads after this input
+        return Outcome("parse-error", 2, [], str(e))
+    out = session.run(k)
+    if out.status == "ok" and out.blocked:
+        out.status, out.exit_code = "deadlock", 4
+        out.error = _deadlock_report(out.vm)
+    return out
 
 
 class Session:
@@ -96,12 +70,14 @@ class Session:
 
     def __init__(self, config=None, on_browse=None):
         config = config if config is not None else RunConfig()
-        self.vm = _new_vm(config, on_browse)
+        config.validate()
+        self.vm = VM(slice_=config.slice_, max_reductions=config.max_reductions,
+                     reverse_queue=config.reverse_queue, trace=config.trace,
+                     on_browse=on_browse)
         self.env = stdlib.base_env(self.vm)
 
     def feed(self, src):
-        """Run one input; its result holds the lines it browsed, which the
-        session does not keep."""
+        """Run one input; declare binds its names for later inputs."""
         vm = self.vm
         try:
             phrase = syntax.parse(src)
@@ -113,19 +89,27 @@ class Session:
             new_vars = {n: vm.store.new_var(vm.top) for n in names}
             k = kernel.desugar(body, set(self.env) | set(new_vars))
         except ParseError as e:
-            return FeedResult("parse-error", [], str(e), self._blocked())
+            return Outcome("parse-error", 2, [], str(e), vm, self._blocked())
         self.env.update(new_vars)
+        return self.run(k)
+
+    def run(self, k):
+        """Run kernel statement k in a new toplevel thread until the vm is
+        quiescent or the budget is spent; its Outcome holds the lines it
+        browsed, which the session does not keep."""
+        vm = self.vm
         vm.spawn(k, self.env, vm.top)
         status = vm.run()
-        out, vm.browse = vm.browse, []
+        browsed, vm.browse = vm.browse, []
+        blocked = self._blocked()
         if vm.uncaught is not None:
             msg = "uncaught exception: " + render(vm, vm.uncaught, vm.top)
             vm.uncaught = None
-            return FeedResult("uncaught", out, msg, self._blocked())
+            return Outcome("uncaught", 1, browsed, msg, vm, blocked)
         if status == "budget":
-            return FeedResult("budget", out, "reduction budget exhausted",
-                              self._blocked())
-        return FeedResult("ok", out, None, self._blocked())
+            return Outcome("budget", 3, browsed, "reduction budget exhausted",
+                           vm, blocked)
+        return Outcome("ok", 0, browsed, None, vm, blocked)
 
     def _blocked(self):
         return sum(1 for t in self.vm.top.threads if t.state == "suspended")

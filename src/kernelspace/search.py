@@ -45,9 +45,10 @@ def call(vm, env, proc, args):
     return vm.store.deref(out, vm.top)
 
 
-def to_pylist(vm, t, sp=None):
-    """A determined cons list as a Python list of derefed element terms."""
-    sp = sp if sp is not None else vm.top
+def to_pylist(vm, t):
+    """A determined cons list, seen from the top space, as a Python list of
+    derefed element terms."""
+    sp = vm.top
     out = []
     t = vm.store.deref(t, sp)
     while is_cons(t):

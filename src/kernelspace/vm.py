@@ -48,9 +48,10 @@ import operator
 import weakref
 from collections import deque
 
-from .codegen import INT_OPS, CatchMarker, call_stmt, compile_stmt, int_op
+from .codegen import CatchMarker, call_stmt, compile_stmt, int_op
 from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
+from .kernel import INT_OPS
 from .store import FAILED, OK, Store, is_ancestor, pairs
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,

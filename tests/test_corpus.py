@@ -30,7 +30,7 @@ REDUCTIONS = {
     "relational/children-fun": 300,
     "relational/children-rel-all": 2_220,
     "relational/children2": 353,
-    "fd/fractions": 445_427,
+    "fd/fractions": 445_420,
     "spaces/dfs-engine": 136,
     "spaces/dis-unit-commit": 97,
     "spaces/dis-choice": 145,

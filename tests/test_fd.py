@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import browse, kind_counter, load_decls
+from conftest import browse, kind_counter, load_decls, run
 from test_reclaim import ORDERED_FRACTIONS
 
 from kernelspace import fd, search
@@ -233,6 +233,34 @@ def test_multiplication_by_zero_factor_conflict():
     end
     """)
     assert out == ["failure(debug:unit)"]
+
+
+def test_a_zero_factor_still_gets_a_domain():
+    # 0*B = C leaves B's value open, but B is an fd operand all the same
+    out = run("local B C in {FDMulProp 0 B C} B = foo {Browse B#C} end")
+    assert (out.exit_code, out.browse) == (1, [])
+    assert out.error == "uncaught exception: failure(debug:unit)"
+
+
+def test_a_product_of_two_integers_above_sup_fails():
+    for post in ("{FDMulProp 100000 100000 C}", "C =: 100000 * 100000"):
+        out = run(f"local C in {post} {{Browse C}} end")
+        assert (out.exit_code, out.browse) == (1, []), post
+        assert out.error == "uncaught exception: failure(debug:unit)"
+
+
+@pytest.mark.parametrize("post", ["{FDMulProp 0 B 5}", "{FDMulProp 3 4 13}"])
+def test_a_product_that_cannot_hold_fails_its_space(post):
+    # the post fails the space, as any propagator run does; the script's
+    # own try does not see it
+    assert browse(f"""
+    local S A in
+       S = {{NewSpace proc {{$ R}} B in
+                try {post} catch E then R = caught end
+             end}}
+       {{Ask S A}} {{Browse A}}
+    end
+    """) == ["failed"]
 
 
 def test_unsatisfiable_post_is_catchable():

@@ -313,6 +313,13 @@ def test_fd_product_pairs_share_common_suffix():
     assert len(_calls(k, "FDMulProp")) == 3
 
 
+def test_fd_product_declares_nothing_itself():
+    # FDMulProp gives each variable operand its domain when it posts
+    k = ds("local X Y Z in X =: Y * Z end")
+    assert len(_calls(k, "FDMulProp")) == 1
+    assert _calls(k, "FDDecl") == []
+
+
 def _power_of_sum(n):
     return "*".join(["(A+B)"] * n)
 
