@@ -19,9 +19,11 @@ not copied: what a space left behind as it ran costs its clones nothing.
 
 Thread state is copied the same way.  A frame (the slot list of one
 procedure activation, see vm.py) is mutable and may be shared by several
-stack entries and by threads that `thread` started on it, so every frame is
-copied exactly once, memoized on identity like records, and the copies are
-shared where the originals were.  A closure holds a tuple of captured
+stack entries of one thread (a thread `thread` starts gets a copy), so
+every frame is copied exactly once, memoized on identity like records, and
+the copies are shared where the originals were.  A parked thread's frame
+has already dropped the slots it will not read again, so a clone copies
+nothing those slots held.  A closure holds a tuple of captured
 values, copied when a subtree variable occurs in it.
 
 The copy gives each new variable the copy of its original's in-place
@@ -172,4 +174,7 @@ def clone_space(vm, s, caller_space):
         if var.trigger is not None:
             nv.trigger = cp(var.trigger)
 
+    # cp and cp_frame refer to themselves and hold the working tables and
+    # the store: dropping them lets reference counting free it all now
+    del cp, cp_frame
     return space_map[s]

@@ -252,10 +252,12 @@ def int_op(op, get_x, get_y, z):
 
 
 def _c_thread(s):
+    """The new thread runs on a copy of the frame, so a slot one thread
+    clears when it parks (vm.py) is never one the other still reads."""
     body = s.body
 
     def thread(vm, th, fr):
-        vm.start_thread(body, fr, th.space)
+        vm.start_thread(body, fr[:], th.space)
     return thread
 
 
@@ -297,10 +299,12 @@ _CALLS = {}
 
 
 def call_stmt(n):
-    """{P A1 ... An} on the frame [P, A1, ..., An], for host-made calls."""
+    """{P A1 ... An} on the frame [P, A1, ..., An], for host-made calls.
+    It has no body to number, and a thread parked on it keeps its frame."""
     s = _CALLS.get(n)
     if s is None:
         names = [f"A{k}" for k in range(1, n + 1)]
         s = _CALLS[n] = KApply("P", names)
         s.slots = tuple(Slot(None, i) for i in range(n + 1))
+        s.dead = ()
     return s

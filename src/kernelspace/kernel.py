@@ -15,6 +15,15 @@ ValueSlot: the operator writes the value into it, and no variable is made
 for it, as an integer result goes to a register in the Oz machine (Mehl
 1999).
 
+When the desugarer closes a frame, it numbers the statements of the body
+in pre-order and records, for each slot, the last statement that reads it
+(number_body).  A slot is dead at a statement when its last read comes
+before it: a thread parked there will not read it again, and the machine
+clears it (dead_slots, vm.py).  This is environment trimming (Ait-Kaci,
+"Warren's Abstract Machine: A Tutorial Reconstruction", 1991, 5.7),
+which keeps a parked thread from holding what it has finished with, such
+as the head of a stream it handed to other threads.
+
 Nodes keep their identifiers as names, which the tests' round-trip oracle
 (tests/roundtrip.py) works on; the resolution is in extra fields: `slots`
 (the Slots of a statement's identifier operands in order, None for a
@@ -106,8 +115,11 @@ class ValueSlot(Slot):
 class KStmt:
     # code: the compiled closure, set by the machine on the first run;
     # slots: the Slots of the identifier operands, in operand order;
-    # root: (outer names, frame size), on the statement desugar returns
-    __slots__ = ("code", "slots", "root")
+    # root: (outer names, frame size), on the statement desugar returns;
+    # num, last: the statement's number in its body and the body's table
+    # of last reads (see number_body); dead: the slots dead at it, worked
+    # out when a thread first parks on it (dead_slots)
+    __slots__ = ("code", "slots", "root", "num", "last", "dead")
 
     def __repr__(self):
         fields = [s for c in type(self).__mro__ if c is not KStmt
@@ -221,6 +233,72 @@ class KApply(KStmt):
 KThread = S.node_class("KThread", KStmt, ("body",))
 KTry = S.node_class("KTry", KStmt, ("body", "var", "handler"))
 KRaise = S.node_class("KRaise", KStmt, ("x",))
+
+
+# ----------------------------------------------------------------------
+# which frame slots a statement can still read
+
+def number_body(body, size):
+    """Number the statements of one body, whose frame has `size` slots, in
+    pre-order, and record for each slot the number of the last statement
+    that reads it (-1 for none), in a table every statement shares.
+
+    A statement reads its operand slots, but an `if` or `case` only its
+    subject (a case's other slots are the pattern slots it writes) and a
+    `proc` its `x` and the slots it captures; `local` and `try` write
+    theirs.  The walk enters sequences, `local`, `thread` and `try` bodies,
+    handlers and branches, but not a `proc` body, which has its own frame.
+    compile_pat shares a pattern's else chain among the nested tests of a
+    clause; the walk enters it once, from the outermost test, after that
+    test's whole match branch, so it is numbered after every test that can
+    reach it."""
+    last = [-1] * size
+    seen = set()            # the else chains walked, by id
+    stack = [body]
+    pop, push = stack.pop, stack.append
+    n = 0
+    while stack:
+        k = pop()
+        k.num = n
+        k.last = last
+        t = type(k)
+        if t is KSeq:
+            stack.extend(k.stmts[::-1])
+        elif t is KLocal or t is KThread:
+            push(k.body)
+        elif t is KIf or t is KCase:
+            s = k.slots[0]
+            if s is not None:
+                last[s.i] = n
+            els = k.els
+            if id(els) not in seen:
+                seen.add(id(els))
+                push(els)
+            push(k.then)
+        elif t is KTry:
+            push(k.handler)
+            push(k.body)
+        elif t is KProc:
+            last[k.slots[0].i] = n
+            for s in k.caps:
+                last[s.i] = n
+        elif t is not KSkip:
+            for s in k.slots:
+                if s is not None:
+                    last[s.i] = n
+        n += 1
+
+
+def dead_slots(k):
+    """The frame slots dead at statement k, those whose last read comes
+    before it (see number_body), kept in k.dead.  Within one activation,
+    what runs on the frame after k is k itself (retried after a wake), a
+    statement inside k or one after k in pre-order, and each slot is
+    written once, before it is read; so a thread parked on k will never
+    read a dead slot again."""
+    n = k.num
+    k.dead = dead = tuple([i for i, r in enumerate(k.last) if r < n])
+    return dead
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +458,7 @@ class Desugarer:
         """Close the current frame, a body walked after enter(), and return
         its KProc, defined in the enclosing frame `outer` and scope sc."""
         names, caps, size = self.frame.close()
+        number_body(body, size)
         self.frame = outer
         k = KProc(x, params, body, names)
         k.caps = caps
@@ -905,5 +984,6 @@ def desugar(phrase, base_names):
     d = Desugarer(base_names)
     k = d.walk(phrase, {})
     outer, _, size = d.frame.close()
+    number_body(k, size)
     k.root = (outer, size)
     return k

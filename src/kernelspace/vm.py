@@ -7,24 +7,30 @@ one slot per identifier of a procedure body (see kernel.py): the values the
 procedure captured, its arguments, then its locals.  Statements of one body
 share its frame; `local`, a matching `case` and an inline operator whose
 result goes to a value slot (kernel.ValueSlot) write their slots in place,
-and `thread` starts a thread on the same frame.  Each kernel statement is
-compiled once, on its first run, into a closure (vm, th, frame) with its
-operands' slots bound in (see codegen.py); one popped pair is one
-reduction.  A thread keeps the processor for up to `slice_` reductions,
-then goes to the back of the queue, which gives weak fairness.
+and `thread` starts a thread on a copy of the frame.  Each kernel
+statement is compiled once, on its first run, into a closure (vm, th,
+frame) with its operands' slots bound in (see codegen.py); one popped pair
+is one reduction.  A thread keeps the processor for up to `slice_`
+reductions, then goes to the back of the queue, which gives weak
+fairness.
 
 Suspension is by retry: a statement that finds an undetermined variable
 where a value is needed returns the variable, or, in a builtin, raises
 Wait with it (errors.py); the pair is pushed back and the thread parks on
-it (`Var.waiters`).  Parking is the one place that makes a variable
-needed: `suspend_thread` fires its by-need trigger, so no statement or
-builtin fires one itself, and `need` runs the supplier in the variable's
-home.  Binding the variable wakes each parked thread homed in the binding
-space or below it, and each re-executes its statement from scratch, so
-statements must keep their side effects after their last possible
-suspension point.  The `==` builtin walks its operands with store.pairs,
-in unification's order, so when several variables are unbound it parks on
-the leftmost.
+it (`Var.waiters`); a Choose that waits for a commit parks the same way,
+on no variable.  Parking trims the parked pair's frame: the slots dead at
+the statement (kernel.dead_slots), which nothing the thread can still run
+on that frame reads, are set to None, so a parked thread keeps only what
+it will read (a stream it handed to other threads is freed as they
+consume it).  Only that frame is trimmed, so parking walks no stack.
+Parking is the one place that makes a variable needed: `suspend_thread`
+fires its by-need trigger, so no statement or builtin fires one itself,
+and `need` runs the supplier in the variable's home.  Binding the
+variable wakes each parked thread homed in the binding space or below it,
+and each re-executes its statement from scratch, so statements must keep
+their side effects after their last possible suspension point.  The
+`==` builtin walks its operands with store.pairs, in unification's order,
+so when several variables are unbound it parks on the leftmost.
 
 Exceptions unwind the stack to the nearest catch marker, which writes the
 raised value into its variable's slot.  A failed tell raises the catchable
@@ -51,7 +57,7 @@ from collections import deque
 from .codegen import CatchMarker, call_stmt, compile_stmt, int_op
 from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
-from .kernel import INT_OPS
+from .kernel import INT_OPS, dead_slots
 from .store import FAILED, OK, Store, is_ancestor, pairs
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
@@ -341,6 +347,13 @@ class VM:
                 if r is None:
                     continue
                 stack.append(entry)
+                # parked: the frame lets go of what it will not read again
+                try:
+                    dead = stmt.dead
+                except AttributeError:
+                    dead = dead_slots(stmt)
+                for i in dead:
+                    frame[i] = None
                 if r is not spaces.BLOCKED:
                     self.suspend_thread(th, r)
                 break

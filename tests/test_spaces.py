@@ -178,9 +178,10 @@ def _frames(space):
 
 
 def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
-    """A script's thread suspends with its frame shared by the thread it
-    spawned and captured by a closure; a clone gets its own frames, shared
-    the same way, and each space sees only its own later bindings."""
+    """A script's thread suspends with its frame shared by its stack
+    entries and captured by a closure, beside the thread it spawned on a
+    copy of it; a clone gets its own frames, shared the same way, and each
+    space sees only its own later bindings."""
     vm, env = search.fresh()
     ok, tbl = load_decls(vm, env, """
     declare Script S in
@@ -200,7 +201,7 @@ def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
                         spaces.status(vm, orig)).space
     before, after = _frames(orig), _frames(copy)
     assert len(before) == len(after) and len(before) >= 3
-    # the spawned thread and the script's thread share one frame
+    # the stack entries of each thread share one frame
     assert len({id(f) for f in before}) < len(before)
     pairs = {(id(a), id(b)) for a, b in zip(before, after)}
     assert len(pairs) == len({id(f) for f in before}) \

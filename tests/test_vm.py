@@ -448,8 +448,8 @@ def _truth(b):
     return "true" if b else "false"
 
 
-# generated name -> (arity, a program binding X from ints A and B, the
-# value X must browse as)
+# generated name -> (arity, a program binding X from ints A and B that
+# desugars to a call of it, the value X must browse as)
 _GENERATED = {
     "IntPlus": (3, "X = A + B", lambda a, b: _oz(a + b)),
     "IntMinus": (3, "X = A - B", lambda a, b: _oz(a - b)),
@@ -468,8 +468,6 @@ _GENERATED = {
                       lambda a, b: f"[{_oz(a)} {_oz(b)}]"),
     "FDDomTellVec": (2, "[X] ::: A#A", lambda a, b: _oz(a)),
     "FDLinRel": (4, "X ::: 0#100 X =: A + B", lambda a, b: _oz(a + b)),
-    "FDDecl": (1, "X ::: 0#100 X =: Y * Z Y = A Z = B",
-               lambda a, b: _oz(a * b)),
     "FDMulProp": (3, "X ::: 0#100 X =: Y * Z Y = A Z = B",
                   lambda a, b: _oz(a * b)),
 }
@@ -487,7 +485,28 @@ def test_a_local_never_captures_a_generated_call(name, a, b):
     body = body.replace("A", str(a)).replace("B", str(b))
     src = (f"local {name} X Y Z in {name} = proc {{$ {params}}} "
            f"raise captured end end {body} {{Browse X}} end")
+    assert name in _generated_calls(src)
     assert browse(src) == [want(a, b)]
+
+
+def _generated_calls(src):
+    """The names of the operations src's kernel calls as the desugarer's
+    own calls, in procedure bodies too: base builtins named by a Lit, and
+    the `dis` combinator."""
+    names = set(stdlib.builtins()) | set(stdlib._prelude()[0])
+    stack = [kernel.desugar(syntax.parse(src), names)]
+    calls = set()
+    while stack:
+        k = stack.pop()
+        if type(k) is kernel.KApply:
+            if type(k.f) is kernel.Lit:
+                calls.add(k.f.v.name)
+            elif k.f == kernel.DIS_COMBINATOR:
+                calls.add("DisCombinator")
+        stack.extend(getattr(k, a) for a in ("body", "then", "els", "handler")
+                     if getattr(k, a, None) is not None)
+        stack.extend(getattr(k, "stmts", ()))
+    return calls
 
 
 # ----------------------------------------------------------------------
