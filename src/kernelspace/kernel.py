@@ -46,8 +46,9 @@ _EXPRESSION).  `Desugarer.record` is the one walk that decides whether a
 record is ground, folding it into a Lit, for operands and for expressions
 alike; it follows a list's spine, and `if_chain` an elseif chain, by a
 loop, as `binop` and `poly` follow an operator chain's left spine.
-`compile_pat` compiles every pattern, nested sub-patterns included;
-`number_feats` numbers the positional features of records and patterns.
+A `case` pattern is a term phrase, which `pat_vars` checks and
+`compile_pat` compiles, nested sub-patterns included; `number_feats`
+numbers the positional features of records and patterns.
 """
 
 from __future__ import annotations
@@ -567,12 +568,6 @@ class Desugarer:
         return self.binder(
             KLocal(p.names, self.walk(p.body, sc2, target)), sc2)
 
-    def local_bind(self, p, sc, target):
-        sc2 = self.bind([p.name], sc)
-        return self.binder(
-            KLocal([p.name], kseq([self.walk(p.rhs, sc2, p.name),
-                                   self.walk(p.body, sc2, target)])), sc2)
-
     def apply(self, p, sc, target):
         temps, stmts = [], []
         ops = [self.operand(q, sc, temps, stmts) for q in p.items]
@@ -706,14 +701,16 @@ class Desugarer:
         temps, stmts = [], []
         subj = self.operand(p.subject, sc, temps, stmts)
         subj_slot = self.ref(subj, sc)
+        # check the patterns in textual order before any body or the else
+        binds = [sorted(self.pat_vars(pat)) for pat, _ in p.clauses]
         if p.els is not None:
             chain = self.walk(p.els, sc, target)
         else:
             chain = self.case_miss()
-        for pat, body in reversed(p.clauses):
+        for (pat, body), names in zip(reversed(p.clauses), reversed(binds)):
             # the body sees every variable the pattern binds, including
             # those in nested sub-patterns; the else chain does not
-            sc2 = self.bind(sorted(pat_vars(pat)), sc)
+            sc2 = self.bind(names, sc)
             chain = self.compile_pat(
                 subj, subj_slot, pat, sc2,
                 lambda: self.walk(body, sc2, target), chain)
@@ -725,25 +722,47 @@ class Desugarer:
         k.slots = (None,)
         return k
 
+    def pat_vars(self, pat):
+        """The variables pattern pat binds.  A pattern is a record of
+        patterns, a variable, `_`, an integer or an atom; any other phrase,
+        a repeated feature and a variable's second occurrence is an error,
+        the first in textual order reported."""
+        out = set()
+        stack = [pat]
+        while stack:
+            p = stack.pop()
+            t = type(p)
+            if t is S.SRecordCons:
+                dup = number_feats(p.feats)[1]
+                if dup is not None:
+                    self.err(f"duplicate feature {dup} in pattern", p)
+                stack.extend([q for _, q in reversed(p.feats)])
+            elif t is S.SVar:
+                if p.name in out:
+                    self.err(f"duplicate variable {p.name} in pattern", p)
+                out.add(p.name)
+            elif t is not S.SWild and t is not S.SInt and t is not S.SAtom:
+                self.err("this phrase is not a pattern", p)
+        return out
+
     def compile_pat(self, subj, subj_slot, pat, sc, body, els):
-        """Test subj (read from subj_slot) against pat, whose variables have
-        slots in sc: on a match run the kernel body() makes, otherwise els.
-        body() is called after the pattern's own feature names are made and
-        before its nested sub-patterns are compiled.  A record's last nested
-        sub-pattern (a list pattern's tail) is followed by a loop; the
-        others recurse, which MAX_NESTING bounds."""
+        """Test subj (read from subj_slot) against pat, which pat_vars has
+        checked and whose variables have slots in sc: on a match run the
+        kernel body() makes, otherwise els.  body() is called after the
+        pattern's own feature names are made and before its nested
+        sub-patterns are compiled.  A record's last nested sub-pattern (a
+        list pattern's tail) is followed by a loop; the others recurse,
+        which MAX_NESTING bounds."""
         tests = []      # (subj, its slot, record pattern, feats, nested)
-        while type(pat) is S.PRecord:
-            pairs, dup = number_feats(pat.feats)
-            if dup is not None:
-                self.err(f"duplicate feature {dup} in pattern", pat)
+        while type(pat) is S.SRecordCons:
+            pairs = number_feats(pat.feats)[0]
             feats = []
             nested = []
             for f, sub in pairs:
                 st = type(sub)
-                if st is S.PVar:
+                if st is S.SVar:
                     feats.append((f, sub.name))
-                elif st is S.PWild:
+                elif st is S.SWild:
                     feats.append((f, self.fresh("W")))
                 else:
                     name = self.fresh("M")
@@ -758,19 +777,19 @@ class Desugarer:
                 subj, pat = nested.pop()
                 subj_slot = self.temps[subj]
         t = type(pat)
-        if t is S.PVar:
+        if t is S.SVar:
             slot = sc[pat.name]
             eq = KEq(pat.name, subj)
             eq.slots = (slot, subj_slot)
             cur = KLocal([pat.name], kseq([eq, body()]))
             cur.slots = (slot,)
-        elif t is S.PLit:
-            cur = KCase(subj, KPatLit(pat.value), body(), els)
+        elif t is S.SInt or t is S.SAtom:
+            cur = KCase(subj, KPatLit(pat.value if t is S.SInt else pat.name),
+                        body(), els)
             cur.slots = (subj_slot,)
         else:           # a wildcard, or no pattern left
             cur = body()
-        # wrap the other nested sub-pattern tests and each record's test
-        # around it, inside out
+        # wrap the other nested tests and each record's test around it
         for subj, subj_slot, pat, feats, nested in reversed(tests):
             for name, sub in reversed(nested):
                 cur = self.compile_pat(name, self.temps[name], sub, sc,
@@ -910,9 +929,9 @@ class Desugarer:
 # The Desugarer method for each phrase type, in statement position and in
 # expression position.
 _BOTH = {S.SSeq: Desugarer.seq, S.SLocal: Desugarer.local,
-         S.SLocalBind: Desugarer.local_bind, S.SApply: Desugarer.apply,
-         S.SIf: Desugarer.if_chain, S.SCase: Desugarer.case,
-         S.SProc: Desugarer.procedure, S.SThread: Desugarer.thread}
+         S.SApply: Desugarer.apply, S.SIf: Desugarer.if_chain,
+         S.SCase: Desugarer.case, S.SProc: Desugarer.procedure,
+         S.SThread: Desugarer.thread}
 _STATEMENT = {**_BOTH, S.SDeclare: Desugarer.local, S.SSkip: Desugarer.skip,
               S.SEq: Desugarer.tell, S.SFd: Desugarer.fd_stmt,
               S.STry: Desugarer.try_, S.SRaise: Desugarer.raise_,
@@ -954,19 +973,6 @@ def number_feats(feats):
         seen.add(f)
         out.append((f, q))
     return out, None
-
-
-def pat_vars(pat):
-    """The names of the variables pattern pat binds."""
-    out = set()
-    stack = [pat]
-    while stack:
-        p = stack.pop()
-        if type(p) is S.PVar:
-            out.add(p.name)
-        elif type(p) is S.PRecord:
-            stack.extend(sub for _, sub in p.feats)
-    return out
 
 
 def _int_list(ints):

@@ -12,7 +12,9 @@ eof); line and col count from 1, and start and end are offsets in the text.
 The parser builds phrases, not statements or expressions: the same construct
 (an application, a case, an if) is legal in both positions, and only the
 desugarer knows which one it is in.  A phrase sequence is an SSeq; when a
-sequence is used as an expression its last phrase is the value.
+sequence is used as an expression its last phrase is the value.  A `case`
+pattern is read as an expression, which the desugarer checks is a term;
+`X = E in Rest` is read as `local X in X = E Rest end`.
 
 Variables start with an upper-case letter and may contain dots, so a dotted
 module-style name like a search or fd entry point is one identifier.  Atoms
@@ -21,8 +23,8 @@ empty list; the empty list is the atom nil.
 
 The parser is recursive descent, but operator chains, `|` chains and
 `elseif` chains are read by loops.  Nesting is limited: more than
-MAX_NESTING sequences, expressions and patterns open inside one another is
-a ParseError.  A level takes about four Python frames, so the limit keeps
+MAX_NESTING sequences and expressions open inside one another is a
+ParseError.  A level takes about four Python frames, so the limit keeps
 the parser near 800 frames deep, inside the host's default limit of 1000.
 """
 
@@ -139,7 +141,6 @@ SFd = _node("SFd", "op", "lhs", "rhs")                 # =: <: =<: :::
 SSeq = _node("SSeq", "phrases")
 SSkip = _node("SSkip")
 SLocal = _node("SLocal", "names", "body")
-SLocalBind = _node("SLocalBind", "name", "rhs", "body")
 SIf = _node("SIf", "cond", "then", "els")              # els may be None
 SCase = _node("SCase", "subject", "clauses", "els")    # clauses: [(pat, body)]
 SProc = _node("SProc", "name", "params", "body", "lazy", "is_fun")
@@ -150,12 +151,6 @@ SChoice = _node("SChoice", "branches")
 SDis = _node("SDis", "pairs")                          # [(guard, body)]
 SDeclare = _node("SDeclare", "names", "body")
 
-# patterns
-PVar = _node("PVar", "name")
-PWild = _node("PWild")
-PLit = _node("PLit", "value")                          # int or atom
-PRecord = _node("PRecord", "label", "feats")           # [(feat|None, pat)]
-
 
 class Parser:
     """Reads the tokens of one text; `tok` is the current token, and `i`
@@ -165,11 +160,11 @@ class Parser:
         self.toks = tokenize(src)
         self.i = 0
         self.tok = self.toks[0]
-        self.depth = 0          # sequences, expressions, patterns open
+        self.depth = 0          # sequences and expressions open
 
     def too_deep(self):
-        """parse_seq, parse_expr and parse_pattern count `depth` inline, as
-        they run for most tokens, and call this past MAX_NESTING."""
+        """parse_seq and parse_expr count `depth` inline, as they run for
+        most tokens, and call this past MAX_NESTING."""
         self.fail(f"phrases nest more than {MAX_NESTING} deep")
 
     # -- token helpers --------------------------------------------------
@@ -237,21 +232,21 @@ class Parser:
                     phrases.append(SLocal(names, rest, t[2:4]))
                     break
             p = self.parse_phrase()
-            # binding declaration prefix: Var = E in
+            # binding declaration prefix: Var = E in, a local of Var
             if self.at("kw", "in"):
                 if type(p) is SEq and type(p.lhs) is SVar:
                     self.next()
-                    rest = self.parse_seq(stops)
-                    phrases.append(SLocalBind(p.lhs.name, p.rhs, rest, p.pos))
+                    rest = SSeq([p, self.parse_seq(stops)], p.pos)
+                    phrases.append(SLocal([p.lhs.name], rest, p.pos))
                     break
                 self.fail("only a variable or Var=Expr may precede 'in' here")
             phrases.append(p)
         self.depth -= 1
         if not phrases:
-            return SSkip()
+            return SSkip(self.tok[2:4])
         if len(phrases) == 1:
             return phrases[0]
-        return SSeq(phrases)
+        return SSeq(phrases, phrases[0].pos)
 
     def _name_run(self):
         names = []
@@ -318,14 +313,12 @@ class Parser:
         self.expect("kw", "of")
         clauses = []
         while True:
-            pat = self.parse_pattern()
+            pat = self.parse_expr()
             self.expect("kw", "then")
-            body = self.parse_seq(("else", "end", "[]"))
-            clauses.append((pat, body))
-            if self.at("sym", "[]"):
-                self.next()
-                continue
-            break
+            clauses.append((pat, self.parse_seq(("else", "end", "[]"))))
+            if not self.at("sym", "[]"):
+                break
+            self.next()
         els = None
         if self.at("kw", "else"):
             self.next()
@@ -488,7 +481,7 @@ class Parser:
                 self.next()
                 feats = []
                 while not self.at("sym", ")"):
-                    feats.append(self._feat(self.parse_expr))
+                    feats.append(self._feat())
                 self.next()
                 return SRecordCons(value, feats, t[2:4])
             return (SVar if kind == "var" else SAtom)(value, t[2:4])
@@ -523,75 +516,16 @@ class Parser:
             return self.parse_phrase()
         self.fail(f"unexpected {_describe(t)} in expression")
 
-    def _feat(self, sub):
-        """One feature: [feat :] item, using `sub` to parse the item."""
+    def _feat(self):
+        """One feature: [feat :] expression."""
         t = self.tok
         if t[0] in ("atom", "int"):
             n = self.toks[self.i + 1]
             if n[0] == "sym" and n[1] == ":":
                 self.next()
                 self.next()
-                return (t[1], sub())
-        return (None, sub())
-
-    # -- patterns ----------------------------------------------------------
-
-    def parse_pattern(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.too_deep()
-        items = [self._pat_tuple()]
-        bars = []
-        while self.at("sym", "|"):
-            bars.append(self.next())
-            items.append(self._pat_tuple())
-        out = items.pop()
-        for head, t in zip(reversed(items), reversed(bars)):
-            out = PRecord("|", [(None, head), (None, out)], t[2:4])
-        self.depth -= 1
-        return out
-
-    def _pat_tuple(self):
-        first = self._pat_primary()
-        if not self.at("sym", "#"):
-            return first
-        feats = [(None, first)]
-        while self.at("sym", "#"):
-            self.next()
-            feats.append((None, self._pat_primary()))
-        return PRecord("#", feats)
-
-    def _pat_primary(self):
-        t = self.tok
-        kind = t[0]
-        if kind == "int" or kind == "var":
-            self.next()
-            return (PLit if kind == "int" else PVar)(t[1], t[2:4])
-        if kind == "atom":
-            self.next()
-            n = self.tok
-            if n[0] == "sym" and n[1] == "(" and n[4] == t[5]:
-                self.next()
-                feats = []
-                while not self.at("sym", ")"):
-                    feats.append(self._feat(self.parse_pattern))
-                self.next()
-                return PRecord(t[1], feats, t[2:4])
-            return PLit(t[1], t[2:4])
-        if kind == "sym" and t[1] == "_":
-            self.next()
-            return PWild(t[2:4])
-        if kind == "sym" and t[1] == "[":
-            self.next()
-            elems = []
-            while not self.at("sym", "]"):
-                elems.append(self.parse_pattern())
-            self.next()
-            out = PLit("nil", t[2:4])
-            for e in reversed(elems):
-                out = PRecord("|", [(None, e), (None, out)], t[2:4])
-            return out
-        self.fail(f"unexpected {_describe(t)} in pattern")
+                return (t[1], self.parse_expr())
+        return (None, self.parse_expr())
 
 
 def _describe(t):

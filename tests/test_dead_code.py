@@ -83,16 +83,26 @@ def test_the_runtime_uses_all_it_defines_but_its_entry_points():
 
 def _oz_uses(node):
     """The variables a parsed phrase reads; a procedure's own name in its
-    head and a pattern's variables are bindings, not uses."""
+    head and a pattern's variables are bindings, not uses, so a case is
+    walked through its subject, clause bodies and else but not its
+    patterns."""
     stack = [node]
     while stack:
         n = stack.pop()
         if isinstance(n, (list, tuple)):
             stack.extend(n)
+        elif type(n) is syntax.SCase:
+            stack.extend([n.subject, n.els, *(body for _, body in n.clauses)])
         elif isinstance(n, syntax.Phrase):
             if type(n) is syntax.SVar:
                 yield n.name
             stack.extend(getattr(n, slot) for slot in type(n).__slots__)
+
+
+def test_a_pattern_variable_is_not_a_use():
+    case = syntax.parse("case X of f(A B) then {F A} [] C then skip "
+                        "else {G} end")
+    assert sorted(_oz_uses(case)) == ["A", "F", "G", "X"]
 
 
 def test_every_prelude_name_is_referenced():

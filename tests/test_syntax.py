@@ -7,6 +7,7 @@ The tokenizer has its own oracle, the reference tokenizer beside the tests.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -279,6 +280,11 @@ def test_var_pattern_matches_anything():
     assert alpha_equivalent(k, expect), pretty(k)
 
 
+def test_parenthesised_pattern_is_a_pattern():
+    out = run_text("case f(1 2) of (f(A B)) then {Browse A#B} end")
+    assert (out.exit_code, out.browse) == (0, ["1#2"])
+
+
 def test_lazy_fun_uses_by_need():
     k = ds("local F in fun lazy {F N} N + 1 end end")
     assert len(_calls(k, "ByNeed")) == 1
@@ -460,10 +466,26 @@ def test_duplicate_feature_rejected():
      "duplicate feature 1", 2, 8),
     ("local X in\n   case X of f(a:_ a:_) then skip end\nend",
      "duplicate feature a in pattern", 2, 14),
+    ("case f(1 2) of f(A A) then {Browse A} end",
+     "duplicate variable A in pattern", 1, 20),
+    ("case f(1 f(2 3)) of f(A f(B B)) then skip end",
+     "duplicate variable B in pattern", 1, 29),
+    ("case x of 1+1 then skip end", "this phrase is not a pattern", 1, 12),
+    ("case x of {F} then skip end", "this phrase is not a pattern", 1, 11),
+    ("case x of 1+1 then skip else {Undefined} end",
+     "this phrase is not a pattern", 1, 12),
+    ("case x of f(A A) then skip [] 1+1 then skip end",
+     "duplicate variable A in pattern", 1, 15),
+    ("case x of f(g(a:_ a:_)) then {Undefined} end",
+     "duplicate feature a in pattern", 1, 13),
 ], ids=["declare-as-value", "tell-as-value", "named-proc-as-value",
         "anonymous-proc-as-statement", "if-value-without-else",
         "value-as-statement", "duplicate-record-feature",
-        "duplicate-pattern-feature"])
+        "duplicate-pattern-feature", "duplicate-pattern-variable",
+        "duplicate-nested-pattern-variable", "operator-as-pattern",
+        "call-as-pattern", "bad-pattern-before-else",
+        "duplicate-variable-before-later-pattern",
+        "nested-duplicate-feature-before-body"])
 def test_desugar_error_message_and_position(src, msg, line, col):
     with pytest.raises(ParseError) as e:
         ds(src)
@@ -606,6 +628,208 @@ def test_module_syntax_rejected():
 def test_declare_not_an_expression():
     with pytest.raises(ParseError):
         parse("if declare X in skip then skip end")
+
+
+# ----------------------------------------------------------------------
+# case against a Python matcher
+
+# A term is an int, an atom (a str) or ("rec", label, feats), feats the
+# (feature, term) pairs in canonical order: integer features ascending, then
+# atoms.  A pattern is a term whose leaves may also be ("var", name) or
+# ("_",).
+
+def _rec(label, feats):
+    return ("rec", label,
+            tuple(sorted(feats, key=lambda fv: (type(fv[0]) is str, fv[0]))))
+
+
+def _cons(head, tail):
+    return _rec("|", [(1, head), (2, tail)])
+
+
+def _positional(x):
+    return [f for f, _ in x[2]] == list(range(1, len(x[2]) + 1))
+
+
+def _is_cons(x):
+    return type(x) is tuple and x[0] == "rec" and x[1] == "|" \
+        and [f for f, _ in x[2]] == [1, 2]
+
+
+def _is_hashed(x):
+    return type(x) is tuple and x[0] == "rec" and x[1] == "#" \
+        and len(x[2]) >= 2 and _positional(x)
+
+
+def _ground(depth):
+    """Ground terms nested at most depth records deep."""
+    leaf = st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b", "nil"]))
+    if depth == 0:
+        return leaf
+    sub = _ground(depth - 1)
+    record = st.tuples(
+        st.sampled_from(["f", "g"]), st.lists(sub, max_size=2),
+        st.dictionaries(st.sampled_from(["x", "y"]), sub, max_size=2),
+    ).filter(lambda r: r[1] or r[2]).map(
+        lambda r: _rec(r[0], [*enumerate(r[1], 1), *r[2].items()]))
+    closed = st.lists(sub, max_size=3).map(
+        lambda xs: functools.reduce(lambda t, x: _cons(x, t), reversed(xs),
+                                    "nil"))
+    tup = st.lists(sub, min_size=2, max_size=3).map(
+        lambda xs: _rec("#", enumerate(xs, 1)))
+    return st.one_of(leaf, record, closed, tup,
+                     st.builds(_cons, sub, sub))
+
+
+_GROUND = _ground(3)
+
+
+@st.composite
+def _linear_pattern(draw, term):
+    """A pattern made from term: each subterm becomes a fresh variable, a
+    wildcard, itself (a record with patterns made from its fields), or a
+    perturbed label, arity or literal.  Returns (pattern, variable names
+    in order)."""
+    names = []
+
+    def make(t):
+        how = draw(st.sampled_from(["var", "wild", "keep", "keep", "keep",
+                                    "perturb"]))
+        if how == "var":
+            names.append(f"V{len(names) + 1}")
+            return ("var", names[-1])
+        if how == "wild":
+            return ("_",)
+        if type(t) is not tuple:        # an int or an atom
+            if how == "keep":
+                return t
+            return draw(st.sampled_from(
+                [x for x in (0, 1, -2, "a", "nil", "h") if x != t]
+                + [_rec("f", [(1, ("_",))])]))
+        what = "keep" if how == "keep" else draw(
+            st.sampled_from(["label", "arity", "arity", "literal"]))
+        if what == "literal":
+            return draw(st.sampled_from([1, "a", "nil"]))
+        fields = list(t[2])
+        if what == "arity":         # drop, rename or add a feature
+            i = draw(st.integers(0, len(fields) - 1))
+            absent = draw(st.sampled_from(
+                [f for f in ("x", "y", "z", 3) if f not in dict(fields)]))
+            change = draw(st.sampled_from(["drop", "rename", "add"]))
+            if change == "drop" and len(fields) > 1:
+                del fields[i]
+            elif change == "rename":
+                fields[i] = (absent, fields[i][1])
+            else:
+                fields.append((absent, "a"))
+        label = t[1] if what != "label" else draw(st.sampled_from(
+            [x for x in ("f", "g", "#", "|") if x != t[1]]))
+        return _rec(label, [(f, make(v)) for f, v in fields])
+
+    return make(term), names
+
+
+def _match(p, t, env):
+    """Whether term t matches pattern p, binding p's variables in env."""
+    if type(p) is tuple and p[0] == "_":
+        return True
+    if type(p) is tuple and p[0] == "var":
+        env[p[1]] = t
+        return True
+    if type(p) is tuple:
+        return (type(t) is tuple and t[1] == p[1]
+                and [f for f, _ in t[2]] == [f for f, _ in p[2]]
+                and all([_match(q, v, env)
+                         for (_, q), (_, v) in zip(p[2], t[2])]))
+    return type(t) is type(p) and t == p
+
+
+def _src(x):
+    """x as Oz source text: lists in brackets or as | chains, tuples as #
+    chains, with an infix operand in parentheses where the operators'
+    binding powers would regroup it."""
+    if type(x) is int:
+        return str(x) if x >= 0 else f"~{-x}"
+    if type(x) is str:
+        return x
+    if x[0] == "var":
+        return x[1]
+    if x[0] == "_":
+        return "_"
+    if _is_cons(x):
+        heads = []
+        while _is_cons(x):
+            heads.append(x[2][0][1])
+            x = x[2][1][1]
+        if x == "nil":
+            return "[" + " ".join(map(_src, heads)) + "]"
+        return "|".join(f"({_src(h)})" if _is_cons(h) and not _closed(h)
+                        else _src(h) for h in heads) + "|" + _src(x)
+    if _is_hashed(x):
+        return "#".join(f"({_src(v)})" if _is_hashed(v) or
+                        (_is_cons(v) and not _closed(v)) else _src(v)
+                        for _, v in x[2])
+    label = x[1] if x[1] in ("f", "g") else f"'{x[1]}'"
+    items = [_src(v) if f == i else f"{f}:{_src(v)}"
+             for i, (f, v) in enumerate(x[2], 1)]
+    return f"{label}({' '.join(items)})"
+
+
+def _closed(x):
+    while _is_cons(x):
+        x = x[2][1][1]
+    return x == "nil"
+
+
+def _shown(t):
+    """Ground term t as Browse shows it."""
+    if type(t) is int:
+        return str(t) if t >= 0 else f"~{-t}"
+    if type(t) is str:
+        return t
+    if _is_cons(t):
+        heads = []
+        while _is_cons(t):
+            heads.append(_shown(t[2][0][1]))
+            t = t[2][1][1]
+        if t == "nil":
+            return "[" + " ".join(heads) + "]"
+        return "|".join(heads) + "|" + _shown(t)
+    if _is_hashed(t):
+        return "#".join(_shown(v) for _, v in t[2])
+    positional = _positional(t)
+    items = [_shown(v) if positional else f"{f}:{_shown(v)}"
+             for f, v in t[2]]
+    return f"{t[1]}({' '.join(items)})"
+
+
+@st.composite
+def _case_program(draw):
+    """A few case statements, each of a drawn term against a pattern made
+    from it, with the lines a Python matcher expects them to browse."""
+    lines, expect = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        term = draw(_GROUND)
+        pat, names = draw(_linear_pattern(term))
+        shown = f"r({' '.join(names)})" if names else "yes"
+        lines.append(f"case {_src(term)} of {_src(pat)} then "
+                     f"{{Browse {shown}}} else {{Browse no}} end")
+        env = {}
+        if not _match(pat, term, env):
+            expect.append("no")
+        elif names:
+            expect.append(f"r({' '.join(_shown(env[n]) for n in names)})")
+        else:
+            expect.append("yes")
+    return "\n".join(lines), expect
+
+
+@given(_case_program())
+@settings(max_examples=400, deadline=None)
+def test_case_matches_as_a_python_matcher_does(case):
+    src, expect = case
+    out = run_text(src)
+    assert (out.exit_code, out.browse) == (0, expect), src
 
 
 # ----------------------------------------------------------------------
