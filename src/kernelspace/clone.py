@@ -63,7 +63,7 @@ def clone_space(vm, s, caller_space):
         if tt is Var:
             nv = vmap.get(t)
             if nv is None:
-                home = space_map.get(homes[t.vid])
+                home = space_map.get(homes[t.vid].space)
                 if home is None:
                     nv = vmap[t] = t
                 else:

@@ -316,7 +316,7 @@ def _on_tell(vm, var, value, space):
             spaces_mod.fail_space(vm, cur)
             continue
         # an alias drops var's fd state, and so does a bind in var's home
-        if alias or (cur is space and store.homes[var.vid] is space):
+        if alias or (cur is space and store.homes[var.vid].space is space):
             cur.fd_domains.pop(var, None)
             ws = cur.fd_watchers.pop(var, None)
             if var not in cur.bindings:

@@ -1,10 +1,10 @@
 """First-class computation spaces: the space tree, the seven operations,
 and the builtins that expose them (`SPACE_BUILTINS`).
 
-A space is a node in a tree rooted at the top-level space.  It owns the
-variables homed in it, which it binds in place, an overlay of speculative
-bindings of variables homed above it (see store.py), the threads whose home
-it is, the propagators posted in it, and at most one pending choice point.
+A space is a node in a tree rooted at the top-level space.  It binds in
+place the variables homed in it, which it does not list, and owns an
+overlay of speculative bindings of variables homed above it (store.py),
+the threads whose home it is, its propagators and at most one choice point.
 Stability is a property of the whole subtree (`subtree` is the one walk of
 it): a space is stable when nothing outside the subtree can ever wake it,
 which operationally means no thread in the subtree is runnable, no
@@ -32,15 +32,15 @@ stability wait of its Commit, Clone or Merge, is told in the heir, where
 the adopted threads wait for it.  Either way the dead space is detached
 from its parent's `children` (which therefore holds live spaces only),
 marked `discarded` with how it ended, unindexed (store.py) and emptied:
-overlay, domains, watchers, propagators, own variables and threads.  What
-remains (sid, parent, `discarded`) a SpaceRef may still hold, so Ask on
-it still answers `failed` and the other operations still raise.
+overlay, domains, watchers, propagators, threads, and a failed space's
+root.  What remains (sid, parent, `discarded`) a SpaceRef may hold, so
+Ask on it still answers `failed` and the other operations still raise.
 """
 
 from __future__ import annotations
 
 from .errors import FAILURE, OzRaise, UsageError, Wait, _error, arg
-from .store import FAILED, is_ancestor
+from .store import FAILED, Home, is_ancestor
 from .terms import Builtin, Closure, Record, SpaceRef
 
 STATUS_FAILED = "failed"
@@ -59,8 +59,8 @@ class Space:
         self.children = {}            # live child spaces (ordered set)
         self.bindings = {}            # Var -> term: speculative bindings of
                                       # Vars homed in proper ancestors
-        self.own_vars = []            # Vars homed here, for merge and
-                                      # release; the top space keeps none
+        self.home = Home(self)        # what the Vars made here point to
+        self.absorbed = []            # Homes of spaces merged in (not top)
         self.root_var = None
         self.threads = {}             # live threads homed here (ordered set)
         self.runnable = 0             # runnable threads in the whole subtree
@@ -128,6 +128,10 @@ def fail_space(vm, sp):
         d.pending_choose = None
         d.children = {}
         d.propagators.clear()
+        d.root_var = d.home.space = None
+        for h in d.absorbed:
+            h.space = None
+        d.absorbed = []
         vm.store.release(d, d.fd_domains, d.fd_watchers)
     for d in dead[1:]:
         d.ask_waiters = []           # every asker below sp is dead too
@@ -172,7 +176,7 @@ def classify(vm, sp):
             return STATUS_SUSPENDED       # propagation still pending
         for t in cur.threads:
             if t.state == "suspended":
-                home = homes[t.wait_var.vid]
+                home = homes[t.wait_var.vid].space
                 if home is not sp and is_ancestor(home, sp):
                     return STATUS_SUSPENDED
     if sp.pending_choose is not None:
@@ -283,12 +287,13 @@ def merge(vm, s, caller_space, st):
         raise UsageError(f"merge on a space with status {st}")
     parent = s.parent
     store = vm.store
-    # adopt local variables and threads
-    for var in s.own_vars:
-        store.homes[var.vid] = parent
-    if parent.parent is not None:    # the top space keeps no list
-        parent.own_vars.extend(s.own_vars)
-    s.own_vars = []
+    # adopt local variables, through the Homes, and threads
+    moved = [s.home, *s.absorbed]
+    for h in moved:
+        h.space = parent
+    if parent.parent is not None:    # the top space keeps none
+        parent.absorbed.extend(moved)
+    s.absorbed = []
     for t in list(s.threads):
         t.space = parent
         parent.threads[t] = None

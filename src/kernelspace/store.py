@@ -31,9 +31,13 @@ reads `ref` alone when it is empty.  So a Var with no `ref` and no
 `spaces` is unbound in every space and derefs to itself from each of
 them, and one with an integer `ref` and no `spaces` is that integer in
 each; fd's propagator runs rely on this to skip `deref` for both.
-When a space fails or merges,
-`release` unindexes it, and its own variables lose their home (the `homes`
-slot becomes None), binding, waiters, trigger and index.
+When a space fails or merges, `release` unindexes it.
+
+A variable's home is recorded once: `homes[vid]` is the `Home` of the
+space that made it.  Merging a space points its Home, and those it had
+absorbed, at the parent, and failing it points them at None (spaces.py):
+a write per space, none per variable, and a failed space's variables die
+with their last reference.
 
 Unification is an incremental tell: bindings created before an inconsistency
 is discovered are kept, and their suspensions are woken.  `pairs`, the one
@@ -71,9 +75,17 @@ def is_ancestor(a, b) -> bool:
     return False
 
 
+class Home:
+    """Where one space's variables live: it, its heir, or None if failed."""
+    __slots__ = ("space",)
+
+    def __init__(self, space):
+        self.space = space
+
+
 class Store:
     def __init__(self):
-        self.homes = []            # vid -> home space, None once it failed
+        self.homes = []            # vid -> the Home of the space that made it
         self.wake_fn = None
         self.fail_space_fn = None
         # installed by the fd module when domains are in play
@@ -82,13 +94,11 @@ class Store:
     # ------------------------------------------------------------------
     # variables and lookup
 
-    def new_var(self, home) -> Var:
-        if home.discarded:
+    def new_var(self, space) -> Var:
+        if space.discarded:
             raise UsageError("new_var in a failed or merged space")
         var = Var(len(self.homes))
-        self.homes.append(home)
-        if home.parent is not None:    # the top space is never cloned,
-            home.own_vars.append(var)  # failed or merged
+        self.homes.append(space.home)
         return var
 
     def deref(self, t, space):
@@ -122,7 +132,7 @@ class Store:
         return type(self.deref(t, space)) is not Var
 
     def index(self, var, sp):
-        if self.homes[var.vid] is not sp:
+        if self.homes[var.vid].space is not sp:
             var.spaces = var.spaces or {}
             var.spaces[sp] = None
 
@@ -163,7 +173,7 @@ class Store:
         if self.fd_tell_fn is not None:
             if self.fd_tell_fn(var, value, space) is FAILED:
                 return FAILED
-        if self.homes[var.vid] is space:
+        if self.homes[var.vid].space is space:
             assert var.ref is None, "binding monotonicity violated"
             var.ref = value
         else:
@@ -186,17 +196,12 @@ class Store:
 
     def release(self, space, *held):
         """Forget a failed or merged space: its overlay and the owner's
-        tables `held` (keyed by Var) with their index entries, and its
-        remaining own variables' homes, bindings, waiters, triggers and
-        indexes."""
+        tables `held` (keyed by Var) with their index entries.  Its own
+        variables are the caller's to re-home through their `Home`."""
         for table in (space.bindings, *held):
             for var in table:
                 self.unindex(var, space)
             table.clear()
-        for var in space.own_vars:
-            var.ref = var.waiters = var.trigger = var.spaces = None
-            self.homes[var.vid] = None
-        space.own_vars = []
 
     def _alias(self, u, v, space):
         """Bind one unbound var to another; returns OK or FAILED."""
@@ -204,7 +209,7 @@ class Store:
         if ut != vt:
             src, dst = (v, u) if ut else (u, v)      # keep the trigger var free
         else:
-            uh, vh = self.homes[u.vid], self.homes[v.vid]
+            uh, vh = self.homes[u.vid].space, self.homes[v.vid].space
             if uh is not vh:
                 # both homes are on the chain above `space`; binding the
                 # one homed deeper points descendants at ancestors

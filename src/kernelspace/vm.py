@@ -105,7 +105,6 @@ class VM:
         self.on_browse = on_browse
         self.trace = trace
         self.uncaught = None
-        self.budget_hit = False
         self.triggers_installed = 0
         self.triggers_fired = 0
         self.fd_agenda = deque()
@@ -185,7 +184,7 @@ class VM:
     def wake_bound(self, var, waiters, space):
         """Wake the waiters of var that see its new binding in `space`; an
         overlay binding leaves the others parked on var."""
-        if self.store.homes[var.vid] is not space:
+        if self.store.homes[var.vid].space is not space:
             keep = [th for th in waiters if not is_ancestor(space, th.space)]
             if keep:
                 var.waiters = keep
@@ -252,13 +251,13 @@ class VM:
     def need(self, var):
         """Fire var's by-need trigger if it has one: when a thread parks on
         var, and when propagation determines it (fd._bind_value).  The
-        supplier runs in var's home, which is live: merge re-homes a
-        variable and `Store.release` clears its trigger."""
+        supplier runs in var's home, which is live: a merge re-homes a
+        variable, and nothing live reaches a failed space's variable."""
         proc = var.trigger
         if proc is not None:
             var.trigger = None
             self.triggers_fired += 1
-            self.spawn_call(proc, [var], self.store.homes[var.vid])
+            self.spawn_call(proc, [var], self.store.homes[var.vid].space)
 
     # ------------------------------------------------------------------
     # tracing and output
@@ -319,7 +318,6 @@ class VM:
                     stack.append(entry)
                     queue.append(th)
                     self.reductions = red
-                    self.budget_hit = True
                     return "budget"
                 red += 1
                 stmt, frame = entry
@@ -459,7 +457,7 @@ def bi_byneed(vm, th, args, sp):
     if type(x) is not Var or x.trigger is not None:
         raise OzRaise(_error("byNeed"))
     vm.triggers_installed += 1
-    if store.homes[x.vid] is sp:
+    if store.homes[x.vid].space is sp:
         x.trigger = args[0]
         return None
     # every space sees a variable's trigger, so for one homed above sp the

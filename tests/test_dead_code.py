@@ -1,11 +1,14 @@
 """Every module-level function and class in the package is used somewhere,
-and by the runtime itself unless it is a host entry point; every name the
-prelude declares is used somewhere; and the builtin tables do not overlap.
+and by the runtime itself unless it is a host entry point; every attribute
+the package writes is read somewhere; every name the prelude declares is
+used somewhere; and the builtin tables do not overlap.
 
 A definition counts as used when its name appears as a name or as an
 attribute anywhere in src/, tests/ or bench/ (for the second check, in
-src/ alone) outside its own body; imports alone do not count.  The check
-is by name only, with the stdlib ast module.
+src/ alone) outside its own body; imports alone do not count.  An
+attribute counts as read when its name is loaded as an attribute anywhere
+in src/, tests/ or bench/; an augmented assignment is a write only.  The
+checks are by name only, with the stdlib ast module.
 A prelude name counts as used when the prelude mentions it outside its own
 definition, or a corpus program, a test or a bench file names it.
 """
@@ -79,6 +82,21 @@ def test_the_runtime_uses_all_it_defines_but_its_entry_points():
     """A helper only tests or the bench call belongs beside them."""
     unused = _unreferenced(("src",), ENTRY_POINTS)
     assert unused == [], f"defined but not used by the package: {unused}"
+
+
+def test_every_attribute_the_package_writes_is_read():
+    written, read = [], set()
+    for path, tree in _trees():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Attribute):
+                continue
+            if isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n.ctx, ast.Store) and path.parent == PACKAGE:
+                written.append((f"{path.stem}:{n.lineno}", n.attr))
+    unread = [f"{where} {name}" for where, name in written
+              if name not in read]
+    assert unread == [], f"written but never read: {unread}"
 
 
 def _oz_uses(node):

@@ -7,6 +7,7 @@ operations and checks the vm never crashes, never answers nonsense, and
 replays deterministically.
 """
 
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (SPACE_OPS, THREAD_KINDS, browse, kind_counter,
                       load_decls, run)
 
 from kernelspace import search, spaces
+from kernelspace.terms import Var
 from kernelspace.vm import render
 
 
@@ -229,16 +231,24 @@ def test_clone_copies_shared_frames_once_and_keeps_bindings_apart():
 
 
 def _count_copies(monkeypatch):
-    """Record, for each clone from now on, the variables the original
-    subtree holds and the ones its copy holds."""
+    """Record, for each clone from now on, how many live variables are
+    homed in the original subtree and how many in its copy."""
     from kernelspace import clone
     seen = []
     orig = clone.clone_space
+    gc.collect()
+    # the variables alive now belong to other VMs; holding them keeps
+    # their ids from being reused
+    others = {id(v): v for v in gc.get_objects() if type(v) is Var}
 
     def counting(vm, s, caller_space):
         new = orig(vm, s, caller_space)
-        seen.append(tuple(sum(len(sp.own_vars) for sp in spaces.subtree(x))
-                          for x in (s, new)))
+        gc.collect()
+        homes = vm.store.homes
+        live = [homes[v.vid].space for v in gc.get_objects()
+                if type(v) is Var and id(v) not in others]
+        subtrees = [set(spaces.subtree(x)) for x in (s, new)]
+        seen.append(tuple(sum(h in sub for h in live) for sub in subtrees))
         return new
     monkeypatch.setattr(clone, "clone_space", counting)
     return seen
@@ -261,8 +271,8 @@ def test_clone_leaves_behind_what_nothing_reaches(monkeypatch):
     assert out.exit_code == 0, out.error
     assert out.browse == ["succeeded#succeeded#done"]
     (held, copied), = seen
-    assert held > 20000
-    assert copied == 1                     # the root variable
+    # the garbage was freed as it was made: only the root variable is left
+    assert held == copied == 1
 
 
 # Each script leaves garbage behind and holds one subtree variable K, or a
@@ -390,8 +400,9 @@ def test_clone_copies_what_each_root_reaches(monkeypatch, case):
     assert orig == "succeeded#" + root.format(1, 6)
     assert first == second == control == "succeeded#" + root.format(2, 7)
     (held, copied), again = seen
-    assert again == (held, copied)
-    assert copied < held - 50              # the garbage stays behind
+    # the garbage was freed as it was made: the original holds only what
+    # its roots reach, which is what the copy holds
+    assert again == (held, copied) and held == copied
 
 
 def test_clone_answers_the_asks_pending_inside_it():

@@ -330,7 +330,7 @@ def test_alias_direction_descendant_to_ancestor():
     xc = vm.store.new_var(child)
     xm = vm.store.new_var(mid)
     spaces.merge(vm, mid, vm.top, spaces.STATUS_SUCCEEDED)
-    assert child.parent is vm.top and vm.store.homes[xm.vid] is vm.top
+    assert child.parent is vm.top and vm.store.homes[xm.vid].space is vm.top
     assert vm.store.unify(xm, xc, child) is OK
     assert xc.ref is xm
     assert xm.ref is None and not child.bindings
@@ -397,7 +397,7 @@ def test_randomized_overlay_consistency():
 
 
 def _visible(store, v, sp):
-    home = store.homes[v.vid]
+    home = store.homes[v.vid].space
     cur = sp
     while cur is not None:
         if cur is home:
