@@ -3,8 +3,14 @@
 Each kernel statement compiles once, on its first run, into a Python
 closure (vm, th, frame) with its operands' slots and literals bound in
 (Feeley & Lapalme, "Using closures for code generation", 1987).  It returns
-None, the variable to suspend on, or what a builtin it applies returns; a
-builtin may also raise Wait (errors.py), which the scheduler reads alike.
+None; the (statement, frame) pair to run next, which the scheduler runs
+without pushing it; the variable to suspend on; or what a builtin it
+applies returns, which is None, a Var or spaces.BLOCKED and never a tuple.
+A builtin may also raise Wait (errors.py), which the scheduler reads as a
+returned variable.  `seq` pushes the rest of its statements and returns
+its first; `local` returns its body, `if` and `case` the branch they take,
+a closure call the body on its new frame, and `try` its body after
+pushing its CatchMarker.
 An operand is read as frame[i] for an identifier and is a constant for a
 Lit.  The closures look up vm.tell_th, vm.store.deref and the store's
 methods at call time, so wrappers installed after import see every call.
@@ -23,6 +29,7 @@ result to the variable its third operand holds.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import OzRaise, _error
@@ -95,23 +102,41 @@ def _c_tellrec(s):
 
 
 def _c_seq(s):
-    stmts = s.stmts[::-1]
+    first, *rest = s.stmts
+    if len(rest) == 1:
+        second = rest[0]
+
+        def seq2(vm, th, fr):
+            th.stack.append((second, fr))
+            return first, fr
+        return seq2
+    rest.reverse()
 
     def seq(vm, th, fr):
-        th.stack.extend([(sub, fr) for sub in stmts])
+        th.stack.extend(zip(rest, repeat(fr)))
+        return first, fr
     return seq
 
 
 def _c_local(s):
     slots = tuple(sl.i for sl in s.slots if type(sl) is not ValueSlot)
     body = s.body
+    if not slots:
+        return lambda vm, th, fr: (body, fr)
+    if len(slots) == 1:
+        i = slots[0]
+
+        def local1(vm, th, fr):
+            fr[i] = vm.store.new_var(th.space)
+            return body, fr
+        return local1
 
     def local(vm, th, fr):
         new_var = vm.store.new_var
         sp = th.space
         for i in slots:
             fr[i] = new_var(sp)
-        th.stack.append((body, fr))
+        return body, fr
     return local
 
 
@@ -122,13 +147,12 @@ def _c_if(s):
     def if_(vm, th, fr):
         c = vm.store.deref(get(fr), th.space)
         if c == "true":
-            th.stack.append((then, fr))
-        elif c == "false":
-            th.stack.append((els, fr))
-        elif type(c) is Var:
+            return then, fr
+        if c == "false":
+            return els, fr
+        if type(c) is Var:
             return c
-        else:
-            raise OzRaise(_error("type"))
+        raise OzRaise(_error("type"))
     return if_
 
 
@@ -142,11 +166,10 @@ def _c_case(s):
         def case_lit(vm, th, fr):
             t = vm.store.deref(get(fr), th.space)
             if type(t) is kind and t == lit:
-                th.stack.append((then, fr))
-            elif type(t) is Var:
+                return then, fr
+            if type(t) is Var:
                 return t
-            else:
-                th.stack.append((els, fr))
+            return els, fr
         return case_lit
     label, arity = pat.label, pat.arity
     outs = tuple(sl.i for sl in s.slots[1:])
@@ -158,11 +181,10 @@ def _c_case(s):
                 and tuple(map(_feature, t.feats)) == arity):
             for i, (_, v) in zip(outs, t.feats):
                 fr[i] = v
-            th.stack.append((then, fr))
-        elif tt is Var:
+            return then, fr
+        if tt is Var:
             return t
-        else:
-            th.stack.append((els, fr))
+        return els, fr
     return case_rec
 
 
@@ -193,8 +215,7 @@ def _c_apply(s):
         if tf is Closure:
             if f.arity != n:
                 raise OzRaise(_error("arity"))
-            th.stack.append((f.body, [*f.captured, *get(fr), *f.pad]))
-            return None
+            return f.body, [*f.captured, *get(fr), *f.pad]
         if tf is Builtin:
             if f.arity != n:
                 raise OzRaise(_error("arity"))
@@ -267,7 +288,7 @@ def _c_try(s):
 
     def try_(vm, th, fr):
         th.stack.append(CatchMarker(i, handler, fr))
-        th.stack.append((body, fr))
+        return body, fr
     return try_
 
 

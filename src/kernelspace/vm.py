@@ -9,10 +9,15 @@ share its frame; `local`, a matching `case` and an inline operator whose
 result goes to a value slot (kernel.ValueSlot) write their slots in place,
 and `thread` starts a thread on a copy of the frame.  Each kernel
 statement is compiled once, on its first run, into a closure (vm, th,
-frame) with its operands' slots bound in (see codegen.py); one popped pair
-is one reduction.  A thread keeps the processor for up to `slice_`
-reductions, then goes to the back of the queue, which gives weak
-fairness.
+frame) with its operands' slots bound in (see codegen.py); one statement
+run is one reduction.  A statement that continues with one more statement
+returns that (statement, frame) pair instead of pushing it (a sequence
+pushes the rest and returns its first), and the scheduler runs the pair
+next without touching the stack.  A thread keeps the processor for up to
+`slice_` reductions, then goes to the back of the queue, which gives weak
+fairness; a pair still in hand then, at a budget stop or when the thread
+parks goes back on the stack, so the stack holds what it would had every
+pair been pushed.
 
 Suspension is by retry: a statement that finds an undetermined variable
 where a value is needed returns the variable, or, in a builtin, raises
@@ -59,6 +64,7 @@ from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
 from .kernel import INT_OPS, dead_slots
 from .store import FAILED, OK, Store, is_ancestor, pairs
+from .syntax import KEYWORDS
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
@@ -307,13 +313,20 @@ class VM:
             stack = th.stack
             pop = stack.pop
             end = red + self.slice
+            # r is what the last statement returned: None, or the (stmt,
+            # frame) pair it handed over to run next, which the stack
+            # would otherwise have held on top
+            r = None
             while red < end:
-                if not stack:
-                    self.finish_thread(th)
-                    break
-                entry = pop()
-                if type(entry) is CatchMarker:
-                    continue
+                if r is None:
+                    if not stack:
+                        self.finish_thread(th)
+                        break
+                    entry = pop()
+                    if type(entry) is CatchMarker:
+                        continue
+                else:
+                    entry = r
                 if red >= limit:
                     stack.append(entry)
                     queue.append(th)
@@ -339,10 +352,11 @@ class VM:
                     self.unwind(th, ex)
                     if th.state != "runnable":
                         break
+                    r = None
                     continue
                 except Wait as w:
                     r = w.var
-                if r is None:
+                if r is None or type(r) is tuple:
                     continue
                 stack.append(entry)
                 # parked: the frame lets go of what it will not read again
@@ -356,7 +370,10 @@ class VM:
                     self.suspend_thread(th, r)
                 break
             else:
-                queue.append(th)    # slice used up; go to the back
+                # slice used up; go to the back
+                if r is not None:
+                    stack.append(r)
+                queue.append(th)
             self.reductions = red
         return "done"
 
@@ -493,9 +510,29 @@ for _name, _arity, _fn in [
 # rendering values for Browse and diagnostics
 
 
+class _Text(str):
+    """Punctuation that render puts on its stack: shown as it is, where an
+    atom may be quoted."""
+
+    __slots__ = ()
+
+
+_SPACE, _BAR, _HASH, _OPEN, _CLOSE = map(_Text, (" ", "|", "#", "[", "]"))
+
+
+def _atom(a):
+    """Atom a as the parser reads it: quoted unless a plain lower-case
+    name that is not a keyword."""
+    if a.isascii() and a.isidentifier() and a[0].islower() \
+            and a not in KEYWORDS:
+        return a
+    return f"'{a}'"
+
+
 _SHOW = {                       # how render displays each non-record term
     int: lambda t: str(t) if t >= 0 else f"~{-t}",
-    str: lambda t: t,
+    str: _atom,
+    _Text: str.__str__,
     Var: lambda t: "_",
     Closure: lambda t: f"<P/{t.arity}>",
     Builtin: lambda t: f"<P/{t.arity}>",
@@ -507,14 +544,21 @@ _SHOW = {                       # how render displays each non-record term
 
 
 def render(vm, t, sp):
-    """One-line display of a term as seen from `sp`.
+    """One-line display of a term as seen from `sp`, in the syntax the
+    parser reads: a ground term of integers, atoms and records reads back
+    as itself.
 
+    An atom is quoted unless it is a plain lower-case name.  A `#` tuple
+    or an open list (a|b|T) that is an element of a `#` tuple, and an open
+    list that is the head of an open list, is put in parentheses: `#` is
+    n-ary and binds tighter than `|`, which is right-associative.
     Unbound variables show as _.  A record that is reached again inside its
     own rendering is a cycle; the inner occurrence shows as @k, where k
     numbers the cyclic records in discovery order.  The walk uses an explicit
     stack, so long lists and deep records are fine.  On it an (enter or
     leave, id) pair adds a record to or drops it from the path of records
-    being rendered, and a punctuation string is emitted like an atom.
+    being rendered, an ("|" or "#", term) pair is an operand of that
+    operator, and punctuation is a _Text.
     """
     deref = vm.store.deref
     labels = {}
@@ -524,9 +568,13 @@ def render(vm, t, sp):
     stack = [t]
     while stack:
         t = stack.pop()
+        op = None
         if type(t) is tuple:
-            t[0](t[1])
-            continue
+            f, t = t
+            if type(f) is not str:
+                f(t)
+                continue
+            op = f
         t = deref(t, sp)
         if type(t) is not Record:
             out.append(_SHOW.get(type(t), repr)(t))
@@ -547,29 +595,35 @@ def render(vm, t, sp):
                 seen.add(id(nxt))
                 nxt = deref(nxt.feats[1][1], sp)
             closed = nxt == "nil"
+            paren = op is not None and not closed
             if closed:
-                todo.append("[")
+                todo.append(_OPEN)
             for k, cell in enumerate(spine):
                 if k:
-                    todo.append(" " if closed else "|")
+                    todo.append(_SPACE if closed else _BAR)
                     todo.append((enter, id(cell)))
-                todo.append(cell.feats[0][1])
-            todo.extend(("]",) if closed else ("|", nxt))
+                head = cell.feats[0][1]
+                todo.append(head if closed else ("|", head))
+            todo.extend((_CLOSE,) if closed else (_BAR, nxt))
             todo.extend((leave, id(cell)) for cell in spine)
         else:
             feats = t.feats
             positional = all(f == k + 1 for k, (f, _) in enumerate(feats))
             hashed = t.label == "#" and positional and len(feats) >= 2
+            paren = op == "#" and hashed
             if not hashed:
-                todo.append(f"{t.label}(")
+                todo.append(_Text(f"{_atom(t.label)}("))
             for k, (f, v) in enumerate(feats):
                 if k:
-                    todo.append("#" if hashed else " ")
+                    todo.append(_HASH if hashed else _SPACE)
                 if not positional:
-                    todo.append(f"{f}:")
-                todo.append(v)
+                    todo.append(_Text(f"{_SHOW[type(f)](f)}:"))
+                todo.append(("#", v) if hashed else v)
             if not hashed:
-                todo.append(")")
+                todo.append(_Text(")"))
             todo.append((leave, i))
+        if paren:
+            out.append("(")
+            todo.append((out.append, ")"))
         stack.extend(reversed(todo))
     return "".join(out)

@@ -1,8 +1,9 @@
 """Every bundled program reproduces its golden output byte for byte, in
 the same number of reductions.
 
-The reduction counts pin the machine's step semantics: one popped
-statement is one reduction, however statements are represented or run.
+The reduction counts pin the machine's step semantics: one statement
+run is one reduction, however statements are represented or handed to
+the scheduler.
 A change that moves a count changes what a step is and must say so.
 The search-tree size of full fractions is pinned the same way.
 """

@@ -743,19 +743,29 @@ def test_render_deep_records():
     assert render(vm, t, vm.top) == "[" * n + "nil" + "]" * n
 
 
+def _hashed(data):
+    """Whether data shows as a # chain: a # tuple of two or more fields."""
+    return (type(data) is tuple and data[0] == "rec" and data[1] == "#"
+            and len(data[2]) >= 2
+            and all(f == k + 1 for k, (f, _) in enumerate(data[2])))
+
+
 def _expected(data):
     """Python-side rendering of ('rec', label, [(feat, sub)]), ('list',
-    [items]), ints and atoms."""
+    [items]), ints and atoms: the atom # quoted, a # element that is
+    itself a # tuple in parentheses."""
     if isinstance(data, int):
         return _oz_int(data)
     if isinstance(data, str):
-        return data
+        return data if data.isalpha() else f"'{data}'"
     if data[0] == "list":
         return "[" + " ".join(_expected(x) for x in data[1]) + "]"
     _, label, feats = data
+    if _hashed(data):
+        return "#".join(f"({_expected(v)})" if _hashed(v) else _expected(v)
+                        for _, v in feats)
+    label = _expected(label)
     positional = all(f == k + 1 for k, (f, _) in enumerate(feats))
-    if label == "#" and positional and len(feats) >= 2:
-        return "#".join(_expected(v) for _, v in feats)
     if positional:
         return f"{label}(" + " ".join(_expected(v) for _, v in feats) + ")"
     return f"{label}(" + " ".join(f"{f}:{_expected(v)}"

@@ -8,6 +8,7 @@ The tokenizer has its own oracle, the reference tokenizer beside the tests.
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -661,15 +662,17 @@ def _is_hashed(x):
         and len(x[2]) >= 2 and _positional(x)
 
 
-def _ground(depth):
-    """Ground terms nested at most depth records deep."""
-    leaf = st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b", "nil"]))
+def _ground(depth, atoms=("a", "b", "nil"), labels=("f", "g"),
+            names=("x", "y")):
+    """Ground terms nested at most depth records deep, with leaf atoms,
+    record labels and feature names drawn from those given."""
+    leaf = st.one_of(st.integers(-3, 3), st.sampled_from(atoms))
     if depth == 0:
         return leaf
-    sub = _ground(depth - 1)
+    sub = _ground(depth - 1, atoms, labels, names)
     record = st.tuples(
-        st.sampled_from(["f", "g"]), st.lists(sub, max_size=2),
-        st.dictionaries(st.sampled_from(["x", "y"]), sub, max_size=2),
+        st.sampled_from(labels), st.lists(sub, max_size=2),
+        st.dictionaries(st.sampled_from(names), sub, max_size=2),
     ).filter(lambda r: r[1] or r[2]).map(
         lambda r: _rec(r[0], [*enumerate(r[1], 1), *r[2].items()]))
     closed = st.lists(sub, max_size=3).map(
@@ -744,14 +747,21 @@ def _match(p, t, env):
     return type(t) is type(p) and t == p
 
 
+def _lit(x):
+    """An integer, or an atom quoted unless it is a plain lower-case name."""
+    if type(x) is int:
+        return str(x) if x >= 0 else f"~{-x}"
+    if re.fullmatch("[a-z][A-Za-z0-9_]*", x) and x not in syntax.KEYWORDS:
+        return x
+    return f"'{x}'"
+
+
 def _src(x):
     """x as Oz source text: lists in brackets or as | chains, tuples as #
     chains, with an infix operand in parentheses where the operators'
     binding powers would regroup it."""
-    if type(x) is int:
-        return str(x) if x >= 0 else f"~{-x}"
-    if type(x) is str:
-        return x
+    if type(x) is not tuple:
+        return _lit(x)
     if x[0] == "var":
         return x[1]
     if x[0] == "_":
@@ -769,10 +779,9 @@ def _src(x):
         return "#".join(f"({_src(v)})" if _is_hashed(v) or
                         (_is_cons(v) and not _closed(v)) else _src(v)
                         for _, v in x[2])
-    label = x[1] if x[1] in ("f", "g") else f"'{x[1]}'"
-    items = [_src(v) if f == i else f"{f}:{_src(v)}"
+    items = [_src(v) if f == i else f"{_lit(f)}:{_src(v)}"
              for i, (f, v) in enumerate(x[2], 1)]
-    return f"{label}({' '.join(items)})"
+    return f"{_lit(x[1])}({' '.join(items)})"
 
 
 def _closed(x):
@@ -782,25 +791,28 @@ def _closed(x):
 
 
 def _shown(t):
-    """Ground term t as Browse shows it."""
-    if type(t) is int:
-        return str(t) if t >= 0 else f"~{-t}"
-    if type(t) is str:
-        return t
+    """Ground term t as Browse shows it: a `#` element that is a `#` tuple
+    or an open list, and an open list's head that is an open list, in
+    parentheses; every feature named unless all are positional."""
+    if type(t) is not tuple:
+        return _lit(t)
     if _is_cons(t):
         heads = []
         while _is_cons(t):
-            heads.append(_shown(t[2][0][1]))
+            heads.append(t[2][0][1])
             t = t[2][1][1]
         if t == "nil":
-            return "[" + " ".join(heads) + "]"
-        return "|".join(heads) + "|" + _shown(t)
+            return "[" + " ".join(map(_shown, heads)) + "]"
+        return "|".join(f"({_shown(h)})" if _is_cons(h) and not _closed(h)
+                        else _shown(h) for h in heads) + "|" + _shown(t)
     if _is_hashed(t):
-        return "#".join(_shown(v) for _, v in t[2])
+        return "#".join(f"({_shown(v)})" if _is_hashed(v) or
+                        (_is_cons(v) and not _closed(v)) else _shown(v)
+                        for _, v in t[2])
     positional = _positional(t)
-    items = [_shown(v) if positional else f"{f}:{_shown(v)}"
+    items = [_shown(v) if positional else f"{_lit(f)}:{_shown(v)}"
              for f, v in t[2]]
-    return f"{t[1]}({' '.join(items)})"
+    return f"{_lit(t[1])}({' '.join(items)})"
 
 
 @st.composite
@@ -830,6 +842,24 @@ def test_case_matches_as_a_python_matcher_does(case):
     src, expect = case
     out = run_text(src)
     assert (out.exit_code, out.browse) == (0, expect), src
+
+
+# Atoms, labels and feature names that Browse must quote, next to plain ones.
+_QUOTED = _ground(3, atoms=("a", "nil", "A", "hello world", "end", "#", "|"),
+                  labels=("f", "A", "#", "|", "of"), names=("x", "Y", "skip"))
+
+
+@given(st.lists(_QUOTED, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_browse_output_reads_back_as_the_term(terms):
+    """{Browse R == T} browses true, where R is what {Browse T} showed."""
+    shown = run_text("".join(f"{{Browse {_src(t)}}}\n" for t in terms))
+    assert shown.exit_code == 0
+    assert shown.browse == [_shown(t) for t in terms]
+    src = "".join(f"{{Browse {r} == {_src(t)}}}\n"
+                  for r, t in zip(shown.browse, terms))
+    out = run_text(src)
+    assert (out.exit_code, out.browse) == (0, ["true"] * len(terms)), src
 
 
 # ----------------------------------------------------------------------

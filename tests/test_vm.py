@@ -315,8 +315,9 @@ def test_uncaught_toplevel_sets_exit_code():
 
 
 def test_case_miss_raises_error():
+    # the kind is the atom 'case', which Browse quotes as a keyword
     assert browse("try case 5 of a then skip end catch E then {Browse E} end") \
-        == ["error(kind:case)"]
+        == ["error(kind:'case')"]
 
 
 def test_catch_rethrow():
