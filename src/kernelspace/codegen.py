@@ -123,13 +123,6 @@ def _c_local(s):
     body = s.body
     if not slots:
         return lambda vm, th, fr: (body, fr)
-    if len(slots) == 1:
-        i = slots[0]
-
-        def local1(vm, th, fr):
-            fr[i] = vm.store.new_var(th.space)
-            return body, fr
-        return local1
 
     def local(vm, th, fr):
         new_var = vm.store.new_var

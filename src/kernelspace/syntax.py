@@ -47,13 +47,23 @@ KEYWORDS = {
     "choice", "dis", "skip",
 }
 
+_ATOM = r"[a-z][A-Za-z0-9_]*"      # an atom written without quotes
+_PLAIN_ATOM = re.compile(_ATOM).fullmatch
+
+
+def is_plain_atom(a):
+    """Whether atom a reads back written as it is, without quotes: a
+    lower-case name that is not a keyword."""
+    return _PLAIN_ATOM(a) is not None and a not in KEYWORDS
+
+
 # One match per token: blanks, then a token, a comment (which tokenize
 # drops), the end of the text, or a character no token starts with.
 _TOKEN_RE = re.compile(r"""\s*(?:
     (?P<comment>%[^\n]*)
   | (?P<int>~?\d+)
   | (?P<var>(?:[A-Z]|_[A-Za-z0-9_])[A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*)
-  | (?P<atom>[a-z][A-Za-z0-9_]*)
+  | (?P<atom>""" + _ATOM + r""")
   | (?P<qatom>'[^'\n]*')
   | (?P<sym>=<:|:::|\[\]|=<|=:|<:|==|[{}()\[\]|\#:=<>+\-*$_!])
   | (?P<eof>\Z)

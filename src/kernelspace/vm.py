@@ -64,7 +64,7 @@ from .errors import FAILURE, OzRaise, Wait, _error, arg
 from . import fd, spaces
 from .kernel import INT_OPS, dead_slots
 from .store import FAILED, OK, Store, is_ancestor, pairs
-from .syntax import KEYWORDS
+from .syntax import is_plain_atom
 from .terms import (
     Builtin, CellRef, Closure, Name, PortRef, Record, SpaceRef, Var, cons,
     is_cons,
@@ -510,29 +510,9 @@ for _name, _arity, _fn in [
 # rendering values for Browse and diagnostics
 
 
-class _Text(str):
-    """Punctuation that render puts on its stack: shown as it is, where an
-    atom may be quoted."""
-
-    __slots__ = ()
-
-
-_SPACE, _BAR, _HASH, _OPEN, _CLOSE = map(_Text, (" ", "|", "#", "[", "]"))
-
-
-def _atom(a):
-    """Atom a as the parser reads it: quoted unless a plain lower-case
-    name that is not a keyword."""
-    if a.isascii() and a.isidentifier() and a[0].islower() \
-            and a not in KEYWORDS:
-        return a
-    return f"'{a}'"
-
-
 _SHOW = {                       # how render displays each non-record term
     int: lambda t: str(t) if t >= 0 else f"~{-t}",
-    str: _atom,
-    _Text: str.__str__,
+    str: lambda t: t if is_plain_atom(t) else f"'{t}'",
     Var: lambda t: "_",
     Closure: lambda t: f"<P/{t.arity}>",
     Builtin: lambda t: f"<P/{t.arity}>",
@@ -558,13 +538,15 @@ def render(vm, t, sp):
     stack, so long lists and deep records are fine.  On it an (enter or
     leave, id) pair adds a record to or drops it from the path of records
     being rendered, an ("|" or "#", term) pair is an operand of that
-    operator, and punctuation is a _Text.
+    operator, and an (out.append, text) pair is punctuation.
     """
     deref = vm.store.deref
     labels = {}
     path = set()
     enter, leave = path.add, path.discard
     out = []
+    emit = out.append
+    space, bar, hash_, open_, close = ((emit, c) for c in " |#[]")
     stack = [t]
     while stack:
         t = stack.pop()
@@ -577,11 +559,11 @@ def render(vm, t, sp):
             op = f
         t = deref(t, sp)
         if type(t) is not Record:
-            out.append(_SHOW.get(type(t), repr)(t))
+            emit(_SHOW.get(type(t), repr)(t))
             continue
         i = id(t)
         if i in path:
-            out.append(f"@{labels.setdefault(i, len(labels) + 1)}")
+            emit(f"@{labels.setdefault(i, len(labels) + 1)}")
             continue
         enter(i)
         todo = []
@@ -597,14 +579,14 @@ def render(vm, t, sp):
             closed = nxt == "nil"
             paren = op is not None and not closed
             if closed:
-                todo.append(_OPEN)
+                todo.append(open_)
             for k, cell in enumerate(spine):
                 if k:
-                    todo.append(_SPACE if closed else _BAR)
+                    todo.append(space if closed else bar)
                     todo.append((enter, id(cell)))
                 head = cell.feats[0][1]
                 todo.append(head if closed else ("|", head))
-            todo.extend((_CLOSE,) if closed else (_BAR, nxt))
+            todo.extend((close,) if closed else (bar, nxt))
             todo.extend((leave, id(cell)) for cell in spine)
         else:
             feats = t.feats
@@ -612,18 +594,18 @@ def render(vm, t, sp):
             hashed = t.label == "#" and positional and len(feats) >= 2
             paren = op == "#" and hashed
             if not hashed:
-                todo.append(_Text(f"{_atom(t.label)}("))
+                todo.append((emit, f"{_SHOW[str](t.label)}("))
             for k, (f, v) in enumerate(feats):
                 if k:
-                    todo.append(_HASH if hashed else _SPACE)
+                    todo.append(hash_ if hashed else space)
                 if not positional:
-                    todo.append(_Text(f"{_SHOW[type(f)](f)}:"))
+                    todo.append((emit, f"{_SHOW[type(f)](f)}:"))
                 todo.append(("#", v) if hashed else v)
             if not hashed:
-                todo.append(_Text(")"))
+                todo.append((emit, ")"))
             todo.append((leave, i))
         if paren:
-            out.append("(")
-            todo.append((out.append, ")"))
+            emit("(")
+            todo.append((emit, ")"))
         stack.extend(reversed(todo))
     return "".join(out)
